@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error.  Reports are byte-identical across reruns of the same argv except for
-the wall_time_ms field.  CROWN_THREADS caps the worker pool.
+the wall_time_ms field.  Sweeps run serially in fixed chunks of 512 samples;
+the CROWN_THREADS environment variable is no longer read.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .iwasawa import (
     project_complex,
     reconstruction_residual,
 )
-from .parallel import thread_count
-from .report import VerificationReport, matrix_wire, vector_wire
+from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import NS_AUX, substream
 from .sampling import haar_k
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, hull_contains, omega_distance
@@ -143,10 +143,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _query_report(command, group, seed, tolerances, extras, start) -> VerificationReport:
+def _query_report(command, ctx, seed, tolerances, extras, start) -> VerificationReport:
     return VerificationReport(
         command=command,
-        group=group,
+        group=group_wire(ctx),
         omega=None,
         seed=seed,
         samples_requested=1,
@@ -182,21 +182,18 @@ def _run_decompose(args) -> VerificationReport:
         "max_arg_step": factors.max_arg_step,
         "reconstruction_residual": reconstruction_residual(ctx, factors, z),
     }
-    return _query_report("decompose",
-                         {"family": ctx.family.value, "n": ctx.n,
-                          "killing_scale": ctx.killing_scale},
-                         0, {"pivot_floor": PIVOT_FLOOR, "reconstruction_rtol": RECON_RTOL},
+    return _query_report("decompose", ctx, 0,
+                         {"pivot_floor": PIVOT_FLOOR, "reconstruction_rtol": RECON_RTOL},
                          extras, start)
 
 
 def _run_hull(args) -> VerificationReport:
     start = time.monotonic()
     ctx = build_group(args.group)
+    if args.x.size != ctx.n or args.y.size != ctx.n:
+        raise CrownError(f"--x and --y need {ctx.n} coordinates for {args.group.label}")
     member, margin = hull_contains(ctx, args.x, args.y, args.tol)
-    report = _query_report("hull",
-                           {"family": ctx.family.value, "n": ctx.n,
-                            "killing_scale": ctx.killing_scale},
-                           0, {"membership_tol": args.tol},
+    report = _query_report("hull", ctx, 0, {"membership_tol": args.tol},
                            {"inside": bool(member), "verdict": "inside" if member else "outside"},
                            start)
     report.min_margin = float(margin)
@@ -216,10 +213,7 @@ def _run_boundary(args) -> VerificationReport:
     pairs = domains.boundary_probe(ctx, args.omega, g, path)
     out_dists = [d for _, d in pairs]
     rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
-    report = _query_report("boundary",
-                           {"family": ctx.family.value, "n": ctx.n,
-                            "killing_scale": ctx.killing_scale},
-                           args.seed, {"final_distance_cap": 1e-3},
+    report = _query_report("boundary", ctx, args.seed, {"final_distance_cap": 1e-3},
                            {"input_distances": [float(d) for d in input_dists],
                             "output_distances": out_dists,
                             "spearman": rho,
@@ -234,7 +228,6 @@ def run(argv) -> tuple[int, str, str | None]:
     """Execute one command line; returns (exit_code, rendered report, out path)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = thread_count()
 
     if args.command == "decompose":
         report = _run_decompose(args)
@@ -244,11 +237,10 @@ def run(argv) -> tuple[int, str, str | None]:
         ctx = build_group(args.group)
         report = convexity.verify_complex_convexity(
             ctx, args.omega, args.samples, args.seed, args.tol,
-            mode=args.mode, threads=threads)
+            mode=args.mode)
     elif args.command == "verify-kostant":
         ctx = build_group(args.group)
-        report = convexity.verify_kostant_real(
-            ctx, args.samples, args.seed, args.tol, threads=threads)
+        report = convexity.verify_kostant_real(ctx, args.samples, args.seed, args.tol)
     elif args.command == "gradient-check":
         ctx = build_group(args.group)
         report = convexity.gradient_check(ctx, args.configs, args.seed)
@@ -259,12 +251,10 @@ def run(argv) -> tuple[int, str, str | None]:
     elif args.command == "tubes":
         ctx = build_group(args.group)
         report = domains.verify_tube_intersection(
-            ctx, args.omega, args.z_count, args.k_count, args.seed, args.tol,
-            threads=threads)
+            ctx, args.omega, args.z_count, args.k_count, args.seed, args.tol)
     elif args.command == "image":
         ctx = build_group(args.group)
-        report = domains.verify_image(
-            ctx, args.omega, args.samples, args.seed, args.tol, threads=threads)
+        report = domains.verify_image(ctx, args.omega, args.samples, args.seed, args.tol)
     elif args.command == "boundary":
         report = _run_boundary(args)
     elif args.command == "siegel":
@@ -278,7 +268,7 @@ def run(argv) -> tuple[int, str, str | None]:
         rng = substream(args.seed, NS_AUX)
         x = convexity.sample_regular_direction(
             ctx, OmegaSpec("scale", scale=0.9), rng)
-        report = convexity.lemma24_probe(ctx, x, args.samples, args.seed, threads=threads)
+        report = convexity.lemma24_probe(ctx, x, args.samples, args.seed)
     else:  # pragma: no cover - argparse enforces the choice
         raise CrownError(f"unknown command {args.command}")
 

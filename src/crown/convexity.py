@@ -33,14 +33,15 @@ from .groups import (
 from .iwasawa import (
     batch_reconstruction_residual,
     project_complex,
+    project_real_batch,
     track_batch,
     triangular_part,
     ARG_STEP_CAP,
     PIVOT_FLOOR,
     RECON_RTOL,
 )
-from .parallel import chunk_ranges, map_chunks
-from .report import VerificationReport, matrix_wire, vector_wire
+from .parallel import chunk_ranges, fold_report, map_chunks
+from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import (
     P_RADIUS,
@@ -55,6 +56,8 @@ from .weyl import (
     OmegaSpec,
     apply_weyl,
     draw_omega_point,
+    helmert,
+    hull_contains,
     hull_margins_batch,
     omega_margin,
     weyl_elements,
@@ -297,17 +300,9 @@ def _base_tolerances(tol: float) -> dict:
     }
 
 
-def _margin_gate_type_a(ctx, xs, ys, margins, tol):
-    if ctx.family is not Family.SPECIAL_LINEAR:
-        return margins
-    drift = np.abs(ys.sum(axis=1) - xs.sum(axis=1))
-    return np.where(drift > tol, np.minimum(margins, tol - drift), margins)
-
-
 def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
                              seed: int, tol: float = MEMBERSHIP_TOL,
-                             mode: str = "k", steps_hint: int = 16,
-                             threads: int | None = None) -> VerificationReport:
+                             mode: str = "k", steps_hint: int = 16) -> VerificationReport:
     """Monte-Carlo check that Im log a(g exp(iX)) stays in conv(WX).
 
     Per sample: X uniform in omega, g Haar in K ("k" mode) or k exp(S) with a
@@ -330,11 +325,11 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
         log_full, lower, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
         ok = ~bad
         ys = np.where(ok[:, None], log_full[:, :nn].imag, 0.0)
-        margins = hull_margins_batch(ctx, xs, ys)
-        margins = _margin_gate_type_a(ctx, xs, ys, margins, tol)
+        margins = hull_margins_batch(ctx, xs, ys, tol)
         margins = np.where(ok, margins, np.inf)
+        zs = gs[ok] * np.exp(1j * ctx.full_diag(xs[ok]))[:, None, :]
         resid = batch_reconstruction_residual(
-            ctx, gs[ok], xs[ok], log_full[ok], lower[ok]) if ok.any() else np.zeros(0)
+            ctx, zs, log_full[ok], lower[ok]) if ok.any() else np.zeros(0)
         i_min = int(np.argmin(margins)) if count else 0
         witness = {
             "sample_index": lo + i_min,
@@ -353,7 +348,7 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
             "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(samples), threads)
+    parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
         parts, command="verify-convexity", ctx=ctx, omega=omega, seed=seed,
         samples=samples, tol=tol, start=start,
@@ -362,48 +357,18 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
 
 
 def _fold_report(parts, *, command, ctx, omega, seed, samples, tol, start,
-                 extras=None) -> VerificationReport:
-    completed = sum(p["completed"] for p in parts)
-    indeterminate = sum(p["indeterminate"] for p in parts)
-    violations = sum(p["violations"] for p in parts)
-    min_margin = np.inf
-    witness = None
-    max_resid = 0.0
-    max_arg_step = 0.0
-    for p in parts:
-        if p["min_margin"] < min_margin:
-            min_margin = p["min_margin"]
-            witness = p["witness"]
-        max_resid = max(max_resid, p.get("max_resid", 0.0))
-        max_arg_step = max(max_arg_step, p.get("max_arg_step", 0.0))
-    all_extras = {
-        "max_reconstruction_residual": max_resid,
-        "max_arg_step": max_arg_step,
-    }
-    if extras:
-        all_extras.update(extras)
-    return VerificationReport(
-        command=command,
-        group={"family": ctx.family.value, "n": ctx.n,
-               "killing_scale": ctx.killing_scale},
-        omega=omega.as_dict() if omega is not None else None,
-        seed=seed,
-        samples_requested=samples,
-        samples_completed=completed,
-        samples_indeterminate=indeterminate,
-        violations=violations,
-        min_margin=None if not np.isfinite(min_margin) else float(min_margin),
-        worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set=_base_tolerances(tol),
-        extras=all_extras,
+                 extras) -> VerificationReport:
+    return fold_report(
+        parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
+        tolerances=_base_tolerances(tol), start=start,
+        extras={"max_reconstruction_residual": max(p["max_resid"] for p in parts),
+                **extras},
     )
 
 
 def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
                         tol: float = MEMBERSHIP_TOL, box: float = 1.0,
-                        vertex_tol: float = 1e-10,
-                        threads: int | None = None) -> VerificationReport:
+                        vertex_tol: float = 1e-10) -> VerificationReport:
     """Containment and vertex sharpness of the real convexity statement.
 
     Containment: log a(k exp X) lies in conv(WX) for Haar k and X from a
@@ -415,8 +380,7 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     start = time.monotonic()
     nn = ctx.n
     reps = weyl_k_representatives(ctx)
-    from .weyl import _helmert
-    helm = _helmert(nn) if ctx.family is Family.SPECIAL_LINEAR else None
+    helm = helmert(nn) if ctx.family is Family.SPECIAL_LINEAR else None
 
     def run_chunk(lo, hi):
         count = hi - lo
@@ -429,23 +393,15 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
             else:
                 xs[i] = rng.uniform(-box, box, nn)
             gs[i] = haar_k(ctx, rng) @ ctx.a_exp(xs[i])
-        from .iwasawa import _ldl
-        ratios, lower, _ = _ldl(gs @ np.swapaxes(gs, 1, 2))
-        log_full = 0.5 * np.log(ratios)
+        log_full, lower = project_real_batch(gs)
         ys = log_full[:, :nn]
-        margins = hull_margins_batch(ctx, xs, ys)
-        margins = _margin_gate_type_a(ctx, xs, ys, margins, tol)
-        a_diag = np.exp(log_full)
-        k_parts = np.linalg.solve(lower, gs) / a_diag[:, :, None]
-        diag_sym = np.exp(ctx.full_diag(ys))
-        recon = (lower * diag_sym[:, None, :]) @ k_parts
-        resid = np.linalg.norm(recon - gs, axis=(1, 2)) / np.linalg.norm(gs, axis=(1, 2))
+        margins = hull_margins_batch(ctx, xs, ys, tol)
+        resid = batch_reconstruction_residual(ctx, gs, log_full, lower)
         vertex_err = 0.0
         a_exps = np.stack([ctx.a_exp(x) for x in xs])
         for element, kw in reps:
             gw = np.einsum("ij,bjk->bik", kw, a_exps)
-            rw, _, _ = _ldl(gw @ np.swapaxes(gw, 1, 2))
-            got = 0.5 * np.log(rw)[:, :nn]
+            got = project_real_batch(gw)[0][:, :nn]
             want = np.array([apply_weyl(x, element) for x in xs])
             vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
         i_min = int(np.argmin(margins))
@@ -466,7 +422,7 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
             "vertex_err": vertex_err,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(samples), threads)
+    parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
         samples=samples, tol=tol, start=start,
@@ -492,7 +448,6 @@ def separating_functional(ctx: GroupContext, x, y,
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    from .weyl import hull_contains
     member, _ = hull_contains(ctx, x, y, tol)
     if member:
         raise InsideHull("point already lies in the orbit hull")
@@ -578,8 +533,7 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int,
     violations = int(np.sum((rel_errs > max_tol) | (pair_errs > pair_tol)))
     return VerificationReport(
         command="gradient-check",
-        group={"family": ctx.family.value, "n": ctx.n,
-               "killing_scale": ctx.killing_scale},
+        group=group_wire(ctx),
         omega=None,
         seed=seed,
         samples_requested=configs,
@@ -638,8 +592,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
             violations += 1
     return VerificationReport(
         command="critical-points",
-        group={"family": ctx.family.value, "n": ctx.n,
-               "killing_scale": ctx.killing_scale},
+        group=group_wire(ctx),
         omega=omega.as_dict(),
         seed=seed,
         samples_requested=runs,
@@ -659,8 +612,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
 
 
 def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
-                  floor: float = IM_N_FLOOR, steps_hint: int = 16,
-                  threads: int | None = None) -> VerificationReport:
+                  floor: float = IM_N_FLOOR, steps_hint: int = 16) -> VerificationReport:
     """Contrapositive probe: far from the normalizer the unipotent factor is not real.
 
     For Haar k rejected to Frobenius distance > 0.1 from every element of the
@@ -709,7 +661,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
             "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(samples), threads)
+    parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="lemma24", ctx=ctx, omega=None, seed=seed,
         samples=samples, tol=floor, start=start,

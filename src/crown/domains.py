@@ -26,7 +26,7 @@ from .iwasawa import (
     _track,
     track_batch,
 )
-from .parallel import chunk_ranges, map_chunks
+from .parallel import chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, matrix_wire, vector_wire
 from .rng import NS_TUBE, substream
 from .sampling import haar_k, sample_group_element
@@ -77,8 +77,7 @@ def tube_contains(ctx: GroupContext, tube: TubeSpec, point: CrownPoint,
 
 def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
                              k_count: int, seed: int, tol: float = MEMBERSHIP_TOL,
-                             steps_hint: int = 16,
-                             threads: int | None = None) -> VerificationReport:
+                             steps_hint: int = 16) -> VerificationReport:
     """Assert every sampled crown point lies in every sampled compact tube."""
     if z_count < 1 or k_count < 1:
         raise ValueError("counts must be >= 1")
@@ -117,46 +116,23 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
             "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(len(pairs)), threads)
+    parts = map_chunks(run_chunk, chunk_ranges(len(pairs)))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
                  requested=len(pairs), tol=tol, start=start,
                  extras={"z_count": z_count, "k_count": k_count})
 
 
-def _fold(parts, *, command, ctx, omega, seed, requested, tol, start, extras=None):
-    completed = sum(p["completed"] for p in parts)
-    indeterminate = sum(p["indeterminate"] for p in parts)
-    min_margin = np.inf
-    witness = None
-    for p in parts:
-        if p["min_margin"] < min_margin:
-            min_margin = p["min_margin"]
-            witness = p["witness"]
-    all_extras = {"max_arg_step": max(p.get("max_arg_step", 0.0) for p in parts)}
-    if extras:
-        all_extras.update(extras)
-    return VerificationReport(
-        command=command,
-        group={"family": ctx.family.value, "n": ctx.n,
-               "killing_scale": ctx.killing_scale},
-        omega=omega.as_dict() if omega is not None else None,
-        seed=seed,
-        samples_requested=requested,
-        samples_completed=completed,
-        samples_indeterminate=indeterminate,
-        violations=sum(p["violations"] for p in parts),
-        min_margin=None if not np.isfinite(min_margin) else float(min_margin),
-        worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
-                       "arg_step_cap": ARG_STEP_CAP, "reconstruction_rtol": RECON_RTOL},
-        extras=all_extras,
+def _fold(parts, *, command, ctx, omega, seed, requested, tol, start, extras):
+    return fold_report(
+        parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
+        tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
+                    "arg_step_cap": ARG_STEP_CAP, "reconstruction_rtol": RECON_RTOL},
+        start=start, extras=extras,
     )
 
 
 def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
-                 tol: float = MEMBERSHIP_TOL, steps_hint: int = 16,
-                 threads: int | None = None) -> VerificationReport:
+                 tol: float = MEMBERSHIP_TOL, steps_hint: int = 16) -> VerificationReport:
     """Both inclusions of a(Xi(omega)) = A exp(i omega), sampled.
 
     Forward: Im log a of sampled crown points stays in omega.  Backward:
@@ -205,7 +181,7 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
             "witness_err": witness_err,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(samples), threads)
+    parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
                    requested=2 * samples, tol=tol, start=start,
                    extras={"max_slice_witness_error": max(p["witness_err"] for p in parts)})

@@ -28,7 +28,7 @@ from .errors import (
     OmegaViolation,
     PivotBreakdown,
 )
-from .groups import Family, GroupContext
+from .groups import GroupContext
 from .weyl import FULL_OMEGA, omega_margin
 
 PIVOT_FLOOR = 1e-13
@@ -188,17 +188,16 @@ def _track(ctx: GroupContext, g, waypoints, steps_hint: int):
     return log_full, last_lower, total_steps, max_step
 
 
-def _assemble(ctx: GroupContext, g, x_end, log_full, lower, steps, max_step):
-    z = np.asarray(g) @ ctx.a_exp(1j * np.asarray(x_end, dtype=float))
+def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
+    """Factors of z from its log diagonal and unit lower factor.
+
+    The trailing log-ratios of the symplectic frame are redundant; their
+    mismatch with the negated leading ones is recorded as pair_residual.
+    """
     a_diag = np.exp(log_full)
     k = np.linalg.solve(lower, z) / a_diag[:, None]
-    if ctx.family is Family.SYMPLECTIC:
-        nn = ctx.n
-        pair = float(np.max(np.abs(log_full[:nn] + log_full[nn:][::-1])))
-        coords = log_full[:nn].copy()
-    else:
-        pair = 0.0
-        coords = log_full.copy()
+    coords = log_full[: ctx.n]
+    pair = float(np.max(np.abs(log_full - ctx.full_diag(coords))))
     return IwasawaFactors(
         n_part=lower, log_a=coords, k_part=k,
         path_steps=steps, max_arg_step=max_step, pair_residual=pair,
@@ -208,19 +207,14 @@ def _assemble(ctx: GroupContext, g, x_end, log_full, lower, steps, max_step):
 def project_complex(ctx: GroupContext, g, x, steps_hint: int = 16) -> IwasawaFactors:
     """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
 
-    g must be a real group element and X must lie in the admissible polytope.
+    g must be a real group element and X must lie in the admissible polytope;
+    this is project_complex_path with the single waypoint X.
     """
-    x = np.asarray(x, dtype=float)
-    if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
-        raise OmegaViolation("direction lies outside the admissible polytope")
-    if not ctx.in_group(g):
-        raise NotInGroup("base point fails the group membership check")
-    log_full, lower, steps, max_step = _track(ctx, g, [x], steps_hint)
-    return _assemble(ctx, g, x, log_full, lower, steps, max_step)
+    return project_complex_path(ctx, g, [x], steps_hint)
 
 
 def project_complex_path(ctx: GroupContext, g, waypoints, steps_hint: int = 16) -> IwasawaFactors:
-    """Same as project_complex but along a polyline 0 -> waypoints[0] -> ... .
+    """Factors of g exp(iX) for the last waypoint X, tracked along 0 -> waypoints[0] -> ... .
 
     All waypoints must lie in the admissible polytope; the result for the last
     waypoint is path independent because the target tube is simply connected.
@@ -228,11 +222,25 @@ def project_complex_path(ctx: GroupContext, g, waypoints, steps_hint: int = 16) 
     waypoints = [np.asarray(w, dtype=float) for w in waypoints]
     for w in waypoints:
         if omega_margin(ctx, FULL_OMEGA, w) <= 0.0:
-            raise OmegaViolation("waypoint lies outside the admissible polytope")
+            raise OmegaViolation("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
         raise NotInGroup("base point fails the group membership check")
     log_full, lower, steps, max_step = _track(ctx, g, waypoints, steps_hint)
-    return _assemble(ctx, g, waypoints[-1], log_full, lower, steps, max_step)
+    z = np.asarray(g) @ ctx.a_exp(1j * waypoints[-1])
+    return _assemble(ctx, z, log_full, lower, steps, max_step)
+
+
+def project_real_batch(g):
+    """Real Iwasawa projection of a batch of real matrices, shape (B, m, m).
+
+    One LDL^T elimination of g g^T gives the squared diagonal of a as pivots
+    and the unipotent factor as multipliers.  Returns (log_full, lower); rows
+    with a nonpositive pivot hold non-finite log values.
+    """
+    g = np.asarray(g, dtype=float)
+    ratios, lower, _ = _ldl(g @ np.swapaxes(g, -1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * np.log(ratios), lower
 
 
 def decompose_real(ctx: GroupContext, g) -> IwasawaFactors:
@@ -240,22 +248,10 @@ def decompose_real(ctx: GroupContext, g) -> IwasawaFactors:
     g = np.asarray(g, dtype=float)
     if not ctx.in_group(g):
         raise NotInGroup("matrix fails the group membership check")
-    ratios, lower, _ = _ldl(g @ g.T)
-    if not np.all(ratios > 0.0):
+    log_full, lower = project_real_batch(g[None])
+    if not np.all(np.isfinite(log_full)):
         raise NumericalBreakdown("nonpositive pivot for a claimed group element")
-    log_full = 0.5 * np.log(ratios)
-    k = np.linalg.solve(lower, g) / np.exp(log_full)[:, None]
-    if ctx.family is Family.SYMPLECTIC:
-        nn = ctx.n
-        pair = float(np.max(np.abs(log_full[:nn] + log_full[nn:][::-1])))
-        coords = log_full[:nn].copy()
-    else:
-        pair = 0.0
-        coords = log_full.copy()
-    return IwasawaFactors(
-        n_part=lower, log_a=coords, k_part=k,
-        path_steps=0, max_arg_step=0.0, pair_residual=pair,
-    )
+    return _assemble(ctx, g, log_full[0], lower[0], 0, 0.0)
 
 
 def triangular_part(ctx: GroupContext, factors: IwasawaFactors) -> np.ndarray:
@@ -308,19 +304,12 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = 16):
     return log_full, lower_last, max_steps, bad
 
 
-def batch_reconstruction_residual(ctx: GroupContext, g, xs, log_full, lower) -> np.ndarray:
-    """Relative residuals of the factor products for a tracked batch."""
-    g = np.asarray(g, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    z = g * np.exp(1j * ctx.full_diag(xs))[:, None, :]
+def batch_reconstruction_residual(ctx: GroupContext, z, log_full, lower) -> np.ndarray:
+    """Relative residuals of the factor products n exp(log a) k against a batch z."""
+    z = np.asarray(z)
     a_diag = np.exp(log_full)
     k = np.linalg.solve(lower, z) / a_diag[:, :, None]
-    if ctx.family is Family.SYMPLECTIC:
-        nn = ctx.n
-        coords = log_full[:, :nn]
-    else:
-        coords = log_full
-    diag_sym = np.exp(ctx.full_diag(coords))
+    diag_sym = np.exp(ctx.full_diag(log_full[:, : ctx.n]))
     recon = (lower * diag_sym[:, None, :]) @ k
     num = np.linalg.norm(recon - z, axis=(1, 2))
     den = np.maximum(np.linalg.norm(z, axis=(1, 2)), np.finfo(float).tiny)

@@ -1,39 +1,57 @@
-"""Chunked fan-out for verification batches.
+"""Chunked sweeps for verification batches.
 
-Chunk boundaries are a fixed function of the sample count, and folded results
-are consumed in chunk order, so reports never depend on worker scheduling.
-The pool size is capped by the CROWN_THREADS environment variable.
+Sweeps run serially in fixed chunks of CHUNK = 512 samples.  Chunk boundaries
+are a fixed function of the sample count and every sample draws from its own
+(seed, index) substream, so a chunk's result does not depend on the chunks run
+before it.  The CROWN_THREADS environment variable is no longer read.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import time
+
+import numpy as np
+
+from .report import VerificationReport, group_wire
 
 CHUNK = 512
-
-
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("CROWN_THREADS")
-    if raw is None:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError("CROWN_THREADS must be a positive integer")
-    return value
 
 
 def chunk_ranges(total: int, chunk: int = CHUNK):
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
-def map_chunks(fn, ranges, threads: int | None = None):
+def map_chunks(fn, ranges):
     """Apply fn to each (lo, hi) range; results are returned in range order."""
-    workers = thread_count(threads)
-    if workers == 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+    return [fn(lo, hi) for lo, hi in ranges]
+
+
+def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances, start,
+                extras) -> VerificationReport:
+    """One report from the chunk results of a sweep, folded in chunk order.
+
+    Each part carries completed, indeterminate and violations counts, its
+    min_margin with the witness attaining it, and its max_arg_step.  The
+    witness of the first chunk reaching the smallest margin wins.
+    """
+    min_margin = np.inf
+    witness = None
+    for p in parts:
+        if p["min_margin"] < min_margin:
+            min_margin = p["min_margin"]
+            witness = p["witness"]
+    return VerificationReport(
+        command=command,
+        group=group_wire(ctx),
+        omega=omega.as_dict() if omega is not None else None,
+        seed=seed,
+        samples_requested=requested,
+        samples_completed=sum(p["completed"] for p in parts),
+        samples_indeterminate=sum(p["indeterminate"] for p in parts),
+        violations=sum(p["violations"] for p in parts),
+        min_margin=None if not np.isfinite(min_margin) else float(min_margin),
+        worst_witness=witness,
+        wall_time_ms=int((time.monotonic() - start) * 1000),
+        tolerance_set=tolerances,
+        extras={"max_arg_step": max(p["max_arg_step"] for p in parts), **extras},
+    )

@@ -31,6 +31,11 @@ def matrix_wire(m) -> dict:
     }
 
 
+def group_wire(ctx) -> dict:
+    """Report header of a group context: family tag, rank and Killing scale."""
+    return {"family": ctx.family.value, "n": ctx.n, "killing_scale": ctx.killing_scale}
+
+
 def _plain(value):
     if isinstance(value, np.ndarray):
         return vector_wire(value) if value.ndim == 1 else matrix_wire(value)

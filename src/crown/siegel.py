@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PivotBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
-from .report import VerificationReport, matrix_wire, vector_wire
+from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import sample_group_element
 from .weyl import FULL_OMEGA, MEMBERSHIP_TOL, draw_omega_point
@@ -127,7 +127,7 @@ def verify_siegel(n: int, samples: int, seed: int,
     fixture = minor_ratios(np.array([[1j, 0.5], [0.5, 1j]]))
     return VerificationReport(
         command="siegel",
-        group={"family": "sp", "n": n, "killing_scale": 2.0 * n + 2.0},
+        group=group_wire(_sp_context(n)),
         omega=None,
         seed=seed,
         samples_requested=samples,
@@ -203,7 +203,7 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int,
     completed = samples - indeterminate
     return VerificationReport(
         command="siegel-crown",
-        group={"family": "sp", "n": n, "killing_scale": 2.0 * n + 2.0},
+        group=group_wire(ctx),
         omega=None,
         seed=seed,
         samples_requested=samples,

@@ -109,11 +109,14 @@ def weyl_orbit(ctx: GroupContext, x, tol: float = DEDUP_TOL) -> np.ndarray:
 
 
 def dominant_rep(ctx: GroupContext, x) -> np.ndarray:
-    """Canonical chamber representative: descending sort (absolute values for sp)."""
+    """Canonical chamber representative: descending sort (absolute values for sp).
+
+    Rows of a batch of shape (B, n) are sorted independently.
+    """
     x = np.asarray(x, dtype=float)
     if ctx.family is Family.SPECIAL_LINEAR:
-        return np.sort(x)[::-1]
-    return np.sort(np.abs(x))[::-1]
+        return np.sort(x)[..., ::-1]
+    return np.sort(np.abs(x))[..., ::-1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,23 +136,6 @@ class OrbitPolytope:
         return hull_contains(self.ctx, self.source, y, tol)
 
 
-def hull_margin(ctx: GroupContext, x, y) -> float:
-    """Minimum slack of the majorization constraints for y in conv(W.x).
-
-    Positive inside, negative outside.  For the special linear family the
-    trace-equality constraint is enforced separately by hull_contains and does
-    not enter the margin (it would pin every margin at roundoff scale).
-    """
-    xs = dominant_rep(ctx, x)
-    ys = dominant_rep(ctx, y)
-    slacks = np.cumsum(xs) - np.cumsum(ys)
-    if ctx.family is Family.SPECIAL_LINEAR:
-        slacks = slacks[:-1]
-        if slacks.size == 0:
-            return 0.0
-    return float(np.min(slacks))
-
-
 def hull_contains(ctx: GroupContext, x, y, tol: float = MEMBERSHIP_TOL):
     """Membership of y in conv(W.x) with ties at tol resolved toward inside.
 
@@ -157,26 +143,26 @@ def hull_contains(ctx: GroupContext, x, y, tol: float = MEMBERSHIP_TOL):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    margin = hull_margin(ctx, x, y)
-    if ctx.family is Family.SPECIAL_LINEAR:
-        drift = abs(float(np.sum(y) - np.sum(x)))
-        if drift > tol:
-            margin = min(margin, tol - drift)
+    margin = float(hull_margins_batch(ctx, x[None], y[None], tol)[0])
     return margin >= -tol, margin
 
 
-def hull_margins_batch(ctx: GroupContext, xs, ys) -> np.ndarray:
-    """Vectorized hull_margin over rows of xs, ys (shape (B, n))."""
+def hull_margins_batch(ctx: GroupContext, xs, ys, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Hull margins of rows ys against conv(W.x) of rows xs (shape (B, n)).
+
+    The margin is the minimum slack of the majorization constraints: positive
+    inside, negative outside.  For the special linear family the trace
+    equality is not a majorization slack (it would pin every margin at
+    roundoff scale); a trace drift above tol caps the margin at tol - drift.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    slacks = np.cumsum(dominant_rep(ctx, xs), axis=1) - np.cumsum(dominant_rep(ctx, ys), axis=1)
     if ctx.family is Family.SYMPLECTIC:
-        xs, ys = np.abs(xs), np.abs(ys)
-    xd = -np.sort(-xs, axis=1)
-    yd = -np.sort(-ys, axis=1)
-    slacks = np.cumsum(xd, axis=1) - np.cumsum(yd, axis=1)
-    if ctx.family is Family.SPECIAL_LINEAR:
-        slacks = slacks[:, :-1]
-    return slacks.min(axis=1)
+        return slacks.min(axis=1)
+    margins = slacks[:, :-1].min(axis=1)
+    drift = np.abs(ys.sum(axis=1) - xs.sum(axis=1))
+    return np.where(drift > tol, np.minimum(margins, tol - drift), margins)
 
 
 def omega_margin(ctx: GroupContext, spec: OmegaSpec, x) -> float:
@@ -204,7 +190,7 @@ def omega_distance(ctx: GroupContext, spec: OmegaSpec, x) -> float:
     return dist
 
 
-def _helmert(n: int) -> np.ndarray:
+def helmert(n: int) -> np.ndarray:
     """Orthonormal basis of the trace-zero hyperplane, shape (n, n-1)."""
     cols = []
     for k in range(1, n):
@@ -231,11 +217,11 @@ def _omega_box(ctx: GroupContext, spec: OmegaSpec):
 def draw_omega_point(ctx: GroupContext, spec: OmegaSpec, rng) -> np.ndarray:
     """One uniform draw from omega by rejection from its bounding box."""
     half = _omega_box(ctx, spec)
-    helmert = _helmert(ctx.n) if ctx.family is Family.SPECIAL_LINEAR else None
-    dim = ctx.n - 1 if helmert is not None else ctx.n
+    basis = helmert(ctx.n) if ctx.family is Family.SPECIAL_LINEAR else None
+    dim = ctx.n - 1 if basis is not None else ctx.n
     for attempt in range(1, _REJECTION_PROBE + 1):
         u = rng.uniform(-half, half, size=dim)
-        x = helmert @ u if helmert is not None else u
+        x = basis @ u if basis is not None else u
         if omega_margin(ctx, spec, x) > 0.0:
             return x
         if attempt * REJECTION_MIN_RATE > 1.0:

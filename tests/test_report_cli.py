@@ -117,6 +117,10 @@ def test_cli_usage_error_exit_code(capsys):
     # wrong entry count and a path too short to reach the boundary
     assert main(["decompose", "--group", "sl:2", "--entries", "1,0,1"]) == EXIT_USAGE
     assert main(["boundary", "--group", "sl:2", "--steps", "3"]) == EXIT_USAGE
+    # hull vectors whose length is not the rank
+    assert main(["hull", "--group", "sl:3", "--x", "0.1,-0.1", "--y", "0,0"]) == EXIT_USAGE
+    assert main(["hull", "--group", "sp:3", "--x", "0.3", "--y", "0.9"]) == EXIT_USAGE
+    assert "need 3 coordinates" in capsys.readouterr().err
 
 
 def test_cli_indeterminate_exit_code(capsys):
@@ -160,27 +164,3 @@ def test_cli_boundary_report():
     assert rep["extras"]["spearman"] > 0.9
     dists = rep["extras"]["output_distances"]
     assert all(b < a for a, b in zip(dists, dists[1:]))
-
-
-def test_thread_env_parsing(monkeypatch):
-    from crown.parallel import thread_count
-    monkeypatch.delenv("CROWN_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("CROWN_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("CROWN_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_threaded_run_matches_serial(monkeypatch):
-    import crown
-    from conftest import context
-    ctx = context("sl:2")
-    rep1 = crown.verify_complex_convexity(ctx, crown.OmegaSpec("scale", scale=1.0),
-                                          600, seed=4, threads=1)
-    rep4 = crown.verify_complex_convexity(ctx, crown.OmegaSpec("scale", scale=1.0),
-                                          600, seed=4, threads=4)
-    assert rep1.min_margin == rep4.min_margin
-    assert rep1.violations == rep4.violations
-    assert rep1.worst_witness == rep4.worst_witness
