@@ -48,6 +48,16 @@ CASES = {
     "siegel_n3": ["siegel", "--n", "3", "--samples", "300", "--seed", "31"],
     "siegel_cross_check_sp2": ["siegel", "--n", "2", "--samples", "100", "--seed", "31",
                                "--cross-check"],
+    "tubes_sl3_ball": ["tubes", "--group", "sl:3", "--omega", "ball:0.5", "--z-count", "30",
+                       "--k-count", "20", "--seed", "21"],
+    "tubes_sp2_ball": ["tubes", "--group", "sp:2", "--omega", "ball:0.6", "--z-count", "30",
+                       "--k-count", "20", "--seed", "21"],
+    "image_sp2_ball": ["image", "--group", "sp:2", "--omega", "ball:0.5", "--samples", "300",
+                       "--seed", "22"],
+    "boundary_sl3_ball": ["boundary", "--group", "sl:3", "--omega", "ball:0.5", "--seed", "3"],
+    "boundary_sp2_ball": ["boundary", "--group", "sp:2", "--omega", "ball:0.5", "--seed", "3"],
+    "convexity_sl3_ball": ["verify-convexity", "--group", "sl:3", "--omega", "ball:0.7",
+                           "--samples", "600", "--seed", "7", "--mode", "k"],
 }
 
 
