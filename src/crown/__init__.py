@@ -59,7 +59,6 @@ from .rng import substream
 from .siegel import SiegelPoint, chi, cross_check_crown, sample_siegel, verify_siegel
 from .weyl import (
     OmegaSpec,
-    OrbitPolytope,
     dominant_rep,
     hull_contains,
     omega_margin,

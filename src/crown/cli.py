@@ -52,6 +52,13 @@ def parse_omega(text: str) -> OmegaSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def parse_coords(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
@@ -66,7 +73,7 @@ def _add_common(sub, omega_default=None, samples_default=1000):
                          metavar="scale:C|ball:R")
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
+    sub.add_argument("--tol", type=tolerance, default=MEMBERSHIP_TOL)
 
 
 def build_parser() -> _Parser:
@@ -90,7 +97,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", type=parse_group, required=True)
     p.add_argument("--x", type=parse_coords, required=True)
     p.add_argument("--y", type=parse_coords, required=True)
-    p.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
+    p.add_argument("--tol", type=tolerance, default=MEMBERSHIP_TOL)
 
     p = add_parser("verify-convexity", help="hull containment of the tracked projection")
     _add_common(p, omega_default="scale:1.0", samples_default=10000)
@@ -108,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", type=parse_group, required=True)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
+    p.add_argument("--gap-tol", type=tolerance, default=1e-6)
     p.add_argument("--max-iter", type=int, default=1000)
 
     p = add_parser("tubes", help="crown points against horospherical tubes")
@@ -117,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z-count", type=int, default=1000)
     p.add_argument("--k-count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
+    p.add_argument("--tol", type=tolerance, default=MEMBERSHIP_TOL)
 
     p = add_parser("image", help="projection image of the crown domain")
     _add_common(p, omega_default="scale:0.8", samples_default=10000)
@@ -167,6 +174,8 @@ def _run_decompose(args) -> VerificationReport:
     m = ctx.ambient_size
     if args.entries.size != m * m:
         raise CrownError(f"expected {m * m} entries for {args.group.label}")
+    if args.x is not None and args.x.size != ctx.n:
+        raise CrownError(f"--x needs {ctx.n} coordinates for {args.group.label}")
     g = args.entries.reshape(m, m)
     if args.x is None:
         factors = decompose_real(ctx, g)
@@ -209,12 +218,12 @@ def _run_boundary(args) -> VerificationReport:
     direction = convexity.sample_regular_direction(ctx, args.omega, rng)
     g = haar_k(ctx, rng)
     path = domains.boundary_path(ctx, args.omega, direction, args.steps)
-    input_dists = [omega_distance(ctx, args.omega, x) for x in path]
+    input_dists = omega_distance(ctx, args.omega, path).tolist()
     pairs = domains.boundary_probe(ctx, args.omega, g, path)
     out_dists = [d for _, d in pairs]
     rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
     report = _query_report("boundary", ctx, args.seed, {"final_distance_cap": 1e-3},
-                           {"input_distances": [float(d) for d in input_dists],
+                           {"input_distances": input_dists,
                             "output_distances": out_dists,
                             "spearman": rho,
                             "final_distance": out_dists[-1],

@@ -100,14 +100,12 @@ def weyl_k_representatives(ctx: GroupContext):
         perm, signs = element
         if ctx.family is Family.SPECIAL_LINEAR:
             mat = np.zeros((n, n))
-            for j, p in enumerate(perm):
-                mat[p, j] = 1.0
+            mat[perm, range(n)] = 1.0
             if np.linalg.det(mat) < 0.0:
                 mat[:, 0] = -mat[:, 0]
         else:
             u = np.zeros((n, n), dtype=complex)
-            for j, (p, s) in enumerate(zip(perm, signs)):
-                u[p, j] = 1.0 if s > 0 else 1.0j
+            u[perm, range(n)] = np.where(np.array(signs) > 0, 1.0, 1.0j)
             mat = unitary_embed(ctx, u)
         out.append((element, mat))
     return out
@@ -137,12 +135,16 @@ def metric_inner(ctx: GroupContext, x, y) -> float:
     return float(-2.0 * ctx.killing_scale * np.trace(np.asarray(x) @ np.asarray(y)).real)
 
 
-def f_a(ctx: GroupContext, a_point, k, steps_hint: int = 16) -> np.ndarray:
-    """log a(k exp(a_point)) on the branch tracked from k, as Cartan coordinates."""
+def _project(ctx: GroupContext, a_point, k, steps_hint: int):
+    """Factors of k exp(a_point), with the imaginary part of a_point tracked."""
     a_point = np.asarray(a_point, dtype=complex)
     g = np.asarray(k) @ ctx.a_exp(a_point.real)
-    factors = project_complex(ctx, g, a_point.imag, steps_hint)
-    return factors.log_a
+    return project_complex(ctx, g, a_point.imag, steps_hint)
+
+
+def f_a(ctx: GroupContext, a_point, k, steps_hint: int = 16) -> np.ndarray:
+    """log a(k exp(a_point)) on the branch tracked from k, as Cartan coordinates."""
+    return _project(ctx, a_point, k, steps_hint).log_a
 
 
 def f_a_lambda(ctx: GroupContext, a_point, k, lam: CovectorIA,
@@ -166,11 +168,8 @@ def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA,
     derivative along X is kappa_R(X, Ad(n) H_lam), so the gradient is minus the
     metric projection of Ad(n) H_lam onto the compact subalgebra.
     """
-    a_point = np.asarray(a_point, dtype=complex)
-    g = np.asarray(k) @ ctx.a_exp(a_point.real)
-    factors = project_complex(ctx, g, a_point.imag, steps_hint)
     h = h_lambda(ctx, lam)
-    n_part = factors.n_part
+    n_part = _project(ctx, a_point, k, steps_hint).n_part
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
     coeff = scipy.linalg.cho_solve(ctx.k_gram_chol, -rhs)
@@ -184,10 +183,7 @@ def directional_derivative_triangular(ctx: GroupContext, a_point, k,
 
     Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)).
     """
-    a_point = np.asarray(a_point, dtype=complex)
-    g = np.asarray(k) @ ctx.a_exp(a_point.real)
-    factors = project_complex(ctx, g, a_point.imag, steps_hint)
-    b = triangular_part(ctx, factors)
+    b = triangular_part(ctx, _project(ctx, a_point, k, steps_hint))
     ad_b_inv = np.linalg.solve(b, np.asarray(x_dir, dtype=complex) @ b)
     return float(pair_ia(ctx, project_a(ctx, ad_b_inv), lam.m_coords))
 
@@ -385,24 +381,25 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     def run_chunk(lo, hi):
         count = hi - lo
         xs = np.empty((count, nn))
-        gs = np.empty((count, ctx.ambient_size, ctx.ambient_size))
+        ks = np.empty((count, ctx.ambient_size, ctx.ambient_size))
         for i in range(count):
             rng = substream(seed, lo + i)
             if helm is not None:
                 xs[i] = helm @ rng.uniform(-box, box, nn - 1)
             else:
                 xs[i] = rng.uniform(-box, box, nn)
-            gs[i] = haar_k(ctx, rng) @ ctx.a_exp(xs[i])
+            ks[i] = haar_k(ctx, rng)
+        a_exps = ctx.a_exp(xs)
+        gs = ks @ a_exps
         log_full, lower = project_real_batch(gs)
         ys = log_full[:, :nn]
         margins = hull_margins_batch(ctx, xs, ys, tol)
         resid = batch_reconstruction_residual(ctx, gs, log_full, lower)
         vertex_err = 0.0
-        a_exps = np.stack([ctx.a_exp(x) for x in xs])
         for element, kw in reps:
             gw = np.einsum("ij,bjk->bik", kw, a_exps)
             got = project_real_batch(gw)[0][:, :nn]
-            want = np.array([apply_weyl(x, element) for x in xs])
+            want = apply_weyl(xs, element)
             vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
         i_min = int(np.argmin(margins))
         witness = {
@@ -620,6 +617,8 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
     largest entry of |Im n(k exp(iX))|.  Samples at or below the engineering
     floor are counted as violations.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     x = np.asarray(x, dtype=float)
     if not is_regular(ctx, x, floor=REGULARITY_FLOOR):
         raise ValueError("direction must be regular")

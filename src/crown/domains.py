@@ -23,7 +23,6 @@ from .iwasawa import (
     PIVOT_FLOOR,
     RECON_RTOL,
     CrownPoint,
-    _track,
     track_batch,
 )
 from .parallel import chunk_ranges, fold_report, map_chunks
@@ -70,9 +69,11 @@ def tube_contains(ctx: GroupContext, tube: TubeSpec, point: CrownPoint,
     translate k^{-1} g is again real, so the tracked branch stays anchored.
     """
     base = tube.base_k.T @ point.base_g
-    log_full, _, _, _ = _track(ctx, base, [point.direction_x], steps_hint)
-    margin = omega_margin(ctx, tube.omega, log_full[: ctx.n].imag)
-    return margin >= -tol, float(margin)
+    log_full, _, _, bad = track_batch(ctx, base[None], point.direction_x[None], steps_hint)
+    if bad[0]:
+        raise BranchBreakdown("branch tracking broke down on the translated point")
+    margin = float(omega_margin(ctx, tube.omega, log_full[0, : ctx.n].imag))
+    return margin >= -tol, margin
 
 
 def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
@@ -82,24 +83,17 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
     if z_count < 1 or k_count < 1:
         raise ValueError("counts must be >= 1")
     start = time.monotonic()
-    nn = ctx.n
     points = sample_xi(ctx, omega, z_count, seed)
     tubes = np.array([haar_k(ctx, substream(seed, NS_TUBE + j)) for j in range(k_count)])
     gs = np.array([p.base_g for p in points])
     xs = np.array([p.direction_x for p in points])
-    pairs = [(zi, kj) for zi in range(z_count) for kj in range(k_count)]
 
     def run_chunk(lo, hi):
-        idx = pairs[lo:hi]
-        z_idx = np.array([a for a, _ in idx])
-        k_idx = np.array([b for _, b in idx])
+        z_idx, k_idx = np.divmod(np.arange(lo, hi), k_count)
         base = np.swapaxes(tubes[k_idx], 1, 2) @ gs[z_idx]
         log_full, _, max_steps, bad = track_batch(ctx, base, xs[z_idx], steps_hint)
         ok = ~bad
-        margins = np.array([
-            omega_margin(ctx, omega, log_full[i, :nn].imag) if ok[i] else np.inf
-            for i in range(len(idx))
-        ])
+        margins = np.where(ok, omega_margin(ctx, omega, log_full[:, : ctx.n].imag), np.inf)
         i_min = int(np.argmin(margins))
         witness = {
             "z_index": int(z_idx[i_min]),
@@ -116,9 +110,9 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
             "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
         }
 
-    parts = map_chunks(run_chunk, chunk_ranges(len(pairs)))
+    parts = map_chunks(run_chunk, chunk_ranges(z_count * k_count))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
-                 requested=len(pairs), tol=tol, start=start,
+                 requested=z_count * k_count, tol=tol, start=start,
                  extras={"z_count": z_count, "k_count": k_count})
 
 
@@ -156,10 +150,7 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
             ws[i] = draw_omega_point(ctx, omega, rng)
         log_full, _, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
         ok = ~bad
-        margins = np.array([
-            omega_margin(ctx, omega, log_full[i, :nn].imag) if ok[i] else np.inf
-            for i in range(count)
-        ])
+        margins = np.where(ok, omega_margin(ctx, omega, log_full[:, :nn].imag), np.inf)
         slice_eye = np.tile(np.eye(ctx.ambient_size), (count, 1, 1))
         slice_log, _, _, slice_bad = track_batch(ctx, slice_eye, ws, steps_hint)
         witness_err = float(np.max(np.abs(slice_log[~slice_bad][:, :nn] - 1j * ws[~slice_bad]))) \
@@ -188,18 +179,18 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
     return report
 
 
-def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 12) -> list[np.ndarray]:
-    """Geometric path (1 - 2^{-j}) X0 toward the boundary point X0 of omega along a ray.
+def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 12) -> np.ndarray:
+    """Geometric path (1 - 2^{-j}) X0, j = 1..steps, toward the boundary point X0 of omega.
 
-    The direction should be regular so distances decrease strictly.
+    Returns the points as rows, shape (steps, n).  The direction should be
+    regular so distances decrease strictly.
     """
     u = np.asarray(direction, dtype=float)
     vals = np.abs(ctx.root_datum.evaluate(u))
-    cutoff = (omega.scale if omega.shape == "scale" else 1.0) * np.pi / 2.0
-    s_star = cutoff / float(np.max(vals))
+    s_star = omega.cutoff / float(np.max(vals))
     if omega.shape == "ball":
         s_star = min(s_star, omega.radius / float(np.linalg.norm(u)))
-    return [(1.0 - 0.5 ** j) * s_star * u for j in range(1, steps + 1)]
+    return (1.0 - 0.5 ** np.arange(1, steps + 1))[:, None] * s_star * u
 
 
 def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path,
@@ -210,20 +201,21 @@ def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path,
     boundary, ending below 1e-3.  Returns (step, distance) pairs; distances
     are Euclidean.  Raises if a projected point ever leaves omega.
     """
-    x_path = [np.asarray(x, dtype=float) for x in x_path]
-    dists = [omega_distance(ctx, omega, x) for x in x_path]
-    if any(d <= 0.0 for d in dists):
+    x_path = np.asarray(x_path, dtype=float)
+    if x_path.ndim != 2 or not len(x_path):
+        raise ValueError("path must be a non-empty sequence of points")
+    dists = omega_distance(ctx, omega, x_path)
+    if np.any(dists <= 0.0):
         raise ValueError("path must stay inside omega")
-    if any(b >= a for a, b in zip(dists, dists[1:])):
+    if np.any(dists[1:] >= dists[:-1]):
         raise ValueError("path distances must be strictly decreasing")
     if dists[-1] >= 1e-3:
         raise ValueError("path must approach the boundary below 1e-3")
-    g = np.asarray(g, dtype=float)
-    out = []
-    for step, x in enumerate(x_path):
-        log_full, _, _, _ = _track(ctx, g, [x], steps_hint)
-        y = log_full[: ctx.n].imag
-        if omega_margin(ctx, omega, y) <= 0.0:
-            raise BranchBreakdown(f"projected point left omega at step {step}")
-        out.append((step, float(omega_distance(ctx, omega, y))))
-    return out
+    gs = np.repeat(np.asarray(g, dtype=float)[None], len(x_path), axis=0)
+    log_full, _, _, _ = track_batch(ctx, gs, x_path, steps_hint)
+    ys = log_full[:, : ctx.n].imag
+    # rows whose tracking broke down are NaN and fail the margin test too
+    left = np.flatnonzero(~(omega_margin(ctx, omega, ys) > 0.0))
+    if left.size:
+        raise BranchBreakdown(f"projected point left omega at step {int(left[0])}")
+    return list(enumerate(omega_distance(ctx, omega, ys).tolist()))

@@ -154,17 +154,12 @@ class GroupContext:
         return np.concatenate([x, -x[..., ::-1]], axis=-1)
 
     def a_matrix(self, x):
-        """Cartan coordinates -> diagonal matrix in the sorted frame."""
-        d = self.full_diag(x)
-        out = np.zeros((self.ambient_size, self.ambient_size), dtype=d.dtype)
-        np.fill_diagonal(out, d)
-        return out
+        """Cartan coordinates (..., n) -> diagonal matrices (..., m, m) in the sorted frame."""
+        return _diag_embed(self.full_diag(x))
 
-    def a_coords(self, mat_or_diag):
-        """Leading Cartan coordinates of a diagonal (matrix or vector)."""
-        d = np.asarray(mat_or_diag)
-        if d.ndim == 2:
-            d = np.diagonal(d)
+    def a_coords(self, diag):
+        """Leading Cartan coordinates of ambient diagonals, shape (..., m) -> (..., n)."""
+        d = np.asarray(diag)
         if self.family is Family.SPECIAL_LINEAR:
             return d.copy()
         head = d[..., : self.n]
@@ -172,11 +167,8 @@ class GroupContext:
         return 0.5 * (head - tail[..., ::-1])
 
     def a_exp(self, x):
-        """exp of the Cartan element with (possibly complex) coordinates x."""
-        d = np.exp(self.full_diag(x))
-        out = np.zeros((self.ambient_size, self.ambient_size), dtype=d.dtype)
-        np.fill_diagonal(out, d)
-        return out
+        """exp of the Cartan elements with (possibly complex) coordinates x, shape (..., n)."""
+        return _diag_embed(np.exp(self.full_diag(x)))
 
     def to_standard_frame(self, m):
         """Undo the weight-sorting permutation (identity for sl)."""
@@ -202,6 +194,14 @@ class GroupContext:
 
     def in_group(self, g, tol: float = GROUP_TOL) -> bool:
         return self.group_residual(g) <= tol
+
+
+def _diag_embed(d):
+    """Diagonal matrices (..., m, m) with the rows of d (..., m) on their diagonals."""
+    m = d.shape[-1]
+    out = np.zeros(d.shape + (m,), dtype=d.dtype)
+    out.reshape(d.shape[:-1] + (m * m,))[..., :: m + 1] = d
+    return out
 
 
 def _freeze(a):

@@ -150,9 +150,9 @@ def _track(ctx: GroupContext, g, waypoints, steps_hint: int):
     """Continuous branch of the log minor ratios along a polyline of directions.
 
     The path starts at direction 0 (the real point g) and moves linearly
-    through the given waypoints.  Returns half of the tracked log ratios (the
-    full diagonal of log a), the final unit lower factor, the number of grid
-    segments used and the largest per-step argument move.
+    through the waypoints (float rows).  Returns half of the tracked log
+    ratios (the full diagonal of log a), the final unit lower factor, the
+    number of grid segments used and the largest per-step argument move.
     """
     g = np.asarray(g, dtype=float)
     n = ctx.n
@@ -163,7 +163,6 @@ def _track(ctx: GroupContext, g, waypoints, steps_hint: int):
     last_ratios = None
     last_lower = None
     for end in waypoints:
-        end = np.asarray(end, dtype=float)
         ss = np.linspace(0.0, 1.0, max(int(steps_hint), 1) + 1)
         while True:
             coords = prev + ss[:, None] * (end - prev)[None, :]
@@ -219,10 +218,9 @@ def project_complex_path(ctx: GroupContext, g, waypoints, steps_hint: int = 16) 
     All waypoints must lie in the admissible polytope; the result for the last
     waypoint is path independent because the target tube is simply connected.
     """
-    waypoints = [np.asarray(w, dtype=float) for w in waypoints]
-    for w in waypoints:
-        if omega_margin(ctx, FULL_OMEGA, w) <= 0.0:
-            raise OmegaViolation("direction lies outside the admissible polytope")
+    waypoints = np.asarray(waypoints, dtype=float)
+    if np.any(omega_margin(ctx, FULL_OMEGA, waypoints) <= 0.0):
+        raise OmegaViolation("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
         raise NotInGroup("base point fails the group membership check")
     log_full, lower, steps, max_step = _track(ctx, g, waypoints, steps_hint)

@@ -97,8 +97,8 @@ def verify_siegel(n: int, samples: int, seed: int,
     normalized minor falls below the floor; pivot breakdowns are findings, not
     errors, and count as violations of the nonvanishing statement.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if n < 1 or samples < 1:
+        raise ValueError("n and samples must be >= 1")
     start = time.monotonic()
     violations = 0
     min_im = np.inf

@@ -65,6 +65,11 @@ class OmegaSpec:
     def as_dict(self) -> dict:
         return {"shape": self.shape, "scale": self.scale, "radius": self.radius}
 
+    @property
+    def cutoff(self) -> float:
+        """Bound on every |alpha(X)| over omega: c * pi/2 for scale c, pi/2 for a ball."""
+        return (self.scale if self.shape == "scale" else 1.0) * np.pi / 2.0
+
 
 FULL_OMEGA = OmegaSpec("scale", scale=1.0)
 
@@ -87,12 +92,11 @@ def weyl_elements(ctx: GroupContext):
 
 
 def apply_weyl(x, element):
-    """Coordinates of w.x for an abstract (permutation, signs) element."""
+    """Coordinates of w.x for an abstract (permutation, signs) element; x has shape (..., n)."""
     perm, signs = element
     x = np.asarray(x)
     out = np.empty_like(x)
-    for j, (p, s) in enumerate(zip(perm, signs)):
-        out[p] = s * x[j]
+    out[..., list(perm)] = np.asarray(signs) * x
     return out
 
 
@@ -117,23 +121,6 @@ def dominant_rep(ctx: GroupContext, x) -> np.ndarray:
     if ctx.family is Family.SPECIAL_LINEAR:
         return np.sort(x)[..., ::-1]
     return np.sort(np.abs(x))[..., ::-1]
-
-
-@dataclasses.dataclass(frozen=True)
-class OrbitPolytope:
-    """conv(W.x) with its dominant representative and membership queries."""
-
-    source: np.ndarray
-    dominant: np.ndarray
-    ctx: GroupContext
-
-    @classmethod
-    def of(cls, ctx: GroupContext, x) -> "OrbitPolytope":
-        x = np.asarray(x, dtype=float)
-        return cls(source=x, dominant=dominant_rep(ctx, x), ctx=ctx)
-
-    def contains(self, y, tol: float = MEMBERSHIP_TOL):
-        return hull_contains(self.ctx, self.source, y, tol)
 
 
 def hull_contains(ctx: GroupContext, x, y, tol: float = MEMBERSHIP_TOL):
@@ -165,28 +152,29 @@ def hull_margins_batch(ctx: GroupContext, xs, ys, tol: float = MEMBERSHIP_TOL) -
     return np.where(drift > tol, np.minimum(margins, tol - drift), margins)
 
 
-def omega_margin(ctx: GroupContext, spec: OmegaSpec, x) -> float:
-    """Distance of x from the active constraints of omega in functional units.
+def omega_margin(ctx: GroupContext, spec: OmegaSpec, x):
+    """Distance of rows x (shape (..., n)) from the active constraints of omega.
 
-    Positive exactly when x lies in omega.
+    In functional units, positive exactly when the row lies in omega; one
+    value per row, a scalar for a single point.  On contiguous rows the ball
+    norm sqrt(x . x) has the bits of np.linalg.norm of each row alone, which
+    np.linalg.norm(x, axis=-1) and strided rows do not.
     """
-    x = np.asarray(x, dtype=float)
-    vals = np.abs(ctx.root_datum.evaluate(x))
-    if spec.shape == "scale":
-        return float(spec.scale * np.pi / 2.0 - np.max(vals))
-    margin = float(np.pi / 2.0 - np.max(vals))
-    return min(margin, float(spec.radius - np.linalg.norm(x)))
+    x = np.ascontiguousarray(x, dtype=float)
+    margin = spec.cutoff - np.max(np.abs(ctx.root_datum.evaluate(x)), axis=-1)
+    if spec.shape == "ball":
+        margin = np.minimum(margin, spec.radius - np.sqrt(np.vecdot(x, x)))
+    return margin
 
 
-def omega_distance(ctx: GroupContext, spec: OmegaSpec, x) -> float:
-    """Euclidean distance of an interior point to the boundary of omega."""
-    x = np.asarray(x, dtype=float)
+def omega_distance(ctx: GroupContext, spec: OmegaSpec, x):
+    """Euclidean distance of interior rows x (shape (..., n)) to the boundary of omega."""
+    x = np.ascontiguousarray(x, dtype=float)
     vals = np.abs(ctx.root_datum.evaluate(x))
     norms = np.linalg.norm(ctx.root_datum.roots, axis=1)
-    cutoff = (spec.scale if spec.shape == "scale" else 1.0) * np.pi / 2.0
-    dist = float(np.min((cutoff - vals) / norms))
+    dist = np.min((spec.cutoff - vals) / norms, axis=-1)
     if spec.shape == "ball":
-        dist = min(dist, float(spec.radius - np.linalg.norm(x)))
+        dist = np.minimum(dist, spec.radius - np.sqrt(np.vecdot(x, x)))
     return dist
 
 
@@ -203,12 +191,11 @@ def helmert(n: int) -> np.ndarray:
 
 def _omega_box(ctx: GroupContext, spec: OmegaSpec):
     """Half-width of the coordinate box bounding omega (in sampling coordinates)."""
-    c = spec.scale if spec.shape == "scale" else 1.0
     if ctx.family is Family.SPECIAL_LINEAR:
         n = ctx.n
-        half = c * np.pi / 2.0 * (n - 1) / n * np.sqrt(n)
+        half = spec.cutoff * (n - 1) / n * np.sqrt(n)
     else:
-        half = c * np.pi / 4.0
+        half = spec.cutoff / 2.0
     if spec.shape == "ball":
         half = min(half, spec.radius)
     return half

@@ -121,6 +121,28 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["hull", "--group", "sl:3", "--x", "0.1,-0.1", "--y", "0,0"]) == EXIT_USAGE
     assert main(["hull", "--group", "sp:3", "--x", "0.3", "--y", "0.9"]) == EXIT_USAGE
     assert "need 3 coordinates" in capsys.readouterr().err
+    # negative tolerances
+    assert main(["verify-convexity", "--group", "sl:3", "--samples", "5",
+                 "--tol", "-1"]) == EXIT_USAGE
+    assert main(["hull", "--group", "sl:3", "--x", "0.3,0,-0.3", "--y", "0.1,0.1,-0.2",
+                 "--tol", "-1"]) == EXIT_USAGE
+    assert main(["tubes", "--group", "sl:3", "--z-count", "2", "--k-count", "2",
+                 "--tol", "-1"]) == EXIT_USAGE
+    assert main(["critical-points", "--group", "sl:2", "--runs", "1",
+                 "--gap-tol", "-1"]) == EXIT_USAGE
+    assert main(["hull", "--group", "sl:3", "--x", "0.3,0,-0.3", "--y", "5,5,-10",
+                 "--tol", "inf"]) == EXIT_USAGE
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    # out-of-range sizes: rank 0, a direction of the wrong length, no samples, no steps
+    assert main(["siegel", "--n", "0", "--samples", "3"]) == EXIT_USAGE
+    assert "n and samples must be >= 1" in capsys.readouterr().err
+    assert main(["decompose", "--group", "sl:3", "--entries", "1,1,0,1,2,1,0,1,2",
+                 "--x", "0.1,-0.1"]) == EXIT_USAGE
+    assert "--x needs 3 coordinates" in capsys.readouterr().err
+    assert main(["lemma24", "--group", "sl:3", "--samples", "0"]) == EXIT_USAGE
+    assert "samples must be >= 1" in capsys.readouterr().err
+    assert main(["boundary", "--group", "sl:3", "--steps", "0"]) == EXIT_USAGE
+    assert "non-empty" in capsys.readouterr().err
 
 
 def test_cli_indeterminate_exit_code(capsys):

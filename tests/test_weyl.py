@@ -3,12 +3,11 @@ import pytest
 
 from crown import dominant_rep, hull_contains, omega_margin, sample_omega, weyl_orbit
 from crown.errors import RejectionStall
-from crown.groups import Family
+from crown.groups import Family, GroupSpec, build_group
 from crown.rng import substream
 from crown.weyl import (
     FULL_OMEGA,
     OmegaSpec,
-    OrbitPolytope,
     apply_weyl,
     draw_omega_point,
     hull_margins_batch,
@@ -135,12 +134,6 @@ def test_hull_margins_batch_matches_scalar(ctx):
     np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 
-def test_orbit_polytope_wrapper(sl3):
-    poly = OrbitPolytope.of(sl3, np.array([-0.3, 0.3, 0.0]))
-    np.testing.assert_array_equal(poly.dominant, [0.3, 0.0, -0.3])
-    assert poly.contains(np.array([0.0, 0.0, 0.0]))[0]
-
-
 def test_omega_margin_values(sl2, sp2):
     assert np.isclose(omega_margin(sl2, FULL_OMEGA, np.zeros(2)), np.pi / 2)
     t = 0.3
@@ -159,6 +152,32 @@ def test_omega_margin_weyl_invariant_exact(ctx):
     base = omega_margin(ctx, FULL_OMEGA, x)
     for w in weyl_elements(ctx):
         assert omega_margin(ctx, FULL_OMEGA, apply_weyl(x, w)) == base
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5"])
+@pytest.mark.parametrize("spec", [FULL_OMEGA, OmegaSpec("ball", radius=0.4)],
+                         ids=["scale", "ball"])
+def test_batches_match_rows_bit_for_bit(label, spec):
+    family, _, n = label.partition(":")
+    ctx = build_group(GroupSpec(Family(family), int(n)))
+    rng = substream(41, 7)
+    xs = rng.standard_normal((200, ctx.n)) * 0.3
+    if ctx.family is Family.SPECIAL_LINEAR:
+        xs -= xs.mean(axis=1, keepdims=True)
+
+    def margin_of_row(x):
+        margin = spec.cutoff - np.max(np.abs(ctx.root_datum.evaluate(x)))
+        return min(margin, spec.radius - np.linalg.norm(x)) if spec.shape == "ball" else margin
+
+    # the imaginary part of a complex batch has strided rows, as tracked log a does
+    strided = (1j * xs + 0.5).imag
+    for batch in (xs, strided):
+        np.testing.assert_array_equal(omega_margin(ctx, spec, batch),
+                                      [margin_of_row(x) for x in batch])
+        np.testing.assert_array_equal(omega_distance(ctx, spec, batch),
+                                      [omega_distance(ctx, spec, x) for x in batch])
+    for w in weyl_elements(ctx):
+        np.testing.assert_array_equal(apply_weyl(xs, w), [apply_weyl(x, w) for x in xs])
 
 
 def test_omega_ball_shape(sl2):
