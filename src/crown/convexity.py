@@ -37,6 +37,7 @@ from .iwasawa import (
     track_batch,
     triangular_part,
     ARG_STEP_CAP,
+    GRID_STEPS,
     PIVOT_FLOOR,
     RECON_RTOL,
 )
@@ -71,6 +72,12 @@ STEP_FLOOR = 1e-12
 STEP_CAP = 2.0 ** 20
 IM_N_FLOOR = 1e-10
 NORMALIZER_GAP = 0.1
+GRAD_TOL = 1e-6
+KOSTANT_BOX = 1.0
+VERTEX_TOL = 1e-10
+FD_STEP = 1e-5
+MAX_REL_TOL = 1e-5
+ROUTE_TOL = 1e-10
 
 
 @dataclasses.dataclass
@@ -135,33 +142,31 @@ def metric_inner(ctx: GroupContext, x, y) -> float:
     return float(-2.0 * ctx.killing_scale * np.trace(np.asarray(x) @ np.asarray(y)).real)
 
 
-def _project(ctx: GroupContext, a_point, k, steps_hint: int):
+def _project(ctx: GroupContext, a_point, k):
     """Factors of k exp(a_point), with the imaginary part of a_point tracked."""
     a_point = np.asarray(a_point, dtype=complex)
     g = np.asarray(k) @ ctx.a_exp(a_point.real)
-    return project_complex(ctx, g, a_point.imag, steps_hint)
+    return project_complex(ctx, g, a_point.imag)
 
 
-def f_a(ctx: GroupContext, a_point, k, steps_hint: int = 16) -> np.ndarray:
+def f_a(ctx: GroupContext, a_point, k) -> np.ndarray:
     """log a(k exp(a_point)) on the branch tracked from k, as Cartan coordinates."""
-    return _project(ctx, a_point, k, steps_hint).log_a
+    return _project(ctx, a_point, k).log_a
 
 
-def f_a_lambda(ctx: GroupContext, a_point, k, lam: CovectorIA,
-               steps_hint: int = 16) -> float:
+def f_a_lambda(ctx: GroupContext, a_point, k, lam: CovectorIA) -> float:
     """lam(f_a(k)) through the kappa_R pairing.
 
     The pairing of a Cartan-space value with i*M is real by construction; a
     broken branch surfaces as a non-finite value and is rejected.
     """
-    value = pair_ia(ctx, f_a(ctx, a_point, k, steps_hint), lam.m_coords)
+    value = pair_ia(ctx, f_a(ctx, a_point, k), lam.m_coords)
     if not np.isfinite(value):
         raise NonRealValue("functional evaluation is not a finite real number")
     return float(value)
 
 
-def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA,
-           steps_hint: int = 16) -> np.ndarray:
+def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA) -> np.ndarray:
     """Riemannian gradient of f_{a,lam} at k, as an element of the compact subalgebra.
 
     Built from the unipotent factor of k exp(a_point): the directional
@@ -169,7 +174,7 @@ def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA,
     metric projection of Ad(n) H_lam onto the compact subalgebra.
     """
     h = h_lambda(ctx, lam)
-    n_part = _project(ctx, a_point, k, steps_hint).n_part
+    n_part = _project(ctx, a_point, k).n_part
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
     coeff = scipy.linalg.cho_solve(ctx.k_gram_chol, -rhs)
@@ -177,13 +182,12 @@ def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA,
 
 
 def directional_derivative_triangular(ctx: GroupContext, a_point, k,
-                                      lam: CovectorIA, x_dir,
-                                      steps_hint: int = 16) -> float:
+                                      lam: CovectorIA, x_dir) -> float:
     """Derivative of f_{a,lam} along exp(tX)k evaluated through the triangular part.
 
     Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)).
     """
-    b = triangular_part(ctx, _project(ctx, a_point, k, steps_hint))
+    b = triangular_part(ctx, _project(ctx, a_point, k))
     ad_b_inv = np.linalg.solve(b, np.asarray(x_dir, dtype=complex) @ b)
     return float(pair_ia(ctx, project_a(ctx, ad_b_inv), lam.m_coords))
 
@@ -195,13 +199,15 @@ def weyl_values(ctx: GroupContext, x, lam: CovectorIA) -> np.ndarray:
 
 
 def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
-                    max_iter: int = 1000, tol: float = 1e-6,
-                    steps_hint: int = 16, raise_on_failure: bool = False) -> CriticalRun:
+                    max_iter: int = 1000, tol: float = GRAD_TOL,
+                    raise_on_failure: bool = False) -> CriticalRun:
     """Riemannian gradient ascent of f_{a,lam} with Armijo backtracking.
 
     Requires regular lam and regular imaginary direction.  Non-converged runs
     are returned with converged=False unless raise_on_failure is set.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     a_point = np.asarray(a_point, dtype=complex)
     x_im = a_point.imag
     if not is_regular(ctx, lam.m_coords):
@@ -209,13 +215,13 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
     if not is_regular(ctx, x_im):
         raise ValueError("imaginary direction must be regular")
     k = np.asarray(k0, dtype=float)
-    f_cur = f_a_lambda(ctx, a_point, k, lam, steps_hint)
+    f_cur = f_a_lambda(ctx, a_point, k, lam)
     f_values = [f_cur]
     grad_norm = np.inf
     iterations = 0
     converged = False
     for iterations in range(max_iter + 1):
-        grad = grad_f(ctx, a_point, k, lam, steps_hint)
+        grad = grad_f(ctx, a_point, k, lam)
         sq_norm = metric_inner(ctx, grad, grad)
         grad_norm = np.sqrt(max(sq_norm, 0.0))
         if grad_norm < tol:
@@ -226,7 +232,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
 
         def trial(eta):
             k_t = k_project(ctx, scipy.linalg.expm(eta * grad) @ k)
-            return k_t, f_a_lambda(ctx, a_point, k_t, lam, steps_hint)
+            return k_t, f_a_lambda(ctx, a_point, k_t, lam)
 
         eta = 1.0
         k_trial, f_trial = trial(eta)
@@ -266,23 +272,22 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
     return run
 
 
-def sample_covector(ctx: GroupContext, rng, floor: float = REGULARITY_FLOOR) -> CovectorIA:
-    """Unit-norm regular covector parameter, rejection-sampled to the floor."""
+def sample_covector(ctx: GroupContext, rng) -> CovectorIA:
+    """Unit-norm regular covector parameter, rejection-sampled to REGULARITY_FLOOR."""
     while True:
         m = rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             m -= m.mean()
         m /= np.linalg.norm(m)
-        if is_regular(ctx, m, floor=floor):
+        if is_regular(ctx, m, floor=REGULARITY_FLOOR):
             return CovectorIA(m_coords=m, regular=True)
 
 
-def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng,
-                             floor: float = REGULARITY_FLOOR) -> np.ndarray:
+def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.ndarray:
     """Point of omega with all root values bounded away from zero."""
     while True:
         x = draw_omega_point(ctx, omega, rng)
-        if is_regular(ctx, x, floor=floor):
+        if is_regular(ctx, x, floor=REGULARITY_FLOOR):
             return x
 
 
@@ -298,7 +303,7 @@ def _base_tolerances(tol: float) -> dict:
 
 def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
                              seed: int, tol: float = MEMBERSHIP_TOL,
-                             mode: str = "k", steps_hint: int = 16) -> VerificationReport:
+                             mode: str = "k", steps_hint: int = GRID_STEPS) -> VerificationReport:
     """Monte-Carlo check that Im log a(g exp(iX)) stays in conv(WX).
 
     Per sample: X uniform in omega, g Haar in K ("k" mode) or k exp(S) with a
@@ -363,13 +368,12 @@ def _fold_report(parts, *, command, ctx, omega, seed, samples, tol, start,
 
 
 def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
-                        tol: float = MEMBERSHIP_TOL, box: float = 1.0,
-                        vertex_tol: float = 1e-10) -> VerificationReport:
+                        tol: float = MEMBERSHIP_TOL) -> VerificationReport:
     """Containment and vertex sharpness of the real convexity statement.
 
     Containment: log a(k exp X) lies in conv(WX) for Haar k and X from a
     bounded box.  Sharpness: for every Weyl representative k_w the projection
-    of k_w exp(X) equals wX to vertex_tol, so every vertex is attained.
+    of k_w exp(X) equals wX to VERTEX_TOL, so every vertex is attained.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -385,9 +389,9 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
         for i in range(count):
             rng = substream(seed, lo + i)
             if helm is not None:
-                xs[i] = helm @ rng.uniform(-box, box, nn - 1)
+                xs[i] = helm @ rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn - 1)
             else:
-                xs[i] = rng.uniform(-box, box, nn)
+                xs[i] = rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn)
             ks[i] = haar_k(ctx, rng)
         a_exps = ctx.a_exp(xs)
         gs = ks @ a_exps
@@ -423,19 +427,18 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
         samples=samples, tol=tol, start=start,
-        extras={"box_halfwidth": box,
+        extras={"box_halfwidth": KOSTANT_BOX,
                 "max_vertex_error": max(p["vertex_err"] for p in parts),
-                "vertex_tol": vertex_tol,
+                "vertex_tol": VERTEX_TOL,
                 "weyl_order": len(reps)},
     )
-    report.violations += int(report.extras["max_vertex_error"] > vertex_tol)
+    report.violations += int(report.extras["max_vertex_error"] > VERTEX_TOL)
     if report.violations > report.samples_completed:
         report.violations = report.samples_completed
     return report
 
 
-def separating_functional(ctx: GroupContext, x, y,
-                          tol: float = MEMBERSHIP_TOL) -> CovectorIA:
+def separating_functional(ctx: GroupContext, x, y) -> CovectorIA:
     """Regular covector separating y from conv(Wx), for diagnostics.
 
     Direction: y minus its Euclidean projection onto the orbit polytope,
@@ -445,7 +448,7 @@ def separating_functional(ctx: GroupContext, x, y,
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    member, _ = hull_contains(ctx, x, y, tol)
+    member, _ = hull_contains(ctx, x, y)
     if member:
         raise InsideHull("point already lies in the orbit hull")
     orbit = weyl_orbit(ctx, x)
@@ -488,9 +491,7 @@ def random_k_direction(ctx: GroupContext, rng) -> np.ndarray:
     return t / np.sqrt(metric_inner(ctx, t, t))
 
 
-def gradient_check(ctx: GroupContext, configs: int, seed: int,
-                   fd_step: float = 1e-5, max_tol: float = 1e-5,
-                   pair_tol: float = 1e-10, steps_hint: int = 16) -> VerificationReport:
+def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationReport:
     """Finite-difference and triangular-route validation of grad_f.
 
     Per configuration: random tube point, Haar k, random covector and tangent
@@ -515,19 +516,19 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int,
         k = haar_k(ctx, rng)
         lam = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
-        grad = grad_f(ctx, a_point, k, lam, steps_hint)
+        grad = grad_f(ctx, a_point, k, lam)
         exact = metric_inner(ctx, direction, grad)
-        f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(fd_step * direction) @ k, lam, steps_hint)
-        f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-fd_step * direction) @ k, lam, steps_hint)
-        fd = (f_plus - f_minus) / (2.0 * fd_step)
+        f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, lam)
+        f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, lam)
+        fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         rel_errs[i] = abs(exact - fd) / (1.0 + abs(exact))
-        other = directional_derivative_triangular(ctx, a_point, k, lam, direction, steps_hint)
+        other = directional_derivative_triangular(ctx, a_point, k, lam, direction)
         pair_errs[i] = abs(exact - other)
         if rel_errs[i] > worst:
             worst = rel_errs[i]
             witness = {"sample_index": i, "rel_err": float(rel_errs[i]),
                        "exact": float(exact), "fd": float(fd)}
-    violations = int(np.sum((rel_errs > max_tol) | (pair_errs > pair_tol)))
+    violations = int(np.sum((rel_errs > MAX_REL_TOL) | (pair_errs > ROUTE_TOL)))
     return VerificationReport(
         command="gradient-check",
         group=group_wire(ctx),
@@ -540,8 +541,8 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int,
         min_margin=None,
         worst_witness=witness,
         wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"fd_step": fd_step, "median_rel_tol": 1e-7,
-                       "max_rel_tol": max_tol, "route_agreement_tol": pair_tol,
+        tolerance_set={"fd_step": FD_STEP, "median_rel_tol": 1e-7,
+                       "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
                        "pivot_floor": PIVOT_FLOOR, "arg_step_cap": ARG_STEP_CAP},
         extras={"median_rel_err": float(np.median(rel_errs)),
                 "max_rel_err": float(np.max(rel_errs)),
@@ -550,8 +551,7 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int,
 
 
 def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
-                        gap_tol: float = 1e-6, grad_tol: float = 1e-6,
-                        max_iter: int = 1000, steps_hint: int = 16) -> VerificationReport:
+                        gap_tol: float = 1e-6, max_iter: int = 1000) -> VerificationReport:
     """Seeded gradient ascents checked against the enumerated Weyl maxima.
 
     Converged runs whose final value misses max_w lam(i wX) by more than
@@ -573,8 +573,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         x = sample_regular_direction(ctx, omega, rng)
         lam = sample_covector(ctx, rng)
         k0 = haar_k(ctx, rng)
-        run = ascend_critical(ctx, 1j * x, k0, lam, max_iter=max_iter,
-                              tol=grad_tol, steps_hint=steps_hint)
+        run = ascend_critical(ctx, 1j * x, k0, lam, max_iter=max_iter)
         total_iter += run.iterations
         if not run.converged:
             indeterminate += 1
@@ -599,7 +598,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         min_margin=None,
         worst_witness=witness,
         wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"gap_tol": gap_tol, "grad_tol": grad_tol,
+        tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL,
                        "regularity_floor": REGULARITY_FLOOR,
                        "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK},
         extras={"convergence_rate": converged / runs,
@@ -608,8 +607,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
     )
 
 
-def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
-                  floor: float = IM_N_FLOOR, steps_hint: int = 16) -> VerificationReport:
+def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> VerificationReport:
     """Contrapositive probe: far from the normalizer the unipotent factor is not real.
 
     For Haar k rejected to Frobenius distance > 0.1 from every element of the
@@ -640,7 +638,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
         for i in range(count):
             gs[i] = draw_far_k(substream(seed, lo + i))
         xs = np.tile(x, (count, 1))
-        log_full, lower, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
+        log_full, lower, max_steps, bad = track_batch(ctx, gs, xs)
         ok = ~bad
         im_n = np.max(np.abs(lower.imag), axis=(1, 2))
         im_n = np.where(ok, im_n, np.inf)
@@ -653,7 +651,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
         return {
             "completed": int(ok.sum()),
             "indeterminate": int(bad.sum()),
-            "violations": int(np.sum(im_n[ok] <= floor)),
+            "violations": int(np.sum(im_n[ok] <= IM_N_FLOOR)),
             "min_margin": float(im_n.min()) if ok.any() else np.inf,
             "witness": witness,
             "max_resid": 0.0,
@@ -663,10 +661,10 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="lemma24", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tol=floor, start=start,
+        samples=samples, tol=IM_N_FLOOR, start=start,
         extras={"x": list(map(float, x))},
     )
-    report.tolerance_set["im_n_floor"] = floor
+    report.tolerance_set["im_n_floor"] = IM_N_FLOOR
     report.tolerance_set["normalizer_gap"] = NORMALIZER_GAP
     report.tolerance_set["regularity_floor"] = REGULARITY_FLOOR
     report.extras["min_im_n"] = report.min_margin

@@ -46,39 +46,37 @@ class TubeSpec:
         object.__setattr__(self, "base_k", k)
 
 
-def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int,
-              mode: str = "full-g") -> list[CrownPoint]:
-    """count seeded crown points z = g exp(iX), X in omega."""
+def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int) -> list[CrownPoint]:
+    """count seeded crown points z = g exp(iX), X in omega, with g drawn in full-g mode."""
     if count < 1:
         raise ValueError("count must be >= 1")
     points = []
     for i in range(count):
         rng = substream(seed, i)
         x = draw_omega_point(ctx, omega, rng)
-        g = sample_group_element(ctx, rng, mode)
+        g = sample_group_element(ctx, rng, "full-g")
         z = g @ ctx.a_exp(1j * x)
         points.append(CrownPoint(z=z, base_g=g, direction_x=x, omega_tag=omega))
     return points
 
 
-def tube_contains(ctx: GroupContext, tube: TubeSpec, point: CrownPoint,
-                  tol: float = MEMBERSHIP_TOL, steps_hint: int = 16):
+def tube_contains(ctx: GroupContext, tube: TubeSpec, point: CrownPoint):
     """(member, margin) of a crown point in a tube.
 
     The margin is the omega margin of Im log a of the translated point; the
     translate k^{-1} g is again real, so the tracked branch stays anchored.
     """
     base = tube.base_k.T @ point.base_g
-    log_full, _, _, bad = track_batch(ctx, base[None], point.direction_x[None], steps_hint)
+    log_full, _, _, bad = track_batch(ctx, base[None], point.direction_x[None])
     if bad[0]:
         raise BranchBreakdown("branch tracking broke down on the translated point")
     margin = float(omega_margin(ctx, tube.omega, log_full[0, : ctx.n].imag))
-    return margin >= -tol, margin
+    return margin >= -MEMBERSHIP_TOL, margin
 
 
 def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
-                             k_count: int, seed: int, tol: float = MEMBERSHIP_TOL,
-                             steps_hint: int = 16) -> VerificationReport:
+                             k_count: int, seed: int,
+                             tol: float = MEMBERSHIP_TOL) -> VerificationReport:
     """Assert every sampled crown point lies in every sampled compact tube."""
     if z_count < 1 or k_count < 1:
         raise ValueError("counts must be >= 1")
@@ -91,7 +89,7 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
     def run_chunk(lo, hi):
         z_idx, k_idx = np.divmod(np.arange(lo, hi), k_count)
         base = np.swapaxes(tubes[k_idx], 1, 2) @ gs[z_idx]
-        log_full, _, max_steps, bad = track_batch(ctx, base, xs[z_idx], steps_hint)
+        log_full, _, max_steps, bad = track_batch(ctx, base, xs[z_idx])
         ok = ~bad
         margins = np.where(ok, omega_margin(ctx, omega, log_full[:, : ctx.n].imag), np.inf)
         i_min = int(np.argmin(margins))
@@ -126,7 +124,7 @@ def _fold(parts, *, command, ctx, omega, seed, requested, tol, start, extras):
 
 
 def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
-                 tol: float = MEMBERSHIP_TOL, steps_hint: int = 16) -> VerificationReport:
+                 tol: float = MEMBERSHIP_TOL) -> VerificationReport:
     """Both inclusions of a(Xi(omega)) = A exp(i omega), sampled.
 
     Forward: Im log a of sampled crown points stays in omega.  Backward:
@@ -148,11 +146,11 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
             xs[i] = draw_omega_point(ctx, omega, rng)
             gs[i] = sample_group_element(ctx, rng, "full-g")
             ws[i] = draw_omega_point(ctx, omega, rng)
-        log_full, _, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
+        log_full, _, max_steps, bad = track_batch(ctx, gs, xs)
         ok = ~bad
         margins = np.where(ok, omega_margin(ctx, omega, log_full[:, :nn].imag), np.inf)
         slice_eye = np.tile(np.eye(ctx.ambient_size), (count, 1, 1))
-        slice_log, _, _, slice_bad = track_batch(ctx, slice_eye, ws, steps_hint)
+        slice_log, _, _, slice_bad = track_batch(ctx, slice_eye, ws)
         witness_err = float(np.max(np.abs(slice_log[~slice_bad][:, :nn] - 1j * ws[~slice_bad]))) \
             if (~slice_bad).any() else np.inf
         i_min = int(np.argmin(margins))
@@ -193,8 +191,7 @@ def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 1
     return (1.0 - 0.5 ** np.arange(1, steps + 1))[:, None] * s_star * u
 
 
-def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path,
-                   steps_hint: int = 16) -> list[tuple[int, float]]:
+def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path) -> list[tuple[int, float]]:
     """Boundary-approach distances of Im log a along a path toward the edge of omega.
 
     The path must stay in omega with strictly decreasing distance to the
@@ -212,7 +209,7 @@ def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path,
     if dists[-1] >= 1e-3:
         raise ValueError("path must approach the boundary below 1e-3")
     gs = np.repeat(np.asarray(g, dtype=float)[None], len(x_path), axis=0)
-    log_full, _, _, _ = track_batch(ctx, gs, x_path, steps_hint)
+    log_full, _, _, _ = track_batch(ctx, gs, x_path)
     ys = log_full[:, : ctx.n].imag
     # rows whose tracking broke down are NaN and fail the margin test too
     left = np.flatnonzero(~(omega_margin(ctx, omega, ys) > 0.0))

@@ -106,8 +106,8 @@ class CovectorIA:
 class GroupContext:
     """Immutable bundle of one concrete group realization.
 
-    Safe to share across workers; every operation in the package is a pure
-    function of a context and its other arguments.
+    Every operation in the package is a pure function of a context and its
+    other arguments.
     """
 
     spec: GroupSpec
@@ -192,8 +192,8 @@ class GroupContext:
         j = self.symplectic_form
         return np.linalg.norm(g.T @ j @ g - j) / scale
 
-    def in_group(self, g, tol: float = GROUP_TOL) -> bool:
-        return self.group_residual(g) <= tol
+    def in_group(self, g) -> bool:
+        return self.group_residual(g) <= GROUP_TOL
 
 
 def _diag_embed(d):
@@ -350,8 +350,6 @@ def _sp_root_datum(n):
 
 def build_group(spec: GroupSpec) -> GroupContext:
     """Construct the sorted-frame realization for a group spec."""
-    if not isinstance(spec, GroupSpec):
-        spec = GroupSpec(*spec)
     if spec.family is Family.SPECIAL_LINEAR:
         n = spec.n
         basis_a, basis_n, basis_k = _sl_bases(n)
@@ -362,7 +360,7 @@ def build_group(spec: GroupSpec) -> GroupContext:
             perm=_freeze(np.arange(n)),
             symplectic_form=None,
         )
-    elif spec.family is Family.SYMPLECTIC:
+    else:
         n = spec.n
         basis_a, basis_n, basis_k = _sp_bases(n)
         # sorted frame: diagonal weights (e_1 .. e_n, -e_n .. -e_1)
@@ -381,8 +379,6 @@ def build_group(spec: GroupSpec) -> GroupContext:
             perm=_freeze(perm),
             symplectic_form=_freeze(j_std[ix]),
         )
-    else:
-        raise UnsupportedFamily(f"unknown family {spec.family!r}")
 
     scale = ctx_kwargs["killing_scale"]
     gram = np.einsum("aij,bji->ab", basis_k, basis_k) * (-2.0 * scale)
@@ -454,9 +450,10 @@ def project_a(ctx: GroupContext, z):
 
     In the sorted lower-triangular frame the projection along k_C + n_C is the
     diagonal part: strictly upper entries are absorbed as (u + theta(u)) in k_C
-    minus theta(u) in n_C, and the compact subalgebra has zero diagonal.
+    minus theta(u) in n_C, and the compact subalgebra has zero diagonal.  A batch
+    of shape (..., m, m) gives coordinates of shape (..., n).
     """
-    return ctx.a_coords(np.diagonal(np.asarray(z)))
+    return ctx.a_coords(np.diagonal(np.asarray(z), axis1=-2, axis2=-1))
 
 
 def split_nak(ctx: GroupContext, z):

@@ -36,6 +36,8 @@ ARG_STEP_CAP = np.pi / 2.0
 MAX_SEGMENTS = 2 ** 14
 RECON_RTOL = 1e-10
 SYM_TOL = 1e-10
+# parameter-grid segments per tracked leg before any bisection
+GRID_STEPS = 16
 
 
 @dataclasses.dataclass
@@ -105,7 +107,7 @@ def normalized_minors(mat) -> np.ndarray:
         return np.abs(np.cumprod(ratios, axis=-1)) / hadamard
 
 
-def minor_ratios(mat, floor: float = PIVOT_FLOOR) -> np.ndarray:
+def minor_ratios(mat) -> np.ndarray:
     """Leading-principal-minor ratios (Delta_1/Delta_0, ..., Delta_m/Delta_{m-1}).
 
     The input must be symmetric to 1e-10.  Raises PivotBreakdown when a minor
@@ -119,7 +121,7 @@ def minor_ratios(mat, floor: float = PIVOT_FLOOR) -> np.ndarray:
         raise ValueError("matrix is not symmetric to working precision")
     ratios, _, _ = _ldl(mat)
     norm = normalized_minors(mat)
-    bad = np.flatnonzero(~(norm >= floor))
+    bad = np.flatnonzero(~(norm >= PIVOT_FLOOR))
     if bad.size:
         j = int(bad[0])
         raise PivotBreakdown(
@@ -203,7 +205,7 @@ def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
     )
 
 
-def project_complex(ctx: GroupContext, g, x, steps_hint: int = 16) -> IwasawaFactors:
+def project_complex(ctx: GroupContext, g, x, steps_hint: int = GRID_STEPS) -> IwasawaFactors:
     """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
 
     g must be a real group element and X must lie in the admissible polytope;
@@ -212,7 +214,8 @@ def project_complex(ctx: GroupContext, g, x, steps_hint: int = 16) -> IwasawaFac
     return project_complex_path(ctx, g, [x], steps_hint)
 
 
-def project_complex_path(ctx: GroupContext, g, waypoints, steps_hint: int = 16) -> IwasawaFactors:
+def project_complex_path(ctx: GroupContext, g, waypoints,
+                         steps_hint: int = GRID_STEPS) -> IwasawaFactors:
     """Factors of g exp(iX) for the last waypoint X, tracked along 0 -> waypoints[0] -> ... .
 
     All waypoints must lie in the admissible polytope; the result for the last
@@ -265,7 +268,7 @@ def reconstruction_residual(ctx: GroupContext, factors: IwasawaFactors, z) -> fl
     return float(np.linalg.norm(recon - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
 
 
-def track_batch(ctx: GroupContext, g, xs, steps_hint: int = 16):
+def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Vectorized branch tracking for a batch of (g_i, X_i) pairs.
 
     Runs the whole batch on one uniform grid and falls back to the adaptive

@@ -3,7 +3,7 @@
 Sweeps run serially in fixed chunks of CHUNK = 512 samples.  Chunk boundaries
 are a fixed function of the sample count and every sample draws from its own
 (seed, index) substream, so a chunk's result does not depend on the chunks run
-before it.  The CROWN_THREADS environment variable is no longer read.
+before it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .report import VerificationReport, group_wire
 CHUNK = 512
 
 
-def chunk_ranges(total: int, chunk: int = CHUNK):
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def chunk_ranges(total: int):
+    return [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
 
 
 def map_chunks(fn, ranges):

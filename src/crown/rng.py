@@ -2,7 +2,7 @@
 
 Every Monte-Carlo driver derives one Philox stream per sample from the pair
 (run seed, sample index), so batch results are identical no matter how samples
-are chunked or scheduled across workers.
+are chunked.
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
     return unitary_embed(ctx, u @ vt)
 
 
-def sample_p(ctx: GroupContext, rng, radius: float = P_RADIUS) -> np.ndarray:
-    """Gaussian draw from the symmetric part of the algebra, norm-capped at radius."""
+def sample_p(ctx: GroupContext, rng) -> np.ndarray:
+    """Gaussian draw from the symmetric part of the algebra, norm-capped at P_RADIUS."""
     n = ctx.n
     if ctx.family is Family.SPECIAL_LINEAR:
         a = rng.standard_normal((n, n))
@@ -77,8 +77,8 @@ def sample_p(ctx: GroupContext, rng, radius: float = P_RADIUS) -> np.ndarray:
         std = np.block([[a, b], [b, -a]])
         s = ctx.to_sorted_frame(std)
     norm = np.linalg.norm(s)
-    if norm > radius:
-        s = s * (radius / norm)
+    if norm > P_RADIUS:
+        s = s * (P_RADIUS / norm)
     return s
 
 
@@ -88,12 +88,11 @@ def exp_symmetric(s: np.ndarray) -> np.ndarray:
     return (v * np.exp(w)[None, :]) @ v.T
 
 
-def sample_group_element(ctx: GroupContext, rng, mode: str = "k",
-                         radius: float = P_RADIUS) -> np.ndarray:
+def sample_group_element(ctx: GroupContext, rng, mode: str = "k") -> np.ndarray:
     """Haar k ("k" mode) or k exp(S) with a bounded p-part ("full-g" mode)."""
     k = haar_k(ctx, rng)
     if mode == "k":
         return k
     if mode == "full-g":
-        return k @ exp_symmetric(sample_p(ctx, rng, radius))
+        return k @ exp_symmetric(sample_p(ctx, rng))
     raise ValueError(f"unknown sampling mode {mode!r}")

@@ -61,27 +61,27 @@ def fractional_action(g_std, w) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _draw_siegel(n: int, rng, direct: bool, eps: float) -> SiegelPoint:
+def _draw_siegel(n: int, rng, direct: bool) -> SiegelPoint:
     if direct:
         x = rng.standard_normal((n, n))
         x = 0.5 * (x + x.T)
         low = rng.standard_normal((n, n))
-        return SiegelPoint(x + 1j * (low @ low.T + eps * np.eye(n)))
+        return SiegelPoint(x + 1j * (low @ low.T + DIRECT_EPS * np.eye(n)))
     ctx = _sp_context(n)
     g = sample_group_element(ctx, rng, "full-g")
     return SiegelPoint(fractional_action(ctx.to_standard_frame(g), 1j * np.eye(n)))
 
 
-def sample_siegel(n: int, count: int, seed: int, eps: float = DIRECT_EPS) -> list[SiegelPoint]:
+def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
     """Seeded points of the upper half-space, two interleaved strategies.
 
-    Even indices: direct draws x + i(L L^T + eps I) with Gaussian x and L.
+    Even indices: direct draws x + i(L L^T + DIRECT_EPS I) with Gaussian x and L.
     Odd indices: orbit draws g.(iI) under the fractional action of bounded
     random symplectic g.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    return [_draw_siegel(n, substream(seed, i), i % 2 == 0, eps) for i in range(count)]
+    return [_draw_siegel(n, substream(seed, i), i % 2 == 0) for i in range(count)]
 
 
 def chi(point: SiegelPoint) -> np.ndarray:
@@ -89,8 +89,7 @@ def chi(point: SiegelPoint) -> np.ndarray:
     return minor_ratios(point.z)
 
 
-def verify_siegel(n: int, samples: int, seed: int,
-                  minor_floor: float = NORMALIZED_MINOR_FLOOR) -> VerificationReport:
+def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     """Minor nonvanishing and ratio positivity over seeded upper half-space points.
 
     A sample violates when some ratio has nonpositive imaginary part or a
@@ -106,7 +105,7 @@ def verify_siegel(n: int, samples: int, seed: int,
     witness = None
     breakdowns = 0
     for i in range(samples):
-        point = _draw_siegel(n, substream(seed, i), i % 2 == 0, DIRECT_EPS)
+        point = _draw_siegel(n, substream(seed, i), i % 2 == 0)
         try:
             ratios = chi(point)
         except PivotBreakdown:
@@ -121,7 +120,7 @@ def verify_siegel(n: int, samples: int, seed: int,
             witness = {"sample_index": i, "min_im_chi": sample_im,
                        "chi": vector_wire(ratios), "z": matrix_wire(point.z)}
         min_minor = min(min_minor, sample_minor)
-        if sample_im <= 0.0 or sample_minor < minor_floor:
+        if sample_im <= 0.0 or sample_minor < NORMALIZED_MINOR_FLOOR:
             violations += 1
     # fixed kernel fixture: chi([[i, 1/2], [1/2, i]]) = (i, 5i/4)
     fixture = minor_ratios(np.array([[1j, 0.5], [0.5, 1j]]))
@@ -137,8 +136,8 @@ def verify_siegel(n: int, samples: int, seed: int,
         min_margin=float(min_im) if np.isfinite(min_im) else None,
         worst_witness=witness,
         wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"normalized_minor_floor": minor_floor, "pivot_floor": PIVOT_FLOOR,
-                       "direct_eps": DIRECT_EPS},
+        tolerance_set={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
+                       "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
         extras={"min_im_chi": float(min_im) if np.isfinite(min_im) else None,
                 "min_normalized_minor": float(min_minor) if np.isfinite(min_minor) else None,
                 "pivot_breakdowns": breakdowns,
@@ -147,8 +146,7 @@ def verify_siegel(n: int, samples: int, seed: int,
     )
 
 
-def cross_check_crown(ctx: GroupContext, samples: int, seed: int,
-                      tol: float = MEMBERSHIP_TOL, steps_hint: int = 16) -> VerificationReport:
+def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> VerificationReport:
     """Agreement of the crown projection with the Siegel minor picture.
 
     For crown points g exp(iX) of the symplectic group the tracked Im log a
@@ -174,12 +172,12 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int,
         rng = substream(seed, i)
         x = draw_omega_point(ctx, FULL_OMEGA, rng)
         g = sample_group_element(ctx, rng, "full-g")
-        log_full, _, _, bad = track_batch(ctx, g[None], x[None], steps_hint)
+        log_full, _, _, bad = track_batch(ctx, g[None], x[None])
         if bad[0]:
             indeterminate += 1
             continue
         y_crown = log_full[0, :n].imag
-        crown_ok = bool(np.max(np.abs(y_crown)) < np.pi / 4.0 + tol)
+        crown_ok = bool(np.max(np.abs(y_crown)) < np.pi / 4.0 + MEMBERSHIP_TOL)
         g_std = ctx.to_standard_frame(g)
         ax_std = ctx.to_standard_frame(ctx.a_exp(1j * x))
         w = fractional_action(g_std, fractional_action(ax_std, eye))
@@ -213,6 +211,6 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int,
         min_margin=float(min_margin) if np.isfinite(min_margin) else None,
         worst_witness=witness,
         wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR},
+        tolerance_set={"membership_tol": MEMBERSHIP_TOL, "pivot_floor": PIVOT_FLOOR},
         extras={"max_value_gap_monitored": max_value_gap},
     )

@@ -100,14 +100,14 @@ def apply_weyl(x, element):
     return out
 
 
-def weyl_orbit(ctx: GroupContext, x, tol: float = DEDUP_TOL) -> np.ndarray:
+def weyl_orbit(ctx: GroupContext, x) -> np.ndarray:
     """Orbit of x without duplicates, shape (orbit_size, n)."""
     pts = np.array([apply_weyl(x, w) for w in weyl_elements(ctx)])
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     keep = [0]
     for i in range(1, len(pts)):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > tol:
+        if np.max(np.abs(pts[i] - pts[keep[-1]])) > DEDUP_TOL:
             keep.append(i)
     return pts[keep]
 

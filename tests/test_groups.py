@@ -197,6 +197,12 @@ def test_project_a_fixes_cartan_kills_rest(ctx):
     np.testing.assert_allclose(project_a(ctx, ctx.a_matrix(x)), x, atol=1e-14)
     for vec in list(ctx.basis_k) + list(ctx.basis_n):
         np.testing.assert_allclose(project_a(ctx, (0.3 + 0.2j) * vec), 0.0, atol=1e-14)
+    # a (2, m, m) batch gives one row per matrix
+    batch = np.stack([ctx.a_matrix(x), ctx.a_matrix(-2.0 * x) + 0.7 * ctx.basis_n[0]])
+    got = project_a(ctx, batch)
+    assert got.shape == (2, ctx.n)
+    for row, z in zip(got, batch):
+        np.testing.assert_array_equal(row, project_a(ctx, z))
 
 
 def test_split_nak_resums(ctx):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crown import decompose_real, minor_ratios, project_complex, project_complex_path
 from crown.errors import NotInGroup, OmegaViolation, PivotBreakdown
@@ -28,6 +30,26 @@ def test_minor_ratios_identity_and_diagonal():
 def test_minor_ratios_worked_complex_point():
     m = np.array([[1j, 0.5], [0.5, 1j]])
     np.testing.assert_allclose(minor_ratios(m), [1j, 1.25j], atol=1e-15)
+
+
+@st.composite
+def complex_symmetric(draw):
+    """Complex symmetric m x m matrices, m = 1..5, parts in steps of 0.01, at most 2."""
+    m = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-100, 100), min_size=m * m, max_size=m * m)
+    z = np.reshape(draw(entries), (m, m)) + 1j * np.reshape(draw(entries), (m, m))
+    return (z + z.T) / 100.0
+
+
+# derandomized and without an example database, so every run draws the same matrices
+@settings(derandomize=True, database=None, max_examples=200)
+@given(complex_symmetric())
+def test_minor_ratios_match_determinant_ratios(z):
+    # the elimination runs without pivoting, so compare only where no minor nears zero
+    assume(np.min(normalized_minors(z)) > 1e-3)
+    minors = np.array([np.linalg.det(z[:j, :j]) for j in range(1, len(z) + 1)])
+    want = minors / np.concatenate([[1.0], minors[:-1]])
+    np.testing.assert_allclose(minor_ratios(z), want, rtol=1e-9)
 
 
 def test_minor_ratios_rejects_asymmetric():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from crown.cli import EXIT_USAGE, main, run
+from crown.cli import EXIT_BREAKDOWN, EXIT_USAGE, main, run
 from crown.report import VerificationReport, matrix_wire, vector_wire
 
 
@@ -143,6 +143,28 @@ def test_cli_usage_error_exit_code(capsys):
     assert "samples must be >= 1" in capsys.readouterr().err
     assert main(["boundary", "--group", "sl:3", "--steps", "0"]) == EXIT_USAGE
     assert "non-empty" in capsys.readouterr().err
+    # a negative iteration cap
+    assert main(["critical-points", "--group", "sl:2", "--runs", "2",
+                 "--max-iter", "-1"]) == EXIT_USAGE
+    assert "max_iter must be >= 0" in capsys.readouterr().err
+    # non-finite coordinates
+    assert main(["hull", "--group", "sl:3", "--x", "nan,0,0", "--y", "0,0,0"]) == EXIT_USAGE
+    assert main(["hull", "--group", "sl:3", "--x", "inf,0,-inf", "--y", "0,0,0"]) == EXIT_USAGE
+    assert main(["decompose", "--group", "sl:2", "--entries", "1,0,0,1",
+                 "--x", "nan,nan"]) == EXIT_USAGE
+    assert "coordinates must be finite" in capsys.readouterr().err
+
+
+def test_cli_breakdown_exit_code(capsys, monkeypatch):
+    # a direction 2.2e-16 inside the polytope: the tracked minor degenerates at t = 1
+    assert main(["decompose", "--group", "sl:2", "--entries",
+                 "0.7071067811865476,-0.7071067811865476,0.7071067811865476,0.7071067811865476",
+                 "--x", "0.7853981633974482,-0.7853981633974482"]) == EXIT_BREAKDOWN
+    assert "minor degenerated" in capsys.readouterr().err
+    import crown.weyl as weyl_mod
+    monkeypatch.setattr(weyl_mod, "omega_margin", lambda *a: -1.0)
+    assert main(["verify-convexity", "--group", "sl:2", "--samples", "1"]) == EXIT_BREAKDOWN
+    assert "acceptance rate below" in capsys.readouterr().err
 
 
 def test_cli_indeterminate_exit_code(capsys):
