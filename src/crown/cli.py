@@ -235,7 +235,7 @@ def _run_boundary(args) -> VerificationReport:
     ctx = args.group
     rng = substream(args.seed, NS_AUX)
     direction = convexity.sample_regular_direction(ctx, args.omega, rng)
-    g = haar_k(ctx, rng)
+    g = haar_k(ctx, [rng])[0]
     path = domains.boundary_path(ctx, args.omega, direction, args.steps)
     input_dists = omega_distance(ctx, args.omega, path).tolist()
     pairs = domains.boundary_probe(ctx, args.omega, g, path)

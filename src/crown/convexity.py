@@ -317,12 +317,9 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
 
     def run_chunk(lo, hi):
         count = hi - lo
-        xs = np.empty((count, nn))
-        gs = np.empty((count, ctx.ambient_size, ctx.ambient_size))
-        for i in range(count):
-            rng = substream(seed, lo + i)
-            xs[i] = draw_omega_point(ctx, omega, rng)
-            gs[i] = sample_group_element(ctx, rng, mode)
+        rngs = [substream(seed, i) for i in range(lo, hi)]
+        xs = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
+        gs = sample_group_element(ctx, rngs, mode)
         log_full, lower, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
         ok = ~bad
         ys = np.where(ok[:, None], log_full[:, :nn].imag, 0.0)
@@ -384,15 +381,12 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
 
     def run_chunk(lo, hi):
         count = hi - lo
-        xs = np.empty((count, nn))
-        ks = np.empty((count, ctx.ambient_size, ctx.ambient_size))
-        for i in range(count):
-            rng = substream(seed, lo + i)
-            if helm is not None:
-                xs[i] = helm @ rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn - 1)
-            else:
-                xs[i] = rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn)
-            ks[i] = haar_k(ctx, rng)
+        rngs = [substream(seed, i) for i in range(lo, hi)]
+        if helm is not None:
+            xs = np.array([helm @ rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn - 1) for rng in rngs])
+        else:
+            xs = np.array([rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, nn) for rng in rngs])
+        ks = haar_k(ctx, rngs)
         a_exps = ctx.a_exp(xs)
         gs = ks @ a_exps
         log_full, lower = project_real_batch(gs)
@@ -513,7 +507,7 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         if ctx.family is Family.SPECIAL_LINEAR:
             re -= re.mean()
         a_point = re + 1j * x
-        k = haar_k(ctx, rng)
+        k = haar_k(ctx, [rng])[0]
         lam = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
         grad = grad_f(ctx, a_point, k, lam)
@@ -572,7 +566,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         rng = substream(seed, i)
         x = sample_regular_direction(ctx, omega, rng)
         lam = sample_covector(ctx, rng)
-        k0 = haar_k(ctx, rng)
+        k0 = haar_k(ctx, [rng])[0]
         run = ascend_critical(ctx, 1j * x, k0, lam, max_iter=max_iter)
         total_iter += run.iterations
         if not run.converged:
@@ -627,7 +621,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
 
     def draw_far_k(rng):
         while True:
-            k = haar_k(ctx, rng)
+            k = haar_k(ctx, [rng])[0]
             dist = np.min(np.linalg.norm(normalizers - k[None], axis=(1, 2)))
             if dist > NORMALIZER_GAP:
                 return k

@@ -51,12 +51,12 @@ def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int) -> lis
     if count < 1:
         raise ValueError("count must be >= 1")
     points = []
-    for i in range(count):
-        rng = substream(seed, i)
-        x = draw_omega_point(ctx, omega, rng)
-        g = sample_group_element(ctx, rng, "full-g")
-        z = g @ ctx.a_exp(1j * x)
-        points.append(CrownPoint(z=z, base_g=g, direction_x=x, omega_tag=omega))
+    for lo, hi in chunk_ranges(count):
+        rngs = [substream(seed, i) for i in range(lo, hi)]
+        xs = [draw_omega_point(ctx, omega, rng) for rng in rngs]
+        gs = sample_group_element(ctx, rngs, "full-g")
+        points += [CrownPoint(z=g @ ctx.a_exp(1j * x), base_g=g, direction_x=x, omega_tag=omega)
+                   for g, x in zip(gs, xs)]
     return points
 
 
@@ -82,7 +82,8 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
         raise ValueError("counts must be >= 1")
     start = time.monotonic()
     points = sample_xi(ctx, omega, z_count, seed)
-    tubes = np.array([haar_k(ctx, substream(seed, NS_TUBE + j)) for j in range(k_count)])
+    tubes = np.concatenate([haar_k(ctx, [substream(seed, NS_TUBE + j) for j in range(lo, hi)])
+                            for lo, hi in chunk_ranges(k_count)])
     gs = np.array([p.base_g for p in points])
     xs = np.array([p.direction_x for p in points])
 
@@ -138,14 +139,10 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
 
     def run_chunk(lo, hi):
         count = hi - lo
-        xs = np.empty((count, nn))
-        gs = np.empty((count, ctx.ambient_size, ctx.ambient_size))
-        ws = np.empty((count, nn))
-        for i in range(count):
-            rng = substream(seed, lo + i)
-            xs[i] = draw_omega_point(ctx, omega, rng)
-            gs[i] = sample_group_element(ctx, rng, "full-g")
-            ws[i] = draw_omega_point(ctx, omega, rng)
+        rngs = [substream(seed, i) for i in range(lo, hi)]
+        xs = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
+        gs = sample_group_element(ctx, rngs, "full-g")
+        ws = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
         log_full, _, max_steps, bad = track_batch(ctx, gs, xs)
         ok = ~bad
         margins = np.where(ok, omega_margin(ctx, omega, log_full[:, :nn].imag), np.inf)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import PivotBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
+from .parallel import chunk_ranges
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import sample_group_element
@@ -61,15 +62,24 @@ def fractional_action(g_std, w) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _draw_siegel(n: int, rng, direct: bool) -> SiegelPoint:
-    if direct:
+def _draw_siegel(n: int, seed: int, lo: int, hi: int) -> list[SiegelPoint]:
+    """The points of indices lo..hi-1; the orbit draws share one group-element batch."""
+    ctx = _sp_context(n)
+    eye = np.eye(n)
+    gs = iter(sample_group_element(ctx, [substream(seed, i) for i in range(lo | 1, hi, 2)],
+                                   "full-g"))
+    points = []
+    for i in range(lo, hi):
+        if i % 2:
+            g = next(gs)
+            points.append(SiegelPoint(fractional_action(ctx.to_standard_frame(g), 1j * eye)))
+            continue
+        rng = substream(seed, i)
         x = rng.standard_normal((n, n))
         x = 0.5 * (x + x.T)
         low = rng.standard_normal((n, n))
-        return SiegelPoint(x + 1j * (low @ low.T + DIRECT_EPS * np.eye(n)))
-    ctx = _sp_context(n)
-    g = sample_group_element(ctx, rng, "full-g")
-    return SiegelPoint(fractional_action(ctx.to_standard_frame(g), 1j * np.eye(n)))
+        points.append(SiegelPoint(x + 1j * (low @ low.T + DIRECT_EPS * eye)))
+    return points
 
 
 def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
@@ -81,7 +91,12 @@ def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    return [_draw_siegel(n, substream(seed, i), i % 2 == 0) for i in range(count)]
+    return list(_siegel_points(n, count, seed))
+
+
+def _siegel_points(n: int, count: int, seed: int):
+    for lo, hi in chunk_ranges(count):
+        yield from _draw_siegel(n, seed, lo, hi)
 
 
 def chi(point: SiegelPoint) -> np.ndarray:
@@ -104,8 +119,7 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     min_minor = np.inf
     witness = None
     breakdowns = 0
-    for i in range(samples):
-        point = _draw_siegel(n, substream(seed, i), i % 2 == 0)
+    for i, point in enumerate(_siegel_points(n, samples, seed)):
         try:
             ratios = chi(point)
         except PivotBreakdown:
@@ -146,6 +160,14 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     )
 
 
+def _crown_draws(ctx: GroupContext, samples: int, seed: int):
+    """(X, g) per sample index: X uniform in the full polytope, g in full-g mode."""
+    for lo, hi in chunk_ranges(samples):
+        rngs = [substream(seed, i) for i in range(lo, hi)]
+        xs = [draw_omega_point(ctx, FULL_OMEGA, rng) for rng in rngs]
+        yield from zip(xs, sample_group_element(ctx, rngs, "full-g"))
+
+
 def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> VerificationReport:
     """Agreement of the crown projection with the Siegel minor picture.
 
@@ -168,10 +190,7 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
     min_margin = np.inf
     max_value_gap = 0.0
     witness = None
-    for i in range(samples):
-        rng = substream(seed, i)
-        x = draw_omega_point(ctx, FULL_OMEGA, rng)
-        g = sample_group_element(ctx, rng, "full-g")
+    for i, (x, g) in enumerate(_crown_draws(ctx, samples, seed)):
         log_full, _, _, bad = track_batch(ctx, g[None], x[None])
         if bad[0]:
             indeterminate += 1

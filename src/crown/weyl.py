@@ -10,6 +10,7 @@ oracle over the explicit orbit lives in the test suite as a cross-check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -178,15 +179,18 @@ def omega_distance(ctx: GroupContext, spec: OmegaSpec, x):
     return dist
 
 
+@functools.lru_cache(maxsize=None)
 def helmert(n: int) -> np.ndarray:
-    """Orthonormal basis of the trace-zero hyperplane, shape (n, n-1)."""
+    """Orthonormal basis of the trace-zero hyperplane, shape (n, n-1); cached and read-only."""
     cols = []
     for k in range(1, n):
         v = np.zeros(n)
         v[:k] = 1.0
         v[k] = -k
         cols.append(v / np.linalg.norm(v))
-    return np.column_stack(cols)
+    basis = np.column_stack(cols)
+    basis.flags.writeable = False
+    return basis
 
 
 def _omega_box(ctx: GroupContext, spec: OmegaSpec):

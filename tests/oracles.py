@@ -46,3 +46,70 @@ def sl2_im_log_a(theta, t):
 def sl2_real_log_a(theta, s):
     """log a_1 of rotation(theta) exp(s H)."""
     return 0.5 * np.log(np.cosh(2 * s) + np.sinh(2 * s) * np.cos(2 * theta))
+
+
+# Frozen scalar samplers: one QR (and one eigh) per sample, the draw order that
+# the batch-first samplers of crown.sampling must keep bit for bit.
+
+def _haar_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0.0:
+        q = q.copy()
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _haar_unitary(rng, n):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d.conj() / np.abs(d))
+
+
+def _unitary_embed(ctx, u):
+    n = ctx.n
+    g = np.zeros((2 * n, 2 * n))
+    g[:n, :n] = u.real
+    g[:n, n:] = u.imag
+    g[n:, :n] = -u.imag
+    g[n:, n:] = u.real
+    return ctx.to_sorted_frame(g)
+
+
+def _sample_p(ctx, rng, radius):
+    n = ctx.n
+    if ctx.family.value == "sl":
+        a = rng.standard_normal((n, n))
+        s = 0.5 * (a + a.T)
+        s -= np.trace(s) / n * np.eye(n)
+    else:
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        a = 0.5 * (a + a.T)
+        b = 0.5 * (b + b.T)
+        s = ctx.to_sorted_frame(np.block([[a, b], [b, -a]]))
+    norm = np.linalg.norm(s)
+    if norm > radius:
+        s = s * (radius / norm)
+    return s
+
+
+def _exp_symmetric(s):
+    w, v = np.linalg.eigh(s)
+    return (v * np.exp(w)[None, :]) @ v.T
+
+
+def reference_haar_k(ctx, rng):
+    """Haar element of K from one generator, one sample at a time."""
+    if ctx.family.value == "sl":
+        return _haar_orthogonal(rng, ctx.n)
+    return _unitary_embed(ctx, _haar_unitary(rng, ctx.n))
+
+
+def reference_group_element(ctx, rng, mode, radius):
+    """Haar k ("k") or k exp(S) with |S| capped at radius ("full-g"), one sample."""
+    k = reference_haar_k(ctx, rng)
+    if mode == "k":
+        return k
+    return k @ _exp_symmetric(_sample_p(ctx, rng, radius))

@@ -80,7 +80,7 @@ def test_a03_reconstruction_and_path_independence():
             rng = substream(23, i)
             x = draw_omega_point(ctx, FULL_OMEGA, rng)
             x0 = draw_omega_point(ctx, FULL_OMEGA, rng)
-            g = sample_group_element(ctx, rng, "k")
+            g = sample_group_element(ctx, [rng], "k")[0]
             direct = crown.project_complex(ctx, g, x)
             two_leg = crown.project_complex_path(ctx, g, [x0, x])
             rng_gap = max(rng_gap, float(np.max(np.abs(direct.log_a - two_leg.log_a))))

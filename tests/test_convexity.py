@@ -57,7 +57,7 @@ def test_f_a_sl2_oracle(sl2):
 def test_f_a_lambda_basics(ctx):
     rng = substream(71, 2)
     lam = sample_covector(ctx, rng)
-    k = haar_k(ctx, rng)
+    k = haar_k(ctx, [rng])[0]
     assert f_a_lambda(ctx, np.zeros(ctx.n, dtype=complex), k, lam) == pytest.approx(0.0, abs=1e-12)
     x = draw_omega_point(ctx, FULL_OMEGA, rng)
     want = pair_ia(ctx, 1j * x, lam.m_coords)
@@ -67,7 +67,7 @@ def test_f_a_lambda_basics(ctx):
 def test_f_a_lambda_linearity(ctx):
     rng = substream(71, 3)
     a_point = _random_a_point(ctx, rng)
-    k = haar_k(ctx, rng)
+    k = haar_k(ctx, [rng])[0]
     l1 = sample_covector(ctx, rng)
     l2 = sample_covector(ctx, rng)
     both = CovectorIA(m_coords=l1.m_coords + l2.m_coords)
@@ -94,7 +94,7 @@ def test_grad_matches_finite_differences(ctx):
     rel_errs = []
     for _ in range(20):
         a_point = _random_a_point(ctx, rng)
-        k = haar_k(ctx, rng)
+        k = haar_k(ctx, [rng])[0]
         lam = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
         grad = grad_f(ctx, a_point, k, lam)
@@ -111,7 +111,7 @@ def test_grad_triangular_route_agrees(ctx):
     rng = substream(73, 2)
     for _ in range(10):
         a_point = _random_a_point(ctx, rng)
-        k = haar_k(ctx, rng)
+        k = haar_k(ctx, [rng])[0]
         lam = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
         exact = metric_inner(ctx, direction, grad_f(ctx, a_point, k, lam))
@@ -137,7 +137,7 @@ def test_ascent_sl2_reaches_best_vertex(sl2):
     for i in range(5):
         x = sample_regular_direction(sl2, OmegaSpec("scale", scale=0.9), rng)
         lam = sample_covector(sl2, rng)
-        k0 = haar_k(sl2, rng)
+        k0 = haar_k(sl2, [rng])[0]
         run = ascend_critical(sl2, 1j * x, k0, lam)
         vals = weyl_values(sl2, x, lam)
         assert len(vals) == 2
@@ -149,7 +149,7 @@ def test_ascent_monotone_and_matches_weyl_max(sl3):
     rng = substream(79, 2)
     x = sample_regular_direction(sl3, OmegaSpec("scale", scale=0.9), rng)
     lam = sample_covector(sl3, rng)
-    run = ascend_critical(sl3, 1j * x, haar_k(sl3, rng), lam)
+    run = ascend_critical(sl3, 1j * x, haar_k(sl3, [rng])[0], lam)
     assert np.all(np.diff(run.f_values) >= 0)
     assert run.converged and run.gap < 1e-6
 
@@ -165,7 +165,7 @@ def test_ascent_raise_on_failure_flag(sl2):
     x = sample_regular_direction(sl2, OmegaSpec("scale", scale=0.9), rng)
     lam = sample_covector(sl2, rng)
     with pytest.raises(NoConvergence) as info:
-        ascend_critical(sl2, 1j * x, haar_k(sl2, rng), lam,
+        ascend_critical(sl2, 1j * x, haar_k(sl2, [rng])[0], lam,
                         max_iter=0, tol=1e-12, raise_on_failure=True)
     assert info.value.run is not None
 

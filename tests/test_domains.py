@@ -58,7 +58,7 @@ def test_tube_membership_right_k_invariant(ctx):
     # right multiplication by K leaves z z^T, hence every minor ratio, unchanged
     rng = substream(5, 78)
     point = sample_xi(ctx, OM8, 1, seed=9)[0]
-    k0 = haar_k(ctx, rng)
+    k0 = haar_k(ctx, [rng])[0]
     z = point.z
     np.testing.assert_allclose((z @ k0) @ (z @ k0).T, z @ z.T, atol=1e-12)
     m = z @ z.T
@@ -85,9 +85,9 @@ def test_tube_margins_boundary_scan(sl3):
         u = sample_regular_direction(sl3, om, rng)
         vals = np.abs(sl3.root_datum.evaluate(u))
         x = 0.9 * (c * np.pi / 2 / vals.max()) * u
-        g = haar_k(sl3, rng)
+        g = haar_k(sl3, [rng])[0]
         point = CrownPoint(z=g @ sl3.a_exp(1j * x), base_g=g, direction_x=x, omega_tag=om)
-        margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, rng), omega=om), point)[1]
+        margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, [rng])[0], omega=om), point)[1]
                    for _ in range(10)]
         assert min(margins) > 0
         mins.append(min(margins))
@@ -128,7 +128,7 @@ def test_boundary_probe_rotation_monotone(sl2):
     rng = substream(17, 2)
     u = sample_regular_direction(sl2, OM8, rng)
     path = boundary_path(sl2, OM8, u, steps=12)
-    g = haar_k(sl2, rng)
+    g = haar_k(sl2, [rng])[0]
     pairs = boundary_probe(sl2, OM8, g, path)
     out = [d for _, d in pairs]
     inp = [omega_distance(sl2, OM8, x) for x in path]

@@ -88,8 +88,8 @@ def test_theta_involution_and_automorphism(ctx):
     rng = substream(101, 0)
     from crown.sampling import sample_group_element
     for _ in range(1000):
-        g = sample_group_element(ctx, rng, "full-g")
-        h = sample_group_element(ctx, rng, "full-g")
+        g = sample_group_element(ctx, [rng], "full-g")[0]
+        h = sample_group_element(ctx, [rng], "full-g")[0]
         gh = cartan_involution(ctx, cartan_involution(ctx, g))
         np.testing.assert_allclose(gh, g, atol=1e-12 * (1 + np.linalg.norm(g)))
         np.testing.assert_allclose(

@@ -110,7 +110,7 @@ def test_decompose_real_closed_form(sl2):
 def test_decompose_factors_real_and_structured(ctx):
     rng = substream(53, 0)
     for _ in range(25):
-        g = sample_group_element(ctx, rng, "full-g")
+        g = sample_group_element(ctx, [rng], "full-g")[0]
         f = decompose_real(ctx, g)
         assert f.n_part.dtype.kind == "f" and f.log_a.dtype.kind == "f"
         assert np.max(np.abs(np.triu(f.n_part, 1))) == 0.0
@@ -165,7 +165,7 @@ def test_project_rejects_outside_omega(sl2):
 def test_project_real_input_matches_decompose(ctx):
     rng = substream(59, 2)
     for _ in range(10):
-        g = sample_group_element(ctx, rng, "full-g")
+        g = sample_group_element(ctx, [rng], "full-g")[0]
         f0 = decompose_real(ctx, g)
         f1 = project_complex(ctx, g, np.zeros(ctx.n))
         np.testing.assert_allclose(f1.log_a, f0.log_a, atol=1e-12)
@@ -175,7 +175,7 @@ def test_reconstruction_and_k_orthogonality(ctx):
     rng = substream(59, 3)
     for i in range(30):
         x = draw_omega_point(ctx, FULL_OMEGA, rng)
-        g = sample_group_element(ctx, rng, "full-g")
+        g = sample_group_element(ctx, [rng], "full-g")[0]
         f = project_complex(ctx, g, x)
         z = g @ ctx.a_exp(1j * x)
         assert reconstruction_residual(ctx, f, z) < 1e-10
@@ -189,7 +189,7 @@ def test_path_independence_two_leg(ctx):
     for _ in range(12):
         x = draw_omega_point(ctx, FULL_OMEGA, rng)
         x0 = draw_omega_point(ctx, FULL_OMEGA, rng)
-        g = sample_group_element(ctx, rng, "k")
+        g = sample_group_element(ctx, [rng], "k")[0]
         direct = project_complex(ctx, g, x)
         two_leg = project_complex_path(ctx, g, [x0, x])
         np.testing.assert_allclose(two_leg.log_a, direct.log_a, atol=1e-8)
@@ -201,7 +201,7 @@ def test_left_translation_equivariance(ctx):
     m = ctx.ambient_size
     for _ in range(10):
         x = draw_omega_point(ctx, FULL_OMEGA, rng)
-        g = sample_group_element(ctx, rng, "k")
+        g = sample_group_element(ctx, [rng], "k")[0]
         a0 = 0.3 * rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             a0 -= a0.mean()
@@ -219,7 +219,7 @@ def test_sp_pairing_residual(sp2):
     rng = substream(61, 6)
     for _ in range(20):
         x = draw_omega_point(sp2, FULL_OMEGA, rng)
-        g = sample_group_element(sp2, rng, "full-g")
+        g = sample_group_element(sp2, [rng], "full-g")[0]
         f = project_complex(sp2, g, x)
         assert f.pair_residual < 1e-10
 
@@ -227,7 +227,7 @@ def test_sp_pairing_residual(sp2):
 def test_triangular_part(ctx):
     rng = substream(61, 7)
     x = draw_omega_point(ctx, FULL_OMEGA, rng)
-    g = sample_group_element(ctx, rng, "full-g")
+    g = sample_group_element(ctx, [rng], "full-g")[0]
     f = project_complex(ctx, g, x)
     b = triangular_part(ctx, f)
     assert np.max(np.abs(np.triu(b, 1))) == 0.0
@@ -243,7 +243,7 @@ def test_track_batch_matches_scalar(ctx):
     rng = substream(61, 8)
     count = 40
     xs = np.array([draw_omega_point(ctx, FULL_OMEGA, rng) for _ in range(count)])
-    gs = np.array([sample_group_element(ctx, rng, "k") for _ in range(count)])
+    gs = np.array([sample_group_element(ctx, [rng], "k")[0] for _ in range(count)])
     log_full, lower, max_steps, bad = track_batch(ctx, gs, xs)
     assert not bad.any()
     for i in range(0, count, 7):

@@ -42,8 +42,8 @@ def test_fractional_action_is_action():
     rng = substream(83, 0)
     w = 1j * np.eye(2)
     for _ in range(30):
-        g1 = ctx.to_standard_frame(sample_group_element(ctx, rng, "full-g"))
-        g2 = ctx.to_standard_frame(sample_group_element(ctx, rng, "full-g"))
+        g1 = ctx.to_standard_frame(sample_group_element(ctx, [rng], "full-g")[0])
+        g2 = ctx.to_standard_frame(sample_group_element(ctx, [rng], "full-g")[0])
         lhs = fractional_action(g1 @ g2, w)
         rhs = fractional_action(g1, fractional_action(g2, w))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1 + np.abs(lhs).max()))
@@ -54,7 +54,7 @@ def test_orbit_strategy_stays_in_upper_half_space():
     rng = substream(83, 1)
     w = 1j * np.eye(3)
     for _ in range(100):
-        g = ctx.to_standard_frame(sample_group_element(ctx, rng, "full-g"))
+        g = ctx.to_standard_frame(sample_group_element(ctx, [rng], "full-g")[0])
         im = fractional_action(g, w).imag
         assert np.min(np.linalg.eigvalsh(im)) > 0
 
