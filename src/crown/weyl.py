@@ -43,7 +43,7 @@ class OmegaSpec:
             if self.scale is None or not (0.0 < self.scale <= 1.0):
                 raise ValueError("scale shape needs scale in (0, 1]")
         elif self.shape == "ball":
-            if self.radius is None or self.radius <= 0.0:
+            if self.radius is None or not self.radius > 0.0:
                 raise ValueError("ball shape needs radius > 0")
         else:
             raise ValueError(f"unknown omega shape {self.shape!r}")

@@ -153,6 +153,11 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["decompose", "--group", "sl:2", "--entries", "1,0,0,1",
                  "--x", "nan,nan"]) == EXIT_USAGE
     assert "coordinates must be finite" in capsys.readouterr().err
+    # a NaN ball radius, which fails no ordered comparison
+    assert main(["verify-convexity", "--group", "sl:3", "--samples", "3",
+                 "--omega", "ball:nan"]) == EXIT_USAGE
+    assert main(["boundary", "--group", "sl:3", "--omega", "ball:nan"]) == EXIT_USAGE
+    assert "ball shape needs radius > 0" in capsys.readouterr().err
 
 
 def test_cli_breakdown_exit_code(capsys, monkeypatch):
