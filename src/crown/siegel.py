@@ -66,13 +66,12 @@ def _draw_siegel(n: int, seed: int, lo: int, hi: int) -> list[SiegelPoint]:
     """The points of indices lo..hi-1; the orbit draws share one group-element batch."""
     ctx = _sp_context(n)
     eye = np.eye(n)
-    gs = iter(sample_group_element(ctx, [substream(seed, i) for i in range(lo | 1, hi, 2)],
-                                   "full-g"))
+    orbit_rngs = [substream(seed, i) for i in range(lo | 1, hi, 2)]
+    gs = iter(ctx.to_standard_frame(sample_group_element(ctx, orbit_rngs, "full-g")))
     points = []
     for i in range(lo, hi):
         if i % 2:
-            g = next(gs)
-            points.append(SiegelPoint(fractional_action(ctx.to_standard_frame(g), 1j * eye)))
+            points.append(SiegelPoint(fractional_action(next(gs), 1j * eye)))
             continue
         rng = substream(seed, i)
         x = rng.standard_normal((n, n))
