@@ -32,11 +32,11 @@ from .groups import (
 )
 from .iwasawa import (
     batch_reconstruction_residual,
+    grid_tolerances,
     project_complex,
     project_real_batch,
     track_batch,
     triangular_part,
-    ARG_STEP_CAP,
     GRID_STEPS,
     PIVOT_FLOOR,
     RECON_RTOL,
@@ -291,11 +291,11 @@ def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.nda
             return x
 
 
-def _base_tolerances(tol: float) -> dict:
+def _base_tolerances(tol: float, steps_hint: int) -> dict:
     return {
         "membership_tol": tol,
         "pivot_floor": PIVOT_FLOOR,
-        "arg_step_cap": ARG_STEP_CAP,
+        **grid_tolerances(steps_hint),
         "reconstruction_rtol": RECON_RTOL,
         "group_tol": GROUP_TOL,
     }
@@ -351,14 +351,15 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
         parts, command="verify-convexity", ctx=ctx, omega=omega, seed=seed,
         samples=samples, tol=tol, start=start,
         extras={"mode": mode, "p_radius": P_RADIUS if mode == "full-g" else 0.0},
+        steps_hint=steps_hint,
     )
 
 
 def _fold_report(parts, *, command, ctx, omega, seed, samples, tol, start,
-                 extras) -> VerificationReport:
+                 extras, steps_hint=GRID_STEPS) -> VerificationReport:
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
-        tolerances=_base_tolerances(tol), start=start,
+        tolerances=_base_tolerances(tol, steps_hint), start=start,
         extras={"max_reconstruction_residual": max(p["max_resid"] for p in parts),
                 **extras},
     )
@@ -537,7 +538,7 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set={"fd_step": FD_STEP, "median_rel_tol": 1e-7,
                        "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
-                       "pivot_floor": PIVOT_FLOOR, "arg_step_cap": ARG_STEP_CAP},
+                       "pivot_floor": PIVOT_FLOOR, **grid_tolerances()},
         extras={"median_rel_err": float(np.median(rel_errs)),
                 "max_rel_err": float(np.max(rel_errs)),
                 "max_route_gap": float(np.max(pair_errs))},

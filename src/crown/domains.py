@@ -19,10 +19,10 @@ import numpy as np
 from .errors import BranchBreakdown
 from .groups import GroupContext
 from .iwasawa import (
-    ARG_STEP_CAP,
     PIVOT_FLOOR,
     RECON_RTOL,
     CrownPoint,
+    grid_tolerances,
     track_batch,
 )
 from .parallel import chunk_ranges, fold_report, map_chunks
@@ -119,7 +119,7 @@ def _fold(parts, *, command, ctx, omega, seed, requested, tol, start, extras):
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
         tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
-                    "arg_step_cap": ARG_STEP_CAP, "reconstruction_rtol": RECON_RTOL},
+                    **grid_tolerances(), "reconstruction_rtol": RECON_RTOL},
         start=start, extras=extras,
     )
 

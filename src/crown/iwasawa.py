@@ -268,6 +268,12 @@ def reconstruction_residual(ctx: GroupContext, factors: IwasawaFactors, z) -> fl
     return float(np.linalg.norm(recon - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
 
 
+def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
+    """The tracking rule a report ran under: argument-step cap, starting grid, segment cap."""
+    return {"arg_step_cap": ARG_STEP_CAP, "grid_steps": max(int(steps_hint), 1),
+            "max_segments": MAX_SEGMENTS}
+
+
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Vectorized branch tracking for a batch of (g_i, X_i) pairs.
 

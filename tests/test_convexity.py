@@ -16,6 +16,7 @@ from crown.convexity import (
 )
 from crown.errors import InsideHull, NoConvergence
 from crown.groups import Family, pair_ia
+from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS
 from crown.rng import substream
 from crown.sampling import haar_k
 from crown.weyl import FULL_OMEGA, OmegaSpec, apply_weyl, draw_omega_point, hull_contains
@@ -178,6 +179,13 @@ def test_verify_complex_convexity_clean(ctx):
     assert rep.samples_completed == 300
     assert rep.min_margin > -1e-9
     assert rep.extras["max_reconstruction_residual"] < 1e-10
+    assert rep.tolerance_set["grid_steps"] == GRID_STEPS
+    assert rep.tolerance_set["max_segments"] == MAX_SEGMENTS
+
+
+def test_report_records_the_tracking_grid(sl3):
+    rep = crown.verify_complex_convexity(sl3, FULL_OMEGA, 20, seed=7, steps_hint=1)
+    assert rep.tolerance_set["grid_steps"] == 1
 
 
 def test_verify_complex_convexity_full_g(ctx):
