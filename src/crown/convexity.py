@@ -19,7 +19,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from .errors import InsideHull, NoConvergence, NonRealValue
+from .errors import InsideHull, NoConvergence, NonRealValue, RejectionStall
 from .groups import (
     GROUP_TOL,
     CovectorIA,
@@ -41,7 +41,7 @@ from .iwasawa import (
     PIVOT_FLOOR,
     RECON_RTOL,
 )
-from .parallel import chunk_ranges, fold_report, map_chunks
+from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import (
@@ -54,6 +54,7 @@ from .sampling import (
 from .weyl import (
     FULL_OMEGA,
     MEMBERSHIP_TOL,
+    REJECTION_MIN_RATE,
     OmegaSpec,
     apply_weyl,
     draw_omega_point,
@@ -284,21 +285,17 @@ def sample_covector(ctx: GroupContext, rng) -> CovectorIA:
 
 
 def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.ndarray:
-    """Point of omega with all root values bounded away from zero."""
-    while True:
+    """Point of omega with all root values bounded away from zero.
+
+    Rejection-sampled to REGULARITY_FLOOR under the acceptance-rate floor of
+    draw_omega_point; an omega too small to hold a regular point stalls.
+    """
+    for _ in range(int(1.0 / REJECTION_MIN_RATE) + 1):
         x = draw_omega_point(ctx, omega, rng)
         if is_regular(ctx, x, floor=REGULARITY_FLOOR):
             return x
-
-
-def _base_tolerances(tol: float, steps_hint: int) -> dict:
-    return {
-        "membership_tol": tol,
-        "pivot_floor": PIVOT_FLOOR,
-        **grid_tolerances(steps_hint),
-        "reconstruction_rtol": RECON_RTOL,
-        "group_tol": GROUP_TOL,
-    }
+    raise RejectionStall(
+        f"acceptance rate below {REJECTION_MIN_RATE} for regular directions in {omega.label}")
 
 
 def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
@@ -316,35 +313,22 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
     nn = ctx.n
 
     def run_chunk(lo, hi):
-        count = hi - lo
         rngs = [substream(seed, i) for i in range(lo, hi)]
         xs = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
         gs = sample_group_element(ctx, rngs, mode)
         log_full, lower, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
         ok = ~bad
-        ys = np.where(ok[:, None], log_full[:, :nn].imag, 0.0)
+        ys = log_full[:, :nn].imag
         margins = hull_margins_batch(ctx, xs, ys, tol)
-        margins = np.where(ok, margins, np.inf)
         zs = gs[ok] * np.exp(1j * ctx.full_diag(xs[ok]))[:, None, :]
         resid = batch_reconstruction_residual(
             ctx, zs, log_full[ok], lower[ok]) if ok.any() else np.zeros(0)
-        i_min = int(np.argmin(margins)) if count else 0
-        witness = {
-            "sample_index": lo + i_min,
-            "margin": float(margins[i_min]),
-            "x": vector_wire(xs[i_min]),
-            "y": vector_wire(ys[i_min]),
-            "g": matrix_wire(gs[i_min]),
-        } if ok.any() else None
-        return {
-            "completed": int(ok.sum()),
-            "indeterminate": int(bad.sum()),
-            "violations": int(np.sum(margins < -tol)),
-            "min_margin": float(margins.min()) if ok.any() else np.inf,
-            "witness": witness,
-            "max_resid": float(resid.max()) if resid.size else 0.0,
-            "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
-        }
+        return chunk_part(
+            margins, bad, max_steps, margins < -tol,
+            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
+                       "x": vector_wire(xs[i]), "y": vector_wire(ys[i]),
+                       "g": matrix_wire(gs[i])},
+            max_reconstruction_residual=float(resid.max()) if resid.size else 0.0)
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
@@ -359,9 +343,10 @@ def _fold_report(parts, *, command, ctx, omega, seed, samples, tol, start,
                  extras, steps_hint=GRID_STEPS) -> VerificationReport:
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
-        tolerances=_base_tolerances(tol, steps_hint), start=start,
-        extras={"max_reconstruction_residual": max(p["max_resid"] for p in parts),
-                **extras},
+        tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
+                    **grid_tolerances(steps_hint), "reconstruction_rtol": RECON_RTOL,
+                    "group_tol": GROUP_TOL},
+        start=start, extras=extras,
     )
 
 
@@ -400,36 +385,21 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
             got = project_real_batch(gw)[0][:, :nn]
             want = apply_weyl(xs, element)
             vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
-        i_min = int(np.argmin(margins))
-        witness = {
-            "sample_index": lo + i_min,
-            "margin": float(margins[i_min]),
-            "x": vector_wire(xs[i_min]),
-            "y": vector_wire(ys[i_min]),
-        }
-        return {
-            "completed": count,
-            "indeterminate": 0,
-            "violations": int(np.sum(margins < -tol)),
-            "min_margin": float(margins.min()),
-            "witness": witness,
-            "max_resid": float(resid.max()),
-            "max_arg_step": 0.0,
-            "vertex_err": vertex_err,
-        }
+        return chunk_part(
+            margins, np.zeros(count, dtype=bool), np.zeros(count), margins < -tol,
+            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
+                       "x": vector_wire(xs[i]), "y": vector_wire(ys[i])},
+            max_reconstruction_residual=float(resid.max()), max_vertex_error=vertex_err)
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
         samples=samples, tol=tol, start=start,
-        extras={"box_halfwidth": KOSTANT_BOX,
-                "max_vertex_error": max(p["vertex_err"] for p in parts),
-                "vertex_tol": VERTEX_TOL,
+        extras={"box_halfwidth": KOSTANT_BOX, "vertex_tol": VERTEX_TOL,
                 "weyl_order": len(reps)},
     )
-    report.violations += int(report.extras["max_vertex_error"] > VERTEX_TOL)
-    if report.violations > report.samples_completed:
-        report.violations = report.samples_completed
+    vertex_miss = int(report.extras["max_vertex_error"] > VERTEX_TOL)
+    report.violations = min(report.violations + vertex_miss, report.samples_completed)
     return report
 
 
@@ -632,26 +602,13 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
         gs = np.empty((count, ctx.ambient_size, ctx.ambient_size))
         for i in range(count):
             gs[i] = draw_far_k(substream(seed, lo + i))
-        xs = np.tile(x, (count, 1))
-        log_full, lower, max_steps, bad = track_batch(ctx, gs, xs)
-        ok = ~bad
+        _, lower, max_steps, bad = track_batch(ctx, gs, np.tile(x, (count, 1)))
         im_n = np.max(np.abs(lower.imag), axis=(1, 2))
-        im_n = np.where(ok, im_n, np.inf)
-        i_min = int(np.argmin(im_n))
-        witness = {
-            "sample_index": lo + i_min,
-            "im_n": float(im_n[i_min]),
-            "k": matrix_wire(gs[i_min]),
-        } if ok.any() else None
-        return {
-            "completed": int(ok.sum()),
-            "indeterminate": int(bad.sum()),
-            "violations": int(np.sum(im_n[ok] <= IM_N_FLOOR)),
-            "min_margin": float(im_n.min()) if ok.any() else np.inf,
-            "witness": witness,
-            "max_resid": 0.0,
-            "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
-        }
+        return chunk_part(
+            im_n, bad, max_steps, im_n <= IM_N_FLOOR,
+            lambda i: {"sample_index": lo + i, "im_n": float(im_n[i]),
+                       "k": matrix_wire(gs[i])},
+            max_reconstruction_residual=0.0)
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
@@ -659,8 +616,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
         samples=samples, tol=IM_N_FLOOR, start=start,
         extras={"x": list(map(float, x))},
     )
-    report.tolerance_set["im_n_floor"] = IM_N_FLOOR
-    report.tolerance_set["normalizer_gap"] = NORMALIZER_GAP
-    report.tolerance_set["regularity_floor"] = REGULARITY_FLOOR
+    report.tolerance_set.update(im_n_floor=IM_N_FLOOR, normalizer_gap=NORMALIZER_GAP,
+                                regularity_floor=REGULARITY_FLOOR)
     report.extras["min_im_n"] = report.min_margin
     return report

@@ -25,7 +25,7 @@ from .iwasawa import (
     grid_tolerances,
     track_batch,
 )
-from .parallel import chunk_ranges, fold_report, map_chunks
+from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, matrix_wire, vector_wire
 from .rng import NS_TUBE, substream
 from .sampling import haar_k, sample_group_element
@@ -91,23 +91,11 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
         z_idx, k_idx = np.divmod(np.arange(lo, hi), k_count)
         base = np.swapaxes(tubes[k_idx], 1, 2) @ gs[z_idx]
         log_full, _, max_steps, bad = track_batch(ctx, base, xs[z_idx])
-        ok = ~bad
-        margins = np.where(ok, omega_margin(ctx, omega, log_full[:, : ctx.n].imag), np.inf)
-        i_min = int(np.argmin(margins))
-        witness = {
-            "z_index": int(z_idx[i_min]),
-            "k_index": int(k_idx[i_min]),
-            "margin": float(margins[i_min]),
-            "x": vector_wire(xs[z_idx[i_min]]),
-        } if ok.any() else None
-        return {
-            "completed": int(ok.sum()),
-            "indeterminate": int(bad.sum()),
-            "violations": int(np.sum(margins < -tol)),
-            "min_margin": float(margins.min()) if ok.any() else np.inf,
-            "witness": witness,
-            "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
-        }
+        margins = omega_margin(ctx, omega, log_full[:, : ctx.n].imag)
+        return chunk_part(
+            margins, bad, max_steps, margins < -tol,
+            lambda i: {"z_index": int(z_idx[i]), "k_index": int(k_idx[i]),
+                       "margin": float(margins[i]), "x": vector_wire(xs[z_idx[i]])})
 
     parts = map_chunks(run_chunk, chunk_ranges(z_count * k_count))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
@@ -144,34 +132,25 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
         gs = sample_group_element(ctx, rngs, "full-g")
         ws = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
         log_full, _, max_steps, bad = track_batch(ctx, gs, xs)
-        ok = ~bad
-        margins = np.where(ok, omega_margin(ctx, omega, log_full[:, :nn].imag), np.inf)
+        margins = omega_margin(ctx, omega, log_full[:, :nn].imag)
         slice_eye = np.tile(np.eye(ctx.ambient_size), (count, 1, 1))
         slice_log, _, _, slice_bad = track_batch(ctx, slice_eye, ws)
         witness_err = float(np.max(np.abs(slice_log[~slice_bad][:, :nn] - 1j * ws[~slice_bad]))) \
             if (~slice_bad).any() else np.inf
-        i_min = int(np.argmin(margins))
-        witness = {
-            "sample_index": lo + i_min,
-            "margin": float(margins[i_min]),
-            "x": vector_wire(xs[i_min]),
-            "g": matrix_wire(gs[i_min]),
-        } if ok.any() else None
-        return {
-            "completed": int(ok.sum() + (~slice_bad).sum()),
-            "indeterminate": int(bad.sum() + slice_bad.sum()),
-            "violations": int(np.sum(margins < -tol)) + int(witness_err > 1e-10),
-            "min_margin": float(margins.min()) if ok.any() else np.inf,
-            "witness": witness,
-            "max_arg_step": float(max_steps[ok].max()) if ok.any() else 0.0,
-            "witness_err": witness_err,
-        }
+        part = chunk_part(
+            margins, bad, max_steps, margins < -tol,
+            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
+                       "x": vector_wire(xs[i]), "g": matrix_wire(gs[i])},
+            max_slice_witness_error=witness_err)
+        # the abelian slice samples count beside the crown points
+        part["completed"] += int((~slice_bad).sum())
+        part["indeterminate"] += int(slice_bad.sum())
+        part["violations"] += int(witness_err > 1e-10)
+        return part
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
-    report = _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
-                   requested=2 * samples, tol=tol, start=start,
-                   extras={"max_slice_witness_error": max(p["witness_err"] for p in parts)})
-    return report
+    return _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
+                 requested=2 * samples, tol=tol, start=start, extras={})
 
 
 def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 12) -> np.ndarray:

@@ -70,10 +70,10 @@ class CrownPoint:
 def _ldl(mat):
     """Batched one-pass LDL^T elimination without pivoting.
 
-    Returns (ratios, unit_lower, norm_floor) where ratios[..., j] is
-    Delta_j / Delta_{j-1} and norm_floor is the minimum over j of
-    |Delta_j| divided by the Hadamard bound of the leading j rows.
-    A nonpositive or NaN norm_floor flags a degenerate minor.
+    Returns (ratios, unit_lower, minors) where ratios[..., j] is
+    Delta_j / Delta_{j-1} and minors[..., j] is |Delta_j| divided by the
+    Hadamard bound of the leading j rows.  A nonpositive or NaN normalized
+    minor flags a degenerate one.
     """
     mat = np.asarray(mat)
     m = mat.shape[-1]
@@ -92,19 +92,13 @@ def _ldl(mat):
     with np.errstate(invalid="ignore"):
         row_norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=-1))
         hadamard = np.maximum(np.cumprod(row_norms, axis=-1), np.finfo(float).tiny)
-        abs_minors = np.cumprod(np.abs(ratios), axis=-1)
-        norm_floor = np.min(abs_minors / hadamard, axis=-1)
-    return ratios, lower, norm_floor
+        minors = np.abs(np.cumprod(ratios, axis=-1)) / hadamard
+    return ratios, lower, minors
 
 
 def normalized_minors(mat) -> np.ndarray:
     """|Delta_j| scaled by the Hadamard bound of the leading j rows."""
-    mat = np.asarray(mat)
-    ratios, _, _ = _ldl(mat)
-    with np.errstate(invalid="ignore"):
-        row_norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=-1))
-        hadamard = np.maximum(np.cumprod(row_norms, axis=-1), np.finfo(float).tiny)
-        return np.abs(np.cumprod(ratios, axis=-1)) / hadamard
+    return _ldl(mat)[2]
 
 
 def minor_ratios(mat) -> np.ndarray:
@@ -134,13 +128,15 @@ def minor_ratios(mat) -> np.ndarray:
 def _path_ratios(ctx: GroupContext, g, coords):
     """Ratios of M(t) = g exp(2i diag(x_t)) g^T for a batch of diagonal paths.
 
-    g has shape (..., m, m); coords has shape (..., T, n).
+    g has shape (..., m, m); coords has shape (..., T, n).  Returns (ratios,
+    unit_lower, floor) with floor the smallest normalized minor of each M(t).
     """
     g = np.asarray(g)
     diag = np.exp(2j * ctx.full_diag(coords))        # (..., T, m)
     tmp = g[..., None, :, :] * diag[..., None, :]
     mats = tmp @ np.swapaxes(g, -1, -2)[..., None, :, :]
-    return _ldl(mats)
+    ratios, lower, minors = _ldl(mats)
+    return ratios, lower, np.min(minors, axis=-1)
 
 
 def _refine(ss, bad):

@@ -4,6 +4,12 @@ Sweeps run serially in fixed chunks of CHUNK = 512 samples.  Chunk boundaries
 are a fixed function of the sample count and every sample draws from its own
 (seed, index) substream, so a chunk's result does not depend on the chunks run
 before it.
+
+A verifier's chunk draws its samples, scores them and hands the per-sample
+arrays to chunk_part, which returns the chunk's part: completed,
+indeterminate and violation counts, the smallest margin over the good rows
+with the witness attaining it, and named chunk maxima (max_arg_step always
+among them).  fold_report folds the parts of a sweep into one report.
 """
 
 from __future__ import annotations
@@ -26,13 +32,36 @@ def map_chunks(fn, ranges):
     return [fn(lo, hi) for lo, hi in ranges]
 
 
+def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
+    """The part of one chunk, from its per-sample arrays.
+
+    Rows flagged bad count as indeterminate and are otherwise ignored: their
+    margins read inf, and they never violate, witness or set max_arg_step.
+    witness(i) builds the witness dict of chunk row i; it is called once, for
+    the first good row reaching the smallest margin, and not at all when no
+    row is good.  The keyword maxima are carried to the fold under their names.
+    """
+    ok = ~bad
+    margins = np.where(ok, margins, np.inf)
+    i_min = int(np.argmin(margins))
+    found = bool(ok.any())
+    return {
+        "completed": int(ok.sum()),
+        "indeterminate": int(bad.sum()),
+        "violations": int(np.sum(violated & ok)),
+        "min_margin": float(margins[i_min]) if found else np.inf,
+        "witness": witness(i_min) if found else None,
+        "maxima": {"max_arg_step": float(max_steps[ok].max()) if found else 0.0, **maxima},
+    }
+
+
 def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances, start,
                 extras) -> VerificationReport:
-    """One report from the chunk results of a sweep, folded in chunk order.
+    """One report from the chunk parts of a sweep, folded in chunk order.
 
-    Each part carries completed, indeterminate and violations counts, its
-    min_margin with the witness attaining it, and its max_arg_step.  The
-    witness of the first chunk reaching the smallest margin wins.
+    Counts add up; the witness of the first chunk reaching the smallest margin
+    wins; each named chunk maximum is folded by max and reported in extras
+    under its name, beside the sweep's own extras.
     """
     min_margin = np.inf
     witness = None
@@ -53,5 +82,6 @@ def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances, star
         worst_witness=witness,
         wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set=tolerances,
-        extras={"max_arg_step": max(p["max_arg_step"] for p in parts), **extras},
+        extras={**{name: max(p["maxima"][name] for p in parts) for name in parts[0]["maxima"]},
+                **extras},
     )

@@ -166,6 +166,9 @@ def test_cli_breakdown_exit_code(capsys, monkeypatch):
                  "0.7071067811865476,-0.7071067811865476,0.7071067811865476,0.7071067811865476",
                  "--x", "0.7853981633974482,-0.7853981633974482"]) == EXIT_BREAKDOWN
     assert "minor degenerated" in capsys.readouterr().err
+    # no point of so small a ball clears the regularity floor
+    assert main(["boundary", "--group", "sl:3", "--omega", "ball:1e-5"]) == EXIT_BREAKDOWN
+    assert "acceptance rate below" in capsys.readouterr().err
     import crown.weyl as weyl_mod
     monkeypatch.setattr(weyl_mod, "omega_margin", lambda *a: -1.0)
     assert main(["verify-convexity", "--group", "sl:2", "--samples", "1"]) == EXIT_BREAKDOWN
