@@ -19,7 +19,15 @@ import time
 import numpy as np
 import scipy.linalg
 
-from .errors import InsideHull, NoConvergence, NonRealValue, RejectionStall
+from .errors import (
+    BranchBreakdown,
+    InsideHull,
+    NoConvergence,
+    NonRealValue,
+    NotInGroup,
+    OmegaViolation,
+    RejectionStall,
+)
 from .groups import (
     GROUP_TOL,
     CovectorIA,
@@ -69,6 +77,8 @@ from .weyl import (
 REGULARITY_FLOOR = 1e-3
 ARMIJO_SLOPE = 0.1
 ARMIJO_SHRINK = 0.5
+# step sizes of one speculative Armijo batch: the expansion from 1, then the shrink
+ARMIJO_LADDER = (1.0, 2.0, 4.0, 8.0, 0.5, 0.25, 0.125, 0.0625)
 STEP_FLOOR = 1e-12
 STEP_CAP = 2.0 ** 20
 IM_N_FLOOR = 1e-10
@@ -174,8 +184,12 @@ def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA) -> np.ndarray:
     derivative along X is kappa_R(X, Ad(n) H_lam), so the gradient is minus the
     metric projection of Ad(n) H_lam onto the compact subalgebra.
     """
+    return _grad_from_n(ctx, _project(ctx, a_point, k).n_part, lam)
+
+
+def _grad_from_n(ctx: GroupContext, n_part, lam: CovectorIA) -> np.ndarray:
+    """The gradient of grad_f from the unipotent factor n of k exp(a_point)."""
     h = h_lambda(ctx, lam)
-    n_part = _project(ctx, a_point, k).n_part
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
     coeff = scipy.linalg.cho_solve(ctx.k_gram_chol, -rhs)
@@ -199,6 +213,35 @@ def weyl_values(ctx: GroupContext, x, lam: CovectorIA) -> np.ndarray:
     return -2.0 * ctx.coord_weight * (orbit @ lam.m_coords)
 
 
+def _evaluate_rows(ctx: GroupContext, ks, base, x_im, m_coords):
+    """f_{a,lam} and the unipotent factor at each element of a stack ks, failures kept.
+
+    Row i has the bits of f_a_lambda and of grad_f's projection at ks[i];
+    base is exp(Re a_point).  Returns (values, lowers, failures), where
+    failures[i] is None or the exception that the scalar evaluation of row i
+    would raise.  Nothing is raised here.
+    """
+    gs = ks @ base
+    count, m = gs.shape[0], gs.shape[-1]
+    values = np.full(count, np.nan)
+    lowers = np.full((count, m, m), np.nan, dtype=complex)
+    member = ctx.in_group(gs)
+    failures = [None if ok else NotInGroup("base point fails the group membership check")
+                for ok in member]
+    rows = np.flatnonzero(member)
+    if rows.size:
+        log_full, lowers[rows], _, bad = track_batch(
+            ctx, gs[rows], np.tile(x_im, (rows.size, 1)))
+        # the stacked form keeps the bits of pair_ia's 1-D dot on every row
+        dots = (np.imag(log_full[:, None, :ctx.n]) @ m_coords[:, None])[:, 0, 0]
+        values[rows] = -2.0 * ctx.coord_weight * dots
+        for i in rows[bad]:
+            failures[i] = BranchBreakdown("branch tracking broke down along the path")
+        for i in rows[~bad & ~np.isfinite(values[rows])]:
+            failures[i] = NonRealValue("functional evaluation is not a finite real number")
+    return values, lowers, failures
+
+
 def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
                     max_iter: int = 1000, tol: float = GRAD_TOL,
                     raise_on_failure: bool = False) -> CriticalRun:
@@ -206,6 +249,12 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
 
     Requires regular lam and regular imaginary direction.  Non-converged runs
     are returned with converged=False unless raise_on_failure is set.
+
+    Each step evaluates the step sizes of ARMIJO_LADDER as one batch and runs
+    the Armijo expansion and shrink over the cached rows; a further batch is
+    evaluated only when the search runs past the cache.  A row fails (raises)
+    only when the search consumes it, so the run takes the steps, values and
+    exceptions of one scalar evaluation per trial, bit for bit.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
@@ -215,14 +264,21 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
         raise ValueError("covector must be regular")
     if not is_regular(ctx, x_im):
         raise ValueError("imaginary direction must be regular")
+    if omega_margin(ctx, FULL_OMEGA, x_im) <= 0.0:
+        raise OmegaViolation("direction lies outside the admissible polytope")
+    base = ctx.a_exp(a_point.real)
+    m_coords = np.asarray(lam.m_coords, dtype=float)
     k = np.asarray(k0, dtype=float)
-    f_cur = f_a_lambda(ctx, a_point, k, lam)
+    values, lowers, failures = _evaluate_rows(ctx, k[None], base, x_im, m_coords)
+    if failures[0] is not None:
+        raise failures[0]
+    f_cur, n_cur = float(values[0]), lowers[0]
     f_values = [f_cur]
     grad_norm = np.inf
     iterations = 0
     converged = False
     for iterations in range(max_iter + 1):
-        grad = grad_f(ctx, a_point, k, lam)
+        grad = _grad_from_n(ctx, n_cur, lam)
         sq_norm = metric_inner(ctx, grad, grad)
         grad_norm = np.sqrt(max(sq_norm, 0.0))
         if grad_norm < tol:
@@ -230,32 +286,44 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
             break
         if iterations == max_iter:
             break
+        cache = {}
 
         def trial(eta):
-            k_t = k_project(ctx, scipy.linalg.expm(eta * grad) @ k)
-            return k_t, f_a_lambda(ctx, a_point, k_t, lam)
+            if eta not in cache:
+                if cache:
+                    ratio = 2.0 if eta > 1.0 else ARMIJO_SHRINK
+                    etas = eta * ratio ** np.arange(len(ARMIJO_LADDER))
+                else:
+                    etas = np.array(ARMIJO_LADDER)
+                ks = k_project(ctx, scipy.linalg.expm(etas[:, None, None] * grad) @ k)
+                rows = _evaluate_rows(ctx, ks, base, x_im, m_coords)
+                cache.update(zip(etas.tolist(), zip(ks, *rows)))
+            k_t, f_t, n_t, failure = cache[eta]
+            if failure is not None:
+                raise failure
+            return k_t, float(f_t), n_t
 
         eta = 1.0
-        k_trial, f_trial = trial(eta)
+        k_trial, f_trial, n_trial = trial(eta)
         if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
             # flat ridges want steps far above 1; expand while the slope test holds
             while eta < STEP_CAP:
-                k_next, f_next = trial(2.0 * eta)
+                k_next, f_next, n_next = trial(2.0 * eta)
                 if f_next < f_cur + ARMIJO_SLOPE * 2.0 * eta * sq_norm or f_next <= f_trial:
                     break
                 eta *= 2.0
-                k_trial, f_trial = k_next, f_next
+                k_trial, f_trial, n_trial = k_next, f_next, n_next
         else:
             stalled = True
             while eta >= STEP_FLOOR:
                 eta *= ARMIJO_SHRINK
-                k_trial, f_trial = trial(eta)
+                k_trial, f_trial, n_trial = trial(eta)
                 if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
                     stalled = False
                     break
             if stalled:
                 break
-        k, f_cur = k_trial, f_trial
+        k, f_cur, n_cur = k_trial, f_trial, n_trial
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, lam)))
     run = CriticalRun(

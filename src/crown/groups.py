@@ -183,17 +183,32 @@ class GroupContext:
         p = self.perm
         return np.asarray(m)[..., p, :][..., :, p]
 
-    def group_residual(self, g) -> float:
-        """Scaled deviation of g from the group (0 for exact members)."""
-        g = np.asarray(g)
-        scale = 1.0 + np.linalg.norm(g) ** 2
-        if self.family is Family.SPECIAL_LINEAR:
-            return abs(np.linalg.det(g) - 1.0) / scale
-        j = self.symplectic_form
-        return np.linalg.norm(g.T @ j @ g - j) / scale
+    def group_residual(self, g):
+        """Scaled deviation of g from the group (0 for exact members).
 
-    def in_group(self, g) -> bool:
+        One value per matrix of a stack (..., m, m); a float for a single matrix.
+        """
+        g = np.asarray(g)
+        scale = 1.0 + _frobenius_sq(g)
+        if self.family is Family.SPECIAL_LINEAR:
+            res = np.abs(np.linalg.det(g) - 1.0) / scale
+        else:
+            j = self.symplectic_form
+            res = np.sqrt(_frobenius_sq(np.swapaxes(g, -1, -2) @ j @ g - j)) / scale
+        return float(res) if res.ndim == 0 else res
+
+    def in_group(self, g):
+        """Group membership to GROUP_TOL, one decision per matrix of a stack."""
         return self.group_residual(g) <= GROUP_TOL
+
+
+def _frobenius_sq(g):
+    """Squared Frobenius norms of a stack (..., m, m), each with the bits of its matrix alone.
+
+    x . x on contiguous rows is the sum that np.linalg.norm takes the root of.
+    """
+    flat = np.ascontiguousarray(g).reshape(g.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat)
 
 
 def _diag_embed(d):

@@ -42,10 +42,10 @@ def unitary_embed(ctx: GroupContext, u: np.ndarray) -> np.ndarray:
 
 
 def unitary_extract(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
-    """Inverse of unitary_embed on elements of the maximal compact subgroup."""
+    """Inverse of unitary_embed on elements of the maximal compact subgroup, shape (..., m, m)."""
     n = ctx.n
     std = ctx.to_standard_frame(k)
-    return std[:n, :n] + 1j * std[:n, n:]
+    return std[..., :n, :n] + 1j * std[..., :n, n:]
 
 
 def _haar(ctx: GroupContext, z: np.ndarray) -> np.ndarray:
@@ -90,12 +90,14 @@ def haar_k(ctx: GroupContext, rngs) -> np.ndarray:
 
 
 def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
-    """Nearest element of K (polar projection), used to kill iteration drift."""
+    """Nearest elements of K (polar projection) to k, shape (..., m, m); kills iteration drift.
+
+    One stacked SVD; each matrix of a stack gets the bits of its own call.
+    """
     if ctx.family is Family.SPECIAL_LINEAR:
         u, _, vt = np.linalg.svd(k)
         return u @ vt
-    uc = unitary_extract(ctx, k)
-    u, _, vt = np.linalg.svd(uc)
+    u, _, vt = np.linalg.svd(unitary_extract(ctx, k))
     return unitary_embed(ctx, u @ vt)
 
 

@@ -23,7 +23,6 @@ from .rng import substream
 MEMBERSHIP_TOL = 1e-9
 DEDUP_TOL = 1e-12
 REJECTION_MIN_RATE = 1e-4
-_REJECTION_PROBE = 200_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,13 +209,11 @@ def draw_omega_point(ctx: GroupContext, spec: OmegaSpec, rng) -> np.ndarray:
     half = _omega_box(ctx, spec)
     basis = helmert(ctx.n) if ctx.family is Family.SPECIAL_LINEAR else None
     dim = ctx.n - 1 if basis is not None else ctx.n
-    for attempt in range(1, _REJECTION_PROBE + 1):
+    for _ in range(int(1.0 / REJECTION_MIN_RATE) + 1):
         u = rng.uniform(-half, half, size=dim)
         x = basis @ u if basis is not None else u
         if omega_margin(ctx, spec, x) > 0.0:
             return x
-        if attempt * REJECTION_MIN_RATE > 1.0:
-            break
     raise RejectionStall(f"acceptance rate below {REJECTION_MIN_RATE} for {spec.label}")
 
 

@@ -2,13 +2,26 @@
 
 Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
-closed form of the top minor.
+closed form of the top minor, gradient ascents by one scalar projection per
+trial.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog
 
-from crown import weyl_orbit
+from crown import f_a_lambda, grad_f, weyl_orbit
+from crown.convexity import (
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
+    GRAD_TOL,
+    STEP_CAP,
+    STEP_FLOOR,
+    CriticalRun,
+    metric_inner,
+    weyl_values,
+)
+from crown.sampling import k_project
 
 
 def lp_hull_membership(ctx, x, y, tol=1e-9):
@@ -113,3 +126,62 @@ def reference_group_element(ctx, rng, mode, radius):
     if mode == "k":
         return k
     return k @ _exp_symmetric(_sample_p(ctx, rng, radius))
+
+
+# Frozen scalar gradient ascent: one projection per Armijo trial and one more
+# for each gradient, the trail that the batched ladder of
+# crown.convexity.ascend_critical must keep bit for bit.
+
+def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL,
+                              trials=None):
+    """Scalar Armijo ascent of f_{a,lam}; appends every step size tried to trials."""
+    a_point = np.asarray(a_point, dtype=complex)
+    x_im = a_point.imag
+    k = np.asarray(k0, dtype=float)
+    f_cur = f_a_lambda(ctx, a_point, k, lam)
+    f_values = [f_cur]
+    grad_norm = np.inf
+    iterations = 0
+    converged = False
+    for iterations in range(max_iter + 1):
+        grad = grad_f(ctx, a_point, k, lam)
+        sq_norm = metric_inner(ctx, grad, grad)
+        grad_norm = np.sqrt(max(sq_norm, 0.0))
+        if grad_norm < tol:
+            converged = True
+            break
+        if iterations == max_iter:
+            break
+
+        def trial(eta):
+            if trials is not None:
+                trials.append(eta)
+            k_t = k_project(ctx, scipy.linalg.expm(eta * grad) @ k)
+            return k_t, f_a_lambda(ctx, a_point, k_t, lam)
+
+        eta = 1.0
+        k_trial, f_trial = trial(eta)
+        if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
+            while eta < STEP_CAP:
+                k_next, f_next = trial(2.0 * eta)
+                if f_next < f_cur + ARMIJO_SLOPE * 2.0 * eta * sq_norm or f_next <= f_trial:
+                    break
+                eta *= 2.0
+                k_trial, f_trial = k_next, f_next
+        else:
+            stalled = True
+            while eta >= STEP_FLOOR:
+                eta *= ARMIJO_SHRINK
+                k_trial, f_trial = trial(eta)
+                if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
+                    stalled = False
+                    break
+            if stalled:
+                break
+        k, f_cur = k_trial, f_trial
+        f_values.append(f_cur)
+    matched = float(np.max(weyl_values(ctx, x_im, lam)))
+    return CriticalRun(
+        start_k=np.asarray(k0, dtype=float), end_k=k, f_values=np.array(f_values),
+        grad_norm_final=float(grad_norm), matched_weyl_value=matched,
+        iterations=iterations, converged=converged, gap=abs(f_values[-1] - matched))

@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg
 
 import crown
+import crown.convexity as convexity
 from crown import CovectorIA, ascend_critical, f_a, f_a_lambda, grad_f, separating_functional
 from crown.convexity import (
+    ARMIJO_LADDER,
+    GRAD_TOL,
     directional_derivative_triangular,
     metric_inner,
     normalizer_elements,
@@ -14,14 +17,22 @@ from crown.convexity import (
     weyl_k_representatives,
     weyl_values,
 )
-from crown.errors import InsideHull, NoConvergence
+from crown.errors import (
+    BranchBreakdown,
+    InsideHull,
+    NoConvergence,
+    NonRealValue,
+    NotInGroup,
+    OmegaViolation,
+)
 from crown.groups import Family, pair_ia
 from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS
 from crown.rng import substream
 from crown.sampling import haar_k
 from crown.weyl import FULL_OMEGA, OmegaSpec, apply_weyl, draw_omega_point, hull_contains
 
-from oracles import lp_hull_membership, sl2_im_log_a, sl2_rotation
+from conftest import context
+from oracles import lp_hull_membership, reference_ascend_critical, sl2_im_log_a, sl2_rotation
 
 
 def _random_a_point(ctx, rng, with_real=True):
@@ -169,6 +180,111 @@ def test_ascent_raise_on_failure_flag(sl2):
         ascend_critical(sl2, 1j * x, haar_k(sl2, [rng])[0], lam,
                         max_iter=0, tol=1e-12, raise_on_failure=True)
     assert info.value.run is not None
+
+
+def _ascent_case(ctx, stream, index, scale=1.0):
+    """(a_point, k0, lam) drawn as critical_point_scan draws them; scale stretches lam."""
+    rng = substream(stream, index)
+    x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), rng)
+    lam = sample_covector(ctx, rng)
+    lam = CovectorIA(m_coords=scale * lam.m_coords, regular=True)
+    return 1j * x, haar_k(ctx, [rng])[0], lam
+
+
+def _assert_same_run(got, want):
+    np.testing.assert_array_equal(got.end_k, want.end_k)
+    np.testing.assert_array_equal(got.f_values, want.f_values)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.grad_norm_final == want.grad_norm_final
+
+
+# label -> (case name, substream, index, covector scale, max_iter, tol); a
+# stretched covector makes the first steps overshoot, so the shrink passes 1/16
+ORACLE_CASES = {
+    "sl:2": [("expand", 99, 1, 1.0, 40, GRAD_TOL), ("shrink", 98, 2, 60.0, 12, GRAD_TOL),
+             ("deep-shrink", 98, 2, 60.0, 60, 0.0)],
+    "sl:3": [("expand", 99, 3, 1.0, 40, GRAD_TOL), ("shrink", 98, 0, 60.0, 12, GRAD_TOL)],
+    "sp:2": [("expand", 99, 7, 1.0, 40, GRAD_TOL), ("shrink", 98, 0, 60.0, 12, GRAD_TOL)],
+}
+
+
+@pytest.mark.parametrize("label", list(ORACLE_CASES))
+def test_ascent_matches_scalar_oracle_bit_for_bit(label):
+    ctx = context(label)
+    cases = ORACLE_CASES[label] + [("no-step", 99, 0, 1.0, 0, GRAD_TOL),
+                                   ("one-step", 99, 0, 1.0, 1, GRAD_TOL),
+                                   ("real-part", 99, 2, 1.0, 20, GRAD_TOL)]
+    for name, stream, index, scale, max_iter, tol in cases:
+        a_point, k0, lam = _ascent_case(ctx, stream, index, scale)
+        if name == "real-part":
+            a_point = a_point + _random_a_point(ctx, substream(stream, index)).real
+        trials = []
+        want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials)
+        got = ascend_critical(ctx, a_point, k0, lam, max_iter=max_iter, tol=tol)
+        _assert_same_run(got, want)
+        if name == "expand":
+            assert max(trials) > 8.0
+        elif name.endswith("shrink"):
+            assert min(trials) < 1.0 / 16.0
+        elif name == "no-step":
+            assert got.iterations == 0 and trials == []
+
+
+def _fault_rows(monkeypatch, fault, row):
+    """Break one row of every ladder batch: it leaves the group, breaks down or is not real."""
+    if fault == "leaves-group":
+        original = convexity.k_project
+
+        def patched(ctx, k):
+            out = original(ctx, k)
+            if out.ndim == 3:
+                out = out.copy()
+                out[row] *= 2.0
+            return out
+        monkeypatch.setattr(convexity, "k_project", patched)
+        return
+    original = convexity.track_batch
+
+    def patched(ctx, g, xs, *args):
+        log_full, lower, max_steps, bad = original(ctx, g, xs, *args)
+        if len(g) == len(ARMIJO_LADDER):
+            log_full[row] = complex(np.nan, np.nan)
+            bad[row] = fault == "breakdown"
+        return log_full, lower, max_steps, bad
+    monkeypatch.setattr(convexity, "track_batch", patched)
+
+
+@pytest.mark.parametrize("fault", ["breakdown", "leaves-group", "non-real"])
+def test_unconsumed_speculative_failure_does_not_raise(sl3, monkeypatch, fault):
+    a_point, k0, lam = _ascent_case(sl3, 99, 3)
+    trials = []
+    want = reference_ascend_critical(sl3, a_point, k0, lam, 40, GRAD_TOL, trials)
+    # the run never shrinks, so the last ladder row (eta = 1/16) is never consumed
+    assert min(trials) > ARMIJO_LADDER[-1]
+    _fault_rows(monkeypatch, fault, len(ARMIJO_LADDER) - 1)
+    _assert_same_run(ascend_critical(sl3, a_point, k0, lam, max_iter=40), want)
+
+
+@pytest.mark.parametrize("fault, error", [("breakdown", BranchBreakdown),
+                                          ("leaves-group", NotInGroup),
+                                          ("non-real", NonRealValue)])
+def test_consumed_failure_raises_the_scalar_class(sl3, monkeypatch, fault, error):
+    a_point, k0, lam = _ascent_case(sl3, 99, 3)
+    _fault_rows(monkeypatch, fault, ARMIJO_LADDER.index(1.0))
+    with pytest.raises(error):
+        ascend_critical(sl3, a_point, k0, lam, max_iter=40)
+
+
+def test_ascent_rejects_x_outside_polytope_before_evaluating(sl2, monkeypatch):
+    evaluations = []
+    monkeypatch.setattr(convexity, "track_batch", lambda *a: evaluations.append(a))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda *a: evaluations.append(a))
+    lam = CovectorIA(m_coords=np.array([0.6, -0.6]), regular=True)
+    # the root value 2 lies beyond the cutoff pi/2 of the admissible polytope
+    with pytest.raises(OmegaViolation):
+        ascend_critical(sl2, 1j * np.array([1.0, -1.0]), np.eye(2), lam)
+    assert evaluations == []
 
 
 # ------------------------------------------------------------------- verifiers

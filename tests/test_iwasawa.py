@@ -16,6 +16,7 @@ from crown.rng import substream
 from crown.sampling import sample_group_element
 from crown.weyl import FULL_OMEGA, draw_omega_point
 
+from conftest import context
 from oracles import sl2_im_log_a, sl2_real_log_a, sl2_rotation
 
 
@@ -249,6 +250,25 @@ def test_track_batch_matches_scalar(ctx):
     for i in range(0, count, 7):
         f = project_complex(ctx, gs[i], xs[i])
         np.testing.assert_allclose(log_full[i, :ctx.n], f.log_a, atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_track_batch_row_independent_of_batch(label):
+    # the batched Armijo ladder of ascend_critical relies on this, bit for bit
+    ctx = context(label)
+    count = 512
+    rngs = [substream(67, i) for i in range(count)]
+    xs = np.array([draw_omega_point(ctx, FULL_OMEGA, rng) for rng in rngs])
+    gs = sample_group_element(ctx, rngs, "full-g")
+    batch = track_batch(ctx, gs, xs)
+    assert not batch[3].any()
+    for i in range(count):
+        alone = track_batch(ctx, gs[i:i + 1], xs[i:i + 1])
+        for got, want in zip(alone, batch):
+            assert got[0].tobytes() == want[i].tobytes()
+        f = project_complex(ctx, gs[i], xs[i])
+        assert f.log_a.tobytes() == batch[0][i, :ctx.n].tobytes()
+        assert f.n_part.tobytes() == batch[1][i].tobytes()
 
 
 def test_branch_needs_subdivision_near_corner(sl2):

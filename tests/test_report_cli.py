@@ -182,15 +182,6 @@ def test_cli_indeterminate_exit_code(capsys):
     assert code == 3
 
 
-def test_cli_threads_env_end_to_end(monkeypatch):
-    argv = ["verify-convexity", "--group", "sl:2", "--samples", "600", "--seed", "4"]
-    monkeypatch.delenv("CROWN_THREADS", raising=False)
-    _, serial, _ = run(argv)
-    monkeypatch.setenv("CROWN_THREADS", "3")
-    _, threaded, _ = run(argv)
-    assert _strip_timing(serial) == _strip_timing(threaded)
-
-
 def test_cli_out_file(tmp_path):
     target = tmp_path / "report.json"
     code = main(["hull", "--group", "sl:2", "--x", "0.1,-0.1", "--y", "0,0",

@@ -1,7 +1,8 @@
 """Batch-first samplers against the frozen one-sample-at-a-time draws.
 
 A batch must equal its samples drawn one by one, bit for bit, and leave every
-generator at the same point of its stream.
+generator at the same point of its stream.  The stacked K projection and
+group-membership check must agree with their single-matrix calls.
 """
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import context
 from crown.rng import substream
-from crown.sampling import P_RADIUS, haar_k, sample_group_element
+from crown.sampling import P_RADIUS, haar_k, k_project, sample_group_element
 from oracles import reference_group_element, reference_haar_k
 
 GROUPS = ["sl:2", "sl:3", "sl:4", "sl:5", "sp:1", "sp:2", "sp:3"]
@@ -45,3 +46,35 @@ def test_batch_matches_scalar_reference(label, sampler, batch):
 def test_unknown_mode_raises(sl3):
     with pytest.raises(ValueError):
         sample_group_element(sl3, [substream(0, 0)], "p")
+
+
+def _drifted_stack(ctx, count, scales):
+    """Group elements pushed off the group by Gaussian noise of the given sizes."""
+    rngs = [substream(23, i) for i in range(count)]
+    gs = sample_group_element(ctx, rngs, "full-g")
+    noise = np.array([rng.standard_normal(gs.shape[1:]) for rng in rngs])
+    return gs + np.asarray(scales)[:, None, None] * noise
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_stacked_k_project_matches_single_calls(label):
+    ctx = context(label)
+    rngs = [substream(29, i) for i in range(64)]
+    drifted = haar_k(ctx, rngs) + 1e-3 * np.array(
+        [rng.standard_normal((ctx.ambient_size,) * 2) for rng in rngs])
+    got = k_project(ctx, drifted)
+    want = np.array([k_project(ctx, k) for k in drifted])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_stacked_group_residual_matches_single_calls(label):
+    ctx = context(label)
+    # drift from 1e-16 to 1e-6 straddles GROUP_TOL
+    drifted = _drifted_stack(ctx, 64, 10.0 ** np.linspace(-16, -6, 64))
+    single = [ctx.group_residual(g) for g in drifted]
+    assert all(type(value) is float for value in single)
+    assert ctx.group_residual(drifted).tolist() == single
+    decisions = ctx.in_group(drifted)
+    assert decisions.tolist() == [ctx.in_group(g) for g in drifted]
+    assert 0 < decisions.sum() < len(drifted)

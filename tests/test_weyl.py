@@ -224,6 +224,9 @@ def test_tiny_ball_still_samples(sl2):
 
 def test_rejection_stall(sl2, monkeypatch):
     import crown.weyl as weyl_mod
-    monkeypatch.setattr(weyl_mod, "omega_margin", lambda *a: -1.0)
+    attempts = []
+    monkeypatch.setattr(weyl_mod, "omega_margin", lambda *a: attempts.append(1) or -1.0)
     with pytest.raises(RejectionStall):
         draw_omega_point(sl2, FULL_OMEGA, substream(1, 0))
+    # the acceptance-rate floor REJECTION_MIN_RATE = 1e-4 gives up after 10,001 misses
+    assert len(attempts) == 10_001
