@@ -2,9 +2,10 @@
 
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
-failure, or a stalled rejection sampler).  Reports are byte-identical across
-reruns of the same argv except for the wall_time_ms field.  Each subparser
-names the handler that runs it beside its flags.
+failure, or a stalled rejection sampler), 73 the --out report file cannot be
+written.  Reports are byte-identical across reruns of the same argv except for
+the wall_time_ms field.  Each subparser names the handler that runs it beside
+its flags.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .weyl import MEMBERSHIP_TOL, OmegaSpec, hull_contains, omega_distance
 
 EXIT_USAGE = 64
 EXIT_BREAKDOWN = 70
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,8 +287,12 @@ def main(argv=None) -> int:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"crown: error: {exc}", file=sys.stderr)
+            return EXIT_CANTCREAT
     else:
         sys.stdout.write(rendered)
     return code

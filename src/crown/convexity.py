@@ -675,8 +675,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
         return chunk_part(
             im_n, bad, max_steps, im_n <= IM_N_FLOOR,
             lambda i: {"sample_index": lo + i, "im_n": float(im_n[i]),
-                       "k": matrix_wire(gs[i])},
-            max_reconstruction_residual=0.0)
+                       "k": matrix_wire(gs[i])})
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(

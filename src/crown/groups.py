@@ -7,6 +7,9 @@ Conventions fixed here and relied on everywhere else:
   unipotent factor of the Iwasawa decomposition is then strictly LOWER
   triangular, and the squared abelian factor of ``z = n a k`` can be read off
   the leading principal minors of ``z z^T``.
+* The root data is read off this frame rather than tabulated: position (i, j)
+  of a matrix carries the root ``d_i - d_j`` of the diagonal entries, and the
+  positive roots are those of the strictly lower positions.
 * Sp(n,R) is first built in the standard block frame with symplectic form
   ``J = [[0, I], [-I, 0]]`` and then conjugated by a fixed permutation into the
   weight-sorted frame.  All public matrices live in the sorted frame; the
@@ -23,6 +26,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from enum import Enum
 
 import numpy as np
@@ -63,23 +67,16 @@ class GroupSpec:
 
 @dataclasses.dataclass(frozen=True)
 class RootDatum:
-    """Restricted root system data in Cartan coordinates.
+    """Restricted root system data in Cartan coordinates, read off the sorted frame.
 
-    ``positive`` holds the roots whose root spaces are strictly lower
-    triangular in the sorted frame; on the chamber of descending coordinates
-    these take negative values, which is exactly what makes the unipotent
-    factor lower triangular.  ``m_dim`` is the dimension of the centralizer of
-    the Cartan subspace inside the maximal compact subalgebra (zero for both
-    split families).
+    ``positive_roots`` are the roots of the strictly lower triangular
+    positions; on the chamber of descending coordinates these take negative
+    values, which is exactly what makes the unipotent factor lower triangular.
     """
 
     rank: int
     roots: np.ndarray            # (count, n) covectors
     positive_roots: np.ndarray   # (count/2, n)
-    simple_roots: np.ndarray     # (rank, n)
-    multiplicities: tuple[int, ...]
-    weyl_generators: np.ndarray  # (rank, n, n) orthogonal reflections
-    m_dim: int = 0
 
     def evaluate(self, x):
         """Values alpha(x) for every root, shape (count,) or (..., count)."""
@@ -115,15 +112,16 @@ class GroupContext:
     basis_a: np.ndarray          # (dim_a, m, m)
     basis_n: np.ndarray          # (dim_n, m, m)
     basis_k: np.ndarray          # (dim_k, m, m)
-    root_datum: RootDatum
     killing_scale: float
     perm: np.ndarray             # sorted-frame index -> standard-frame index
     symplectic_form: np.ndarray | None
     k_gram_chol: tuple           # cho_factor of the Gram matrix of basis_k
 
-    def theta(self, g):
-        """Cartan involution (g^T)^{-1}, holomorphic on the complexified group."""
-        return cartan_involution(self, g)
+    @functools.cached_property
+    def root_datum(self) -> RootDatum:
+        """The roots of the frame full_diag maps the coordinate basis to."""
+        rank = self.n - 1 if self.family is Family.SPECIAL_LINEAR else self.n
+        return _root_datum(self.full_diag(np.eye(self.n)).T, rank)
 
     @property
     def family(self) -> Family:
@@ -242,35 +240,6 @@ def _sl_bases(n):
     return map(np.array, (basis_a, basis_n, basis_k))
 
 
-def _sl_root_datum(n):
-    roots, positive, mults = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a = np.zeros(n)
-            a[i], a[j] = 1.0, -1.0
-            roots.append(a)
-            mults.append(1)
-            if i > j:
-                positive.append(a)
-    simple = [r for r in positive if np.count_nonzero(r) == 2
-              and np.flatnonzero(r)[1] - np.flatnonzero(r)[0] == 1]
-    gens = []
-    for i in range(n - 1):
-        s = np.eye(n)
-        s[[i, i + 1]] = s[[i + 1, i]]
-        gens.append(s)
-    return RootDatum(
-        rank=n - 1,
-        roots=_freeze(roots),
-        positive_roots=_freeze(positive),
-        simple_roots=_freeze(simple),
-        multiplicities=tuple(mults),
-        weyl_generators=_freeze(gens),
-    )
-
-
 def _sp_embed_alg(a_part, b_part):
     """u(n)-style block embedding [[A, B], [-B, A]] (standard frame)."""
     n = a_part.shape[0]
@@ -314,52 +283,18 @@ def _sp_bases(n):
     return map(np.array, (basis_a, basis_n, basis_k))
 
 
-def _sp_root_datum(n):
-    roots, positive, mults = [], [], []
+def _root_datum(frame, rank) -> RootDatum:
+    """Roots of a frame: row i of frame is the covector of ambient diagonal entry i.
 
-    def add(cov, pos):
-        roots.append(cov)
-        mults.append(1)
-        if pos:
-            positive.append(cov)
-
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            a = np.zeros(n)
-            a[p], a[q] = 1.0, -1.0
-            add(a, p > q)
-    for p in range(n):
-        for q in range(p, n):
-            a = np.zeros(n)
-            a[p] += 1.0
-            a[q] += 1.0
-            add(a.copy(), False)
-            add(-a, True)
-    gens = []
-    for i in range(n - 1):
-        s = np.eye(n)
-        s[[i, i + 1]] = s[[i + 1, i]]
-        gens.append(s)
-    flip = np.eye(n)
-    flip[n - 1, n - 1] = -1.0
-    gens.append(flip)
-    simple = []
-    for i in range(n - 1):
-        a = np.zeros(n)
-        a[i + 1], a[i] = 1.0, -1.0
-        simple.append(a)
-    last = np.zeros(n)
-    last[n - 1] = -2.0
-    simple.append(last)
+    Position (i, j), i != j, of a matrix carries the root frame[i] - frame[j];
+    the positive roots are those of the strictly lower positions i > j.
+    """
+    diffs = frame[:, None, :] - frame[None, :, :]
+    i, j = np.indices(diffs.shape[:2])
     return RootDatum(
-        rank=n,
-        roots=_freeze(roots),
-        positive_roots=_freeze(positive),
-        simple_roots=_freeze(simple),
-        multiplicities=tuple(mults),
-        weyl_generators=_freeze(gens),
+        rank=rank,
+        roots=_freeze(np.unique(diffs[i != j], axis=0)),
+        positive_roots=_freeze(np.unique(diffs[i > j], axis=0)),
     )
 
 
@@ -368,7 +303,6 @@ def build_group(spec: GroupSpec) -> GroupContext:
     if spec.family is Family.SPECIAL_LINEAR:
         n = spec.n
         basis_a, basis_n, basis_k = _sl_bases(n)
-        datum = _sl_root_datum(n)
         ctx_kwargs = dict(
             ambient_size=n,
             killing_scale=2.0 * n,
@@ -387,7 +321,6 @@ def build_group(spec: GroupSpec) -> GroupContext:
         j_std = np.zeros((2 * n, 2 * n))
         j_std[:n, n:] = np.eye(n)
         j_std[n:, :n] = -np.eye(n)
-        datum = _sp_root_datum(n)
         ctx_kwargs = dict(
             ambient_size=2 * n,
             killing_scale=2.0 * n + 2.0,
@@ -403,7 +336,6 @@ def build_group(spec: GroupSpec) -> GroupContext:
         basis_a=_freeze(basis_a),
         basis_n=_freeze(basis_n),
         basis_k=_freeze(basis_k),
-        root_datum=datum,
         k_gram_chol=(chol[0], chol[1]),
         **ctx_kwargs,
     )
@@ -424,18 +356,13 @@ def cartan_involution(ctx: GroupContext, g):
     return inv
 
 
-def killing_c(ctx: GroupContext, z, w) -> complex:
-    """Complex-bilinear invariant form c * tr(ZW)."""
-    return ctx.killing_scale * np.trace(np.asarray(z) @ np.asarray(w))
-
-
 def killing_r(ctx: GroupContext, z, w) -> float:
-    """Invariant form of the underlying real algebra: 2 Re kappa_C(Z, W).
+    """Invariant form of the underlying real algebra: 2 Re kappa_C(Z, W), kappa_C = c * tr(ZW).
 
     On split real and imaginary parts this is
     2 * (kappa(Re Z, Re W) - kappa(Im Z, Im W)).
     """
-    return 2.0 * killing_c(ctx, z, w).real
+    return 2.0 * (ctx.killing_scale * np.trace(np.asarray(z) @ np.asarray(w))).real
 
 
 def h_lambda(ctx: GroupContext, lam: CovectorIA):

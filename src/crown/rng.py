@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 # index namespaces for auxiliary draws inside one run
-NS_SAMPLE = 0
 NS_TUBE = 1 << 32
 NS_AUX = 1 << 33
 

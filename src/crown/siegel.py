@@ -108,7 +108,8 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
 
     A sample violates when some ratio has nonpositive imaginary part or a
     normalized minor falls below the floor; pivot breakdowns are findings, not
-    errors, and count as violations of the nonvanishing statement.
+    errors, and count as violations of the nonvanishing statement.  The first
+    breakdown, if any, is the witness; otherwise the sample of smallest Im chi.
     """
     if n < 1 or samples < 1:
         raise ValueError("n and samples must be >= 1")
@@ -124,14 +125,16 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
         except PivotBreakdown:
             breakdowns += 1
             violations += 1
-            witness = {"sample_index": i, "z": matrix_wire(point.z), "pivot_breakdown": True}
+            if breakdowns == 1:
+                witness = {"sample_index": i, "z": matrix_wire(point.z), "pivot_breakdown": True}
             continue
         sample_im = float(np.min(ratios.imag))
         sample_minor = float(np.min(normalized_minors(point.z)))
         if sample_im < min_im:
             min_im = sample_im
-            witness = {"sample_index": i, "min_im_chi": sample_im,
-                       "chi": vector_wire(ratios), "z": matrix_wire(point.z)}
+            if not breakdowns:
+                witness = {"sample_index": i, "min_im_chi": sample_im,
+                           "chi": vector_wire(ratios), "z": matrix_wire(point.z)}
         min_minor = min(min_minor, sample_minor)
         if sample_im <= 0.0 or sample_minor < NORMALIZED_MINOR_FLOOR:
             violations += 1

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from crown.cli import EXIT_BREAKDOWN, EXIT_USAGE, main, run
+from crown.cli import EXIT_BREAKDOWN, EXIT_CANTCREAT, EXIT_USAGE, main, run
 from crown.report import VerificationReport, matrix_wire, vector_wire
 
 
@@ -182,12 +182,18 @@ def test_cli_indeterminate_exit_code(capsys):
     assert code == 3
 
 
-def test_cli_out_file(tmp_path):
+def test_cli_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["hull", "--group", "sl:2", "--x", "0.1,-0.1", "--y", "0,0",
                  "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["extras"]["verdict"] == "inside"
+    # a report path that cannot be written exits 73 with a message, not a traceback
+    missing = tmp_path / "missing" / "r.json"
+    assert main(["hull", "--group", "sl:3", "--x", "0.3,0,-0.3", "--y", "0.1,0.1,-0.2",
+                 "--out", str(missing)]) == EXIT_CANTCREAT == 73
+    err = capsys.readouterr().err
+    assert err.startswith("crown: error: ") and str(missing) in err
 
 
 def test_cli_csv_format():

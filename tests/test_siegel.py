@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crown import SiegelPoint, chi, cross_check_crown, sample_siegel, verify_siegel
+from crown.errors import PivotBreakdown
 from crown.rng import substream
 from crown.sampling import sample_group_element
 from crown.siegel import _sp_context, fractional_action
@@ -80,6 +81,27 @@ def test_verify_siegel_clean():
 def test_verify_siegel_base_point_minimum():
     rep = verify_siegel(2, 1, seed=1)
     assert rep.samples_completed == 1
+    assert rep.extras["min_im_chi"] > 0
+
+
+def test_verify_siegel_keeps_the_breakdown_witness(monkeypatch):
+    # a breakdown on sample 0 stays the witness although later samples set min_im_chi
+    import crown.siegel as siegel_mod
+    real = siegel_mod.minor_ratios
+    calls = []
+
+    def breaks_first(z):
+        calls.append(z)
+        if len(calls) == 1:
+            raise PivotBreakdown("forced")
+        return real(z)
+
+    monkeypatch.setattr(siegel_mod, "minor_ratios", breaks_first)
+    rep = verify_siegel(2, 8, seed=9)
+    assert rep.extras["pivot_breakdowns"] == 1
+    assert rep.violations == 1
+    assert rep.worst_witness["sample_index"] == 0
+    assert rep.worst_witness["pivot_breakdown"] is True
     assert rep.extras["min_im_chi"] > 0
 
 
