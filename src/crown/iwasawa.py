@@ -13,11 +13,19 @@ from the positive-definite real point at t = 0.  The branch is tracked by
 unwrapping the arguments of the m pivot ratios: each step of the parameter
 grid must move every ratio argument by less than pi/2, offending steps are
 bisected, and the total number of segments is capped.
+
+Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
+path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
+with the batch axis last, so each numpy call works on contiguous data across
+the stack.  Each matrix of a stack gets the bits of its own single call, and
+the stacked product keeps the bits of one product per grid matrix
+(tests/oracles.py holds the per-matrix reference).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -38,6 +46,7 @@ RECON_RTOL = 1e-10
 SYM_TOL = 1e-10
 # parameter-grid segments per tracked leg before any bisection
 GRID_STEPS = 16
+_TINY = np.finfo(float).tiny
 
 
 @dataclasses.dataclass
@@ -70,30 +79,40 @@ class CrownPoint:
 def _ldl(mat):
     """Batched one-pass LDL^T elimination without pivoting.
 
-    Returns (ratios, unit_lower, minors) where ratios[..., j] is
-    Delta_j / Delta_{j-1} and minors[..., j] is |Delta_j| divided by the
-    Hadamard bound of the leading j rows.  A nonpositive or NaN normalized
-    minor flags a degenerate one.
+    mat has shape (..., m, m).  Returns (ratios, unit_lower, minors) where
+    ratios[..., j] is Delta_j / Delta_{j-1} and minors[..., j] is |Delta_j|
+    divided by the Hadamard bound of the leading j rows.  A nonpositive or NaN
+    normalized minor flags a degenerate one.
+
+    The elimination runs on one C-contiguous (m, m, N) copy with the batch
+    axis last, so each numpy call sweeps all N matrices at once.  Every step is
+    elementwise, so each matrix of a stack gets the bits of its own call; a
+    zero pivot leaves inf or NaN in its own matrix only.  ratios and minors are
+    C-contiguous; unit_lower is a transposed view of the batch-last buffer.
     """
     mat = np.asarray(mat)
-    m = mat.shape[-1]
-    work = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
-    lower = np.zeros_like(work)
-    lower[..., range(m), range(m)] = 1.0
-    ratios = np.empty(work.shape[:-2] + (m,), dtype=work.dtype)
+    lead, m = mat.shape[:-2], mat.shape[-1]
+    count = math.prod(lead)
+    dtype = np.promote_types(mat.dtype, np.float64)
+    work = mat.reshape((count, m, m)).transpose(1, 2, 0).astype(dtype, order="C")
+    lower = np.zeros((m, m, count), dtype=dtype)
+    lower.reshape((m * m, count))[:: m + 1] = 1.0
+    ratios = np.empty((count, m), dtype=dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(m):
-            piv = work[..., j, j].copy()
-            ratios[..., j] = piv
+            # operands keep all three axes: for N = 1 a broadcast that adds an
+            # axis sends numpy's complex multiply to a loop with other rounding
+            piv = work[j:j + 1, j]
+            ratios[:, j] = piv[0]
             if j + 1 < m:
-                col = work[..., j + 1:, j] / piv[..., None]
-                lower[..., j + 1:, j] = col
-                work[..., j + 1:, j + 1:] -= col[..., :, None] * work[..., j, j + 1:][..., None, :]
-    with np.errstate(invalid="ignore"):
+                col = work[j + 1:, j] / piv
+                lower[j + 1:, j] = col
+                work[j + 1:, j + 1:] -= col[:, None, :] * work[j:j + 1, j + 1:]
+        ratios = ratios.reshape(lead + (m,))
         row_norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=-1))
-        hadamard = np.maximum(np.cumprod(row_norms, axis=-1), np.finfo(float).tiny)
+        hadamard = np.maximum(np.cumprod(row_norms, axis=-1), _TINY)
         minors = np.abs(np.cumprod(ratios, axis=-1)) / hadamard
-    return ratios, lower, minors
+    return ratios, lower.transpose(2, 0, 1).reshape(lead + (m, m)), minors
 
 
 def normalized_minors(mat) -> np.ndarray:
@@ -130,12 +149,16 @@ def _path_ratios(ctx: GroupContext, g, coords):
 
     g has shape (..., m, m); coords has shape (..., T, n).  Returns (ratios,
     unit_lower, floor) with floor the smallest normalized minor of each M(t).
+    The T scaled copies of each g are stacked into one (T m) x m block, so
+    each path takes one matrix product.
     """
     g = np.asarray(g)
+    lead, m = g.shape[:-2], g.shape[-1]
+    steps = coords.shape[-2]
     diag = np.exp(2j * ctx.full_diag(coords))        # (..., T, m)
     tmp = g[..., None, :, :] * diag[..., None, :]
-    mats = tmp @ np.swapaxes(g, -1, -2)[..., None, :, :]
-    ratios, lower, minors = _ldl(mats)
+    block = tmp.reshape(lead + (steps * m, m)) @ np.swapaxes(g, -1, -2)
+    ratios, lower, minors = _ldl(block.reshape(lead + (steps, m, m)))
     return ratios, lower, np.min(minors, axis=-1)
 
 
@@ -261,7 +284,7 @@ def reconstruction_residual(ctx: GroupContext, factors: IwasawaFactors, z) -> fl
     """Relative Frobenius residual of n exp(log a) k against z."""
     z = np.asarray(z)
     recon = triangular_part(ctx, factors) @ factors.k_part
-    return float(np.linalg.norm(recon - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
+    return float(np.linalg.norm(recon - z) / max(np.linalg.norm(z), _TINY))
 
 
 def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
@@ -315,5 +338,5 @@ def batch_reconstruction_residual(ctx: GroupContext, z, log_full, lower) -> np.n
     diag_sym = np.exp(ctx.full_diag(log_full[:, : ctx.n]))
     recon = (lower * diag_sym[:, None, :]) @ k
     num = np.linalg.norm(recon - z, axis=(1, 2))
-    den = np.maximum(np.linalg.norm(z, axis=(1, 2)), np.finfo(float).tiny)
+    den = np.maximum(np.linalg.norm(z, axis=(1, 2)), _TINY)
     return num / den

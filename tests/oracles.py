@@ -3,7 +3,8 @@
 Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
-trial.
+trial, branch-tracking ratios by one product and one strided elimination per
+grid matrix.
 """
 
 import numpy as np
@@ -185,3 +186,40 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
         start_k=np.asarray(k0, dtype=float), end_k=k, f_values=np.array(f_values),
         grad_norm_final=float(grad_norm), matched_weyl_value=matched,
         iterations=iterations, converged=converged, gap=abs(f_values[-1] - matched))
+
+
+# Frozen tracking kernel: the strided LDL^T elimination on (..., m, m) slices and
+# one m x m product per grid matrix, whose bits the batch-last crown.iwasawa._ldl
+# and the stacked product of crown.iwasawa._path_ratios must keep.
+
+def reference_ldl(mat):
+    """(ratios, unit_lower, normalized minors) of a stack, eliminated in place."""
+    mat = np.asarray(mat)
+    m = mat.shape[-1]
+    work = np.array(mat, dtype=np.promote_types(mat.dtype, np.float64))
+    lower = np.zeros_like(work)
+    lower[..., range(m), range(m)] = 1.0
+    ratios = np.empty(work.shape[:-2] + (m,), dtype=work.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(m):
+            piv = work[..., j, j].copy()
+            ratios[..., j] = piv
+            if j + 1 < m:
+                col = work[..., j + 1:, j] / piv[..., None]
+                lower[..., j + 1:, j] = col
+                work[..., j + 1:, j + 1:] -= col[..., :, None] * work[..., j, j + 1:][..., None, :]
+    with np.errstate(invalid="ignore"):
+        row_norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=-1))
+        hadamard = np.maximum(np.cumprod(row_norms, axis=-1), np.finfo(float).tiny)
+        minors = np.abs(np.cumprod(ratios, axis=-1)) / hadamard
+    return ratios, lower, minors
+
+
+def reference_path_ratios(ctx, g, coords):
+    """(ratios, unit_lower, floor) of g exp(2i diag(x_t)) g^T, one product per t."""
+    g = np.asarray(g)
+    diag = np.exp(2j * ctx.full_diag(coords))
+    tmp = g[..., None, :, :] * diag[..., None, :]
+    mats = tmp @ np.swapaxes(g, -1, -2)[..., None, :, :]
+    ratios, lower, minors = reference_ldl(mats)
+    return ratios, lower, np.min(minors, axis=-1)

@@ -7,6 +7,9 @@ from crown import decompose_real, minor_ratios, project_complex, project_complex
 from crown.errors import NotInGroup, OmegaViolation, PivotBreakdown
 from crown.groups import Family
 from crown.iwasawa import (
+    GRID_STEPS,
+    _ldl,
+    _path_ratios,
     normalized_minors,
     reconstruction_residual,
     track_batch,
@@ -17,7 +20,18 @@ from crown.sampling import sample_group_element
 from crown.weyl import FULL_OMEGA, draw_omega_point
 
 from conftest import context
-from oracles import sl2_im_log_a, sl2_real_log_a, sl2_rotation
+from oracles import (
+    reference_ldl,
+    reference_path_ratios,
+    sl2_im_log_a,
+    sl2_real_log_a,
+    sl2_rotation,
+)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- minor ratios
@@ -68,6 +82,56 @@ def test_normalized_minors_scale_free():
     a = normalized_minors(m)
     b = normalized_minors(1e6 * m)
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+# ---------------------------------------------------------------- elimination kernel
+
+def symmetric_stack(rng, shape, m, cplx):
+    a = rng.standard_normal(shape + (m, m))
+    if cplx:
+        a = a + 1j * rng.standard_normal(shape + (m, m))
+    return a + np.swapaxes(a, -1, -2)
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 5)], ids=["B", "BxT"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_ldl_stack_gives_each_matrix_its_own_bits(m, cplx, shape):
+    rng = np.random.default_rng(10 * m + cplx)
+    mats = symmetric_stack(rng, shape, m, cplx)
+    stacked = _ldl(mats)
+    for got, want in zip(stacked, reference_ldl(mats)):
+        assert_same_bits(got, want)
+    for idx in np.ndindex(shape):
+        for got, want in zip(_ldl(mats[idx]), stacked):
+            assert_same_bits(got, want[idx])
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_ldl_zero_pivot_stays_in_its_own_matrix(cplx):
+    rng = np.random.default_rng(17)
+    mats = symmetric_stack(rng, (5,), 4, cplx)
+    mats[2, 0, 0] = 0.0
+    ratios, lower, minors = _ldl(mats)
+    assert not np.all(np.isfinite(lower[2])) and not np.all(np.isfinite(ratios[2]))
+    assert minors[2, 0] == 0.0
+    rest = [0, 1, 3, 4]
+    for out in (ratios, lower, minors):
+        assert np.all(np.isfinite(out[rest]))
+    for i in range(5):
+        for got, want in zip(_ldl(mats[i]), (ratios, lower, minors)):
+            assert_same_bits(got, want[i])
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_empty_batches(label):
+    ctx = context(label)
+    m = ctx.ambient_size
+    log_full, lower, max_steps, bad = track_batch(ctx, np.empty((0, m, m)), np.empty((0, ctx.n)))
+    assert log_full.shape == (0, m) and lower.shape == (0, m, m)
+    assert max_steps.shape == (0,) and bad.shape == (0,)
+    ratios, lower, minors = _ldl(np.empty((0, m, m)))
+    assert ratios.shape == (0, m) and lower.shape == (0, m, m) and minors.shape == (0, m)
 
 
 # ---------------------------------------------------------------- real factors
@@ -269,6 +333,29 @@ def test_track_batch_row_independent_of_batch(label):
         f = project_complex(ctx, gs[i], xs[i])
         assert f.log_a.tobytes() == batch[0][i, :ctx.n].tobytes()
         assert f.n_part.tobytes() == batch[1][i].tobytes()
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5"])
+def test_path_ratios_match_per_matrix_products(label):
+    # one stacked product per path must keep the bits of one product per grid matrix
+    ctx = context(label)
+    count = 64
+    rngs = [substream(71, i) for i in range(count)]
+    xs = np.array([draw_omega_point(ctx, FULL_OMEGA, rng) for rng in rngs])
+    gs = sample_group_element(ctx, rngs, "full-g")
+    for steps in (1, GRID_STEPS):
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        coords = ts[None, :, None] * xs[:, None, :]
+        for got, want in zip(_path_ratios(ctx, gs, coords),
+                             reference_path_ratios(ctx, gs, coords)):
+            assert_same_bits(got, want)
+    # leading shape () on a refined, uneven grid, as _track calls it
+    ss = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])[::3]]))
+    for i in range(0, count, 9):
+        coords = ss[:, None] * xs[i][None, :]
+        for got, want in zip(_path_ratios(ctx, gs[i], coords),
+                             reference_path_ratios(ctx, gs[i], coords)):
+            assert_same_bits(got, want)
 
 
 def test_branch_needs_subdivision_near_corner(sl2):

@@ -78,6 +78,15 @@ def test_verify_siegel_clean():
         assert rep.extras["pivot_breakdowns"] == 0
 
 
+def test_chi_of_a_one_by_one_point():
+    # verify_siegel(1, ...) eliminates 1 x 1 matrices
+    z = np.array([[0.3 + 1.7j]])
+    ratios = chi(SiegelPoint(z))
+    assert ratios.shape == (1,) and ratios.tobytes() == z[0].tobytes()
+    rep = verify_siegel(1, 64, seed=3)
+    assert rep.violations == 0 and rep.extras["pivot_breakdowns"] == 0
+
+
 def test_verify_siegel_base_point_minimum():
     rep = verify_siegel(2, 1, seed=1)
     assert rep.samples_completed == 1
