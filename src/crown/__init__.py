@@ -45,7 +45,6 @@ from .groups import (
     split_nak,
 )
 from .iwasawa import (
-    CrownPoint,
     IwasawaFactors,
     decompose_real,
     minor_ratios,

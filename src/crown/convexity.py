@@ -349,7 +349,7 @@ def sample_covector(ctx: GroupContext, rng) -> CovectorIA:
             m -= m.mean()
         m /= np.linalg.norm(m)
         if is_regular(ctx, m, floor=REGULARITY_FLOOR):
-            return CovectorIA(m_coords=m, regular=True)
+            return CovectorIA(m_coords=m)
 
 
 def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.ndarray:
@@ -514,7 +514,7 @@ def separating_functional(ctx: GroupContext, x, y) -> CovectorIA:
         delta = 1e-10 if delta == 0.0 else delta * 10.0
         if delta > 1e-2:
             raise RuntimeError("could not regularize the separating direction")
-    return CovectorIA(m_coords=-cand / (2.0 * ctx.coord_weight), regular=True)
+    return CovectorIA(m_coords=-cand / (2.0 * ctx.coord_weight))
 
 
 def random_k_direction(ctx: GroupContext, rng) -> np.ndarray:

@@ -21,7 +21,6 @@ from .groups import GroupContext
 from .iwasawa import (
     PIVOT_FLOOR,
     RECON_RTOL,
-    CrownPoint,
     grid_tolerances,
     track_batch,
 )
@@ -46,28 +45,30 @@ class TubeSpec:
         object.__setattr__(self, "base_k", k)
 
 
-def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int) -> list[CrownPoint]:
-    """count seeded crown points z = g exp(iX), X in omega, with g drawn in full-g mode."""
+def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int):
+    """Rows (gs, xs) of count seeded crown points z = g exp(iX), X in omega, g in full-g mode.
+
+    gs has shape (count, m, m) and xs shape (count, n); each chunk draws X from
+    every stream before its one group-element batch.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    points = []
+    gs, xs = [], []
     for lo, hi in chunk_ranges(count):
         rngs = [substream(seed, i) for i in range(lo, hi)]
-        xs = [draw_omega_point(ctx, omega, rng) for rng in rngs]
-        gs = sample_group_element(ctx, rngs, "full-g")
-        points += [CrownPoint(z=g @ ctx.a_exp(1j * x), base_g=g, direction_x=x, omega_tag=omega)
-                   for g, x in zip(gs, xs)]
-    return points
+        xs += [draw_omega_point(ctx, omega, rng) for rng in rngs]
+        gs.append(sample_group_element(ctx, rngs, "full-g"))
+    return np.concatenate(gs), np.array(xs)
 
 
-def tube_contains(ctx: GroupContext, tube: TubeSpec, point: CrownPoint):
-    """(member, margin) of a crown point in a tube.
+def tube_contains(ctx: GroupContext, tube: TubeSpec, g, x):
+    """(member, margin) of the crown point g exp(iX) in a tube.
 
     The margin is the omega margin of Im log a of the translated point; the
     translate k^{-1} g is again real, so the tracked branch stays anchored.
     """
-    base = tube.base_k.T @ point.base_g
-    log_full, _, _, bad = track_batch(ctx, base[None], point.direction_x[None])
+    base = tube.base_k.T @ g
+    log_full, _, _, bad = track_batch(ctx, base[None], np.asarray(x)[None])
     if bad[0]:
         raise BranchBreakdown("branch tracking broke down on the translated point")
     margin = float(omega_margin(ctx, tube.omega, log_full[0, : ctx.n].imag))
@@ -81,11 +82,9 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
     if z_count < 1 or k_count < 1:
         raise ValueError("counts must be >= 1")
     start = time.monotonic()
-    points = sample_xi(ctx, omega, z_count, seed)
+    gs, xs = sample_xi(ctx, omega, z_count, seed)
     tubes = np.concatenate([haar_k(ctx, [substream(seed, NS_TUBE + j) for j in range(lo, hi)])
                             for lo, hi in chunk_ranges(k_count)])
-    gs = np.array([p.base_g for p in points])
-    xs = np.array([p.direction_x for p in points])
 
     def run_chunk(lo, hi):
         z_idx, k_idx = np.divmod(np.arange(lo, hi), k_count)

@@ -93,7 +93,6 @@ class CovectorIA:
     """
 
     m_coords: np.ndarray
-    regular: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "m_coords", np.asarray(self.m_coords, dtype=float))

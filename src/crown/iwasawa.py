@@ -63,17 +63,7 @@ class IwasawaFactors:
     k_part: np.ndarray
     path_steps: int
     max_arg_step: float
-    pair_residual: float = 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class CrownPoint:
-    """Point z = base_g exp(i X) of the crown, with its construction data."""
-
-    z: np.ndarray
-    base_g: np.ndarray
-    direction_x: np.ndarray
-    omega_tag: object = None
+    pair_residual: float
 
 
 def _ldl(mat):

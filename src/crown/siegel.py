@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from .domains import sample_xi
 from .errors import PivotBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
@@ -22,6 +23,7 @@ from .parallel import chunk_ranges
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import sample_group_element
+# draw_omega_point stays imported: bench/tracer.py wraps crown.siegel.draw_omega_point by name
 from .weyl import FULL_OMEGA, MEMBERSHIP_TOL, draw_omega_point
 
 DIRECT_EPS = 1e-3
@@ -90,12 +92,7 @@ def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    return list(_siegel_points(n, count, seed))
-
-
-def _siegel_points(n: int, count: int, seed: int):
-    for lo, hi in chunk_ranges(count):
-        yield from _draw_siegel(n, seed, lo, hi)
+    return [point for lo, hi in chunk_ranges(count) for point in _draw_siegel(n, seed, lo, hi)]
 
 
 def chi(point: SiegelPoint) -> np.ndarray:
@@ -119,7 +116,7 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     min_minor = np.inf
     witness = None
     breakdowns = 0
-    for i, point in enumerate(_siegel_points(n, samples, seed)):
+    for i, point in enumerate(sample_siegel(n, samples, seed)):
         try:
             ratios = chi(point)
         except PivotBreakdown:
@@ -162,14 +159,6 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     )
 
 
-def _crown_draws(ctx: GroupContext, samples: int, seed: int):
-    """(X, g) per sample index: X uniform in the full polytope, g in full-g mode."""
-    for lo, hi in chunk_ranges(samples):
-        rngs = [substream(seed, i) for i in range(lo, hi)]
-        xs = [draw_omega_point(ctx, FULL_OMEGA, rng) for rng in rngs]
-        yield from zip(xs, sample_group_element(ctx, rngs, "full-g"))
-
-
 def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> VerificationReport:
     """Agreement of the crown projection with the Siegel minor picture.
 
@@ -192,7 +181,7 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
     min_margin = np.inf
     max_value_gap = 0.0
     witness = None
-    for i, (x, g) in enumerate(_crown_draws(ctx, samples, seed)):
+    for i, (g, x) in enumerate(zip(*sample_xi(ctx, FULL_OMEGA, samples, seed))):
         log_full, _, _, bad = track_batch(ctx, g[None], x[None])
         if bad[0]:
             indeterminate += 1

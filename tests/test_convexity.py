@@ -187,7 +187,7 @@ def _ascent_case(ctx, stream, index, scale=1.0):
     rng = substream(stream, index)
     x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), rng)
     lam = sample_covector(ctx, rng)
-    lam = CovectorIA(m_coords=scale * lam.m_coords, regular=True)
+    lam = CovectorIA(m_coords=scale * lam.m_coords)
     return 1j * x, haar_k(ctx, [rng])[0], lam
 
 
@@ -280,7 +280,7 @@ def test_ascent_rejects_x_outside_polytope_before_evaluating(sl2, monkeypatch):
     evaluations = []
     monkeypatch.setattr(convexity, "track_batch", lambda *a: evaluations.append(a))
     monkeypatch.setattr(scipy.linalg, "expm", lambda *a: evaluations.append(a))
-    lam = CovectorIA(m_coords=np.array([0.6, -0.6]), regular=True)
+    lam = CovectorIA(m_coords=np.array([0.6, -0.6]))
     # the root value 2 lies beyond the cutoff pi/2 of the admissible polytope
     with pytest.raises(OmegaViolation):
         ascend_critical(sl2, 1j * np.array([1.0, -1.0]), np.eye(2), lam)

@@ -3,31 +3,31 @@ import pytest
 
 import crown
 from crown import TubeSpec, boundary_path, boundary_probe, sample_xi, tube_contains
-from crown.iwasawa import CrownPoint, minor_ratios
-from crown.rng import substream
+from crown.iwasawa import minor_ratios
+from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
 from crown.weyl import OmegaSpec, omega_distance, omega_margin
+
+from conftest import context
 
 OM8 = OmegaSpec("scale", scale=0.8)
 
 
 def test_sample_xi_postconditions(ctx):
-    points = sample_xi(ctx, OM8, 16, seed=3)
-    for p in points:
-        assert omega_margin(ctx, OM8, p.direction_x) > 0
-        z = p.base_g @ ctx.a_exp(1j * p.direction_x)
-        np.testing.assert_allclose(p.z, z, atol=1e-12 * (1 + np.linalg.norm(z)))
+    gs, xs = sample_xi(ctx, OM8, 16, seed=3)
+    m = ctx.ambient_size
+    assert gs.shape == (16, m, m) and xs.shape == (16, ctx.n)
+    assert np.all(omega_margin(ctx, OM8, xs) > 0)
+    assert np.all(ctx.in_group(gs))
     again = sample_xi(ctx, OM8, 16, seed=3)
-    for p, q in zip(points, again):
-        np.testing.assert_array_equal(p.z, q.z)
+    np.testing.assert_array_equal(gs, again[0])
+    np.testing.assert_array_equal(xs, again[1])
 
 
 def test_tube_identity_base_reads_off_direction(ctx):
     x = crown.sample_omega(ctx, OM8, seed=5, count=1)[0]
-    point = CrownPoint(z=ctx.a_exp(1j * x), base_g=np.eye(ctx.ambient_size),
-                       direction_x=x, omega_tag=OM8)
     tube = TubeSpec(base_k=np.eye(ctx.ambient_size), omega=OM8)
-    member, margin = tube_contains(ctx, tube, point)
+    member, margin = tube_contains(ctx, tube, np.eye(ctx.ambient_size), x)
     assert member
     assert np.isclose(margin, omega_margin(ctx, OM8, x), atol=1e-12)
 
@@ -42,10 +42,8 @@ def test_tube_rejects_direction_outside_omega(ctx):
         cand = draw_omega_point(ctx, grow, rng)
         if omega_margin(ctx, OmegaSpec("scale", scale=0.5), cand) < 0:
             x = cand
-    point = CrownPoint(z=ctx.a_exp(1j * x), base_g=np.eye(ctx.ambient_size),
-                       direction_x=x, omega_tag=grow)
     tube = TubeSpec(base_k=np.eye(ctx.ambient_size), omega=OmegaSpec("scale", scale=0.5))
-    member, margin = tube_contains(ctx, tube, point)
+    member, margin = tube_contains(ctx, tube, np.eye(ctx.ambient_size), x)
     assert not member and margin < 0
 
 
@@ -57,9 +55,9 @@ def test_tube_spec_validates_base(sl2):
 def test_tube_membership_right_k_invariant(ctx):
     # right multiplication by K leaves z z^T, hence every minor ratio, unchanged
     rng = substream(5, 78)
-    point = sample_xi(ctx, OM8, 1, seed=9)[0]
+    gs, xs = sample_xi(ctx, OM8, 1, seed=9)
     k0 = haar_k(ctx, [rng])[0]
-    z = point.z
+    z = gs[0] @ ctx.a_exp(1j * xs[0])
     np.testing.assert_allclose((z @ k0) @ (z @ k0).T, z @ z.T, atol=1e-12)
     m = z @ z.T
     np.testing.assert_allclose(
@@ -75,6 +73,21 @@ def test_verify_tube_intersection_clean(sl3):
     assert rep.min_margin > -1e-9
 
 
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_tube_contains_is_a_batch_of_one_of_the_sweep(label):
+    # every (z, k) pair queried alone gives the sweep's margin bit for bit
+    ctx = context(label)
+    seed, z_count, k_count = 4, 6, 5
+    rep = crown.verify_tube_intersection(ctx, OM8, z_count, k_count, seed)
+    gs, xs = sample_xi(ctx, OM8, z_count, seed)
+    bases = [haar_k(ctx, [substream(seed, NS_TUBE + j)])[0] for j in range(k_count)]
+    margins = np.array([[tube_contains(ctx, TubeSpec(base_k=k, omega=OM8), g, x)[1]
+                         for k in bases] for g, x in zip(gs, xs)])
+    z_index, k_index = np.unravel_index(np.argmin(margins), margins.shape)
+    assert margins.min() == rep.min_margin
+    assert (z_index, k_index) == (rep.worst_witness["z_index"], rep.worst_witness["k_index"])
+
+
 def test_tube_margins_boundary_scan(sl3):
     # with X at a fixed relative depth, deeper omegas keep proportional margins
     from crown.convexity import sample_regular_direction
@@ -86,8 +99,7 @@ def test_tube_margins_boundary_scan(sl3):
         vals = np.abs(sl3.root_datum.evaluate(u))
         x = 0.9 * (c * np.pi / 2 / vals.max()) * u
         g = haar_k(sl3, [rng])[0]
-        point = CrownPoint(z=g @ sl3.a_exp(1j * x), base_g=g, direction_x=x, omega_tag=om)
-        margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, [rng])[0], omega=om), point)[1]
+        margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, [rng])[0], omega=om), g, x)[1]
                    for _ in range(10)]
         assert min(margins) > 0
         mins.append(min(margins))
