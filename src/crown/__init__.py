@@ -16,7 +16,6 @@ from .convexity import (
     gradient_check,
     lemma24_probe,
     normalizer_elements,
-    separating_functional,
     verify_complex_convexity,
     verify_kostant_real,
     weyl_k_representatives,
@@ -37,19 +36,15 @@ from .groups import (
     GroupSpec,
     RootDatum,
     build_group,
-    cartan_involution,
     h_lambda,
     is_regular,
-    killing_r,
     project_a,
-    split_nak,
 )
 from .iwasawa import (
     IwasawaFactors,
     decompose_real,
     minor_ratios,
     project_complex,
-    project_complex_path,
     reconstruction_residual,
     triangular_part,
 )
@@ -61,7 +56,6 @@ from .weyl import (
     dominant_rep,
     hull_contains,
     omega_margin,
-    sample_omega,
     weyl_orbit,
 )
 

@@ -2,10 +2,10 @@
 
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
-failure, or a stalled rejection sampler), 73 the --out report file cannot be
-written.  Reports are byte-identical across reruns of the same argv except for
-the wall_time_ms field.  Each subparser names the handler that runs it beside
-its flags.
+failure, a stalled rejection sampler, a functional value that is not real, or
+a singular linear solve), 73 the --out report file cannot be written.  Reports
+are byte-identical across reruns of the same argv except for the wall_time_ms
+field.  Each subparser names the handler that runs it beside its flags.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import convexity, domains, siegel
 from .errors import (
     BranchBreakdown,
     CrownError,
+    NonRealValue,
     NumericalBreakdown,
     PivotBreakdown,
     RejectionStall,
@@ -280,7 +281,8 @@ def main(argv=None) -> int:
         code, rendered, out = run(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (BranchBreakdown, PivotBreakdown, NumericalBreakdown, RejectionStall) as exc:
+    except (BranchBreakdown, PivotBreakdown, NumericalBreakdown, RejectionStall,
+            NonRealValue, np.linalg.LinAlgError) as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (CrownError, ValueError) as exc:

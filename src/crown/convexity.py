@@ -21,8 +21,6 @@ import scipy.linalg
 
 from .errors import (
     BranchBreakdown,
-    InsideHull,
-    NoConvergence,
     NonRealValue,
     NotInGroup,
     OmegaViolation,
@@ -67,7 +65,6 @@ from .weyl import (
     apply_weyl,
     draw_omega_point,
     helmert,
-    hull_contains,
     hull_margins_batch,
     omega_margin,
     weyl_elements,
@@ -243,12 +240,11 @@ def _evaluate_rows(ctx: GroupContext, ks, base, x_im, m_coords):
 
 
 def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
-                    max_iter: int = 1000, tol: float = GRAD_TOL,
-                    raise_on_failure: bool = False) -> CriticalRun:
+                    max_iter: int = 1000, tol: float = GRAD_TOL) -> CriticalRun:
     """Riemannian gradient ascent of f_{a,lam} with Armijo backtracking.
 
     Requires regular lam and regular imaginary direction.  Non-converged runs
-    are returned with converged=False unless raise_on_failure is set.
+    are returned with converged=False.
 
     Each step evaluates the step sizes of ARMIJO_LADDER as one batch and runs
     the Armijo expansion and shrink over the cached rows; a further batch is
@@ -326,7 +322,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
         k, f_cur, n_cur = k_trial, f_trial, n_trial
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, lam)))
-    run = CriticalRun(
+    return CriticalRun(
         start_k=np.asarray(k0, dtype=float),
         end_k=k,
         f_values=np.array(f_values),
@@ -336,9 +332,6 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
         converged=converged,
         gap=abs(f_values[-1] - matched),
     )
-    if raise_on_failure and not converged:
-        raise NoConvergence("gradient norm stayed above tolerance", run=run)
-    return run
 
 
 def sample_covector(ctx: GroupContext, rng) -> CovectorIA:
@@ -469,52 +462,6 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     vertex_miss = int(report.extras["max_vertex_error"] > VERTEX_TOL)
     report.violations = min(report.violations + vertex_miss, report.samples_completed)
     return report
-
-
-def separating_functional(ctx: GroupContext, x, y) -> CovectorIA:
-    """Regular covector separating y from conv(Wx), for diagnostics.
-
-    Direction: y minus its Euclidean projection onto the orbit polytope,
-    nudged minimally into regular position while keeping the strict gap.
-    """
-    from scipy.optimize import minimize
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    member, _ = hull_contains(ctx, x, y)
-    if member:
-        raise InsideHull("point already lies in the orbit hull")
-    orbit = weyl_orbit(ctx, x)
-    a_mat = orbit.T
-    count = orbit.shape[0]
-
-    def objective(c):
-        r = a_mat @ c - y
-        return 0.5 * float(r @ r), a_mat.T @ r
-
-    res = minimize(
-        objective, np.full(count, 1.0 / count), jac=True, method="SLSQP",
-        bounds=[(0.0, 1.0)] * count,
-        constraints=[{"type": "eq", "fun": lambda c: c.sum() - 1.0,
-                      "jac": lambda c: np.ones_like(c)}],
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    mu = y - a_mat @ res.x
-    scale = np.linalg.norm(mu)
-    generic = np.cos(0.7 * np.arange(1, ctx.n + 1))
-    if ctx.family is Family.SPECIAL_LINEAR:
-        generic = generic - generic.mean()
-    generic /= np.linalg.norm(generic)
-    delta = 0.0
-    while True:
-        cand = mu + delta * scale * generic
-        gap = float(cand @ y - np.max(orbit @ cand))
-        if gap > 0.0 and is_regular(ctx, cand, floor=1e-9 * np.linalg.norm(cand)):
-            break
-        delta = 1e-10 if delta == 0.0 else delta * 10.0
-        if delta > 1e-2:
-            raise RuntimeError("could not regularize the separating direction")
-    return CovectorIA(m_coords=-cand / (2.0 * ctx.coord_weight))
 
 
 def random_k_direction(ctx: GroupContext, rng) -> np.ndarray:

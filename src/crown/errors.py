@@ -9,10 +9,6 @@ class UnsupportedFamily(CrownError):
     """Requested group family is not one of the implemented realizations."""
 
 
-class SingularInput(CrownError):
-    """Matrix input is not invertible to working precision."""
-
-
 class NotInGroup(CrownError):
     """Matrix fails the group membership check (determinant / symplectic form)."""
 
@@ -48,15 +44,3 @@ class RejectionStall(CrownError):
 
 class NonRealValue(CrownError):
     """A quantity that must be real carried a non-negligible imaginary part."""
-
-
-class NoConvergence(CrownError):
-    """Gradient ascent hit the iteration cap before reaching the gradient tolerance."""
-
-    def __init__(self, message, run=None):
-        super().__init__(message)
-        self.run = run
-
-
-class InsideHull(CrownError):
-    """Separation was requested for a point that already lies in the hull."""

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularInput, UnsupportedFamily
+from .errors import UnsupportedFamily
 
 GROUP_TOL = 1e-10
 
@@ -129,12 +129,6 @@ class GroupContext:
     @property
     def n(self) -> int:
         return self.spec.n
-
-    @property
-    def dim_g(self) -> int:
-        if self.family is Family.SPECIAL_LINEAR:
-            return self.n * self.n - 1
-        return self.n * (2 * self.n + 1)
 
     @property
     def coord_weight(self) -> float:
@@ -340,30 +334,6 @@ def build_group(spec: GroupSpec) -> GroupContext:
     )
 
 
-def cartan_involution(ctx: GroupContext, g):
-    """theta(g) = (g^T)^{-1}, the holomorphic extension of the Cartan involution."""
-    g = np.asarray(g)
-    try:
-        inv = np.linalg.inv(g.T)
-    except np.linalg.LinAlgError:
-        raise SingularInput("matrix is singular") from None
-    if not np.all(np.isfinite(inv)):
-        raise SingularInput("matrix is singular to working precision")
-    resid = np.linalg.norm(g.T @ inv - np.eye(ctx.ambient_size))
-    if resid > 1e-6 * (1.0 + np.linalg.norm(g)):
-        raise SingularInput("matrix inverse failed the residual check")
-    return inv
-
-
-def killing_r(ctx: GroupContext, z, w) -> float:
-    """Invariant form of the underlying real algebra: 2 Re kappa_C(Z, W), kappa_C = c * tr(ZW).
-
-    On split real and imaginary parts this is
-    2 * (kappa(Re Z, Re W) - kappa(Im Z, Im W)).
-    """
-    return 2.0 * (ctx.killing_scale * np.trace(np.asarray(z) @ np.asarray(w))).real
-
-
 def h_lambda(ctx: GroupContext, lam: CovectorIA):
     """Dual element H = i * M of a covector on the complexified Cartan space.
 
@@ -395,19 +365,3 @@ def project_a(ctx: GroupContext, z):
     of shape (..., m, m) gives coordinates of shape (..., n).
     """
     return ctx.a_coords(np.diagonal(np.asarray(z), axis1=-2, axis2=-1))
-
-
-def split_nak(ctx: GroupContext, z):
-    """Decompose Z into (n, a, k) components by solving in the concatenated basis.
-
-    Slow oracle path used for validation; project_a is the production route.
-    """
-    m = ctx.ambient_size
-    blocks = np.concatenate([ctx.basis_n, ctx.basis_a, ctx.basis_k])
-    mat = blocks.reshape(len(blocks), m * m).T
-    coeff, *_ = np.linalg.lstsq(mat, np.asarray(z, dtype=complex).ravel(), rcond=None)
-    dn, da = len(ctx.basis_n), len(ctx.basis_a)
-    zn = np.tensordot(coeff[:dn], ctx.basis_n, axes=1)
-    za = np.tensordot(coeff[dn:dn + da], ctx.basis_a, axes=1)
-    zk = np.tensordot(coeff[dn + da:], ctx.basis_k, axes=1)
-    return zn, za, zk

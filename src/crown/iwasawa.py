@@ -44,7 +44,7 @@ ARG_STEP_CAP = np.pi / 2.0
 MAX_SEGMENTS = 2 ** 14
 RECON_RTOL = 1e-10
 SYM_TOL = 1e-10
-# parameter-grid segments per tracked leg before any bisection
+# parameter-grid segments per tracked path before any bisection
 GRID_STEPS = 16
 _TINY = np.finfo(float).tiny
 
@@ -157,45 +157,34 @@ def _refine(ss, bad):
     return np.sort(np.concatenate([ss, mids]))
 
 
-def _track(ctx: GroupContext, g, waypoints, steps_hint: int):
-    """Continuous branch of the log minor ratios along a polyline of directions.
+def _track(ctx: GroupContext, g, x, steps_hint: int):
+    """Continuous branch of the log minor ratios along t -> tX from direction 0.
 
-    The path starts at direction 0 (the real point g) and moves linearly
-    through the waypoints (float rows).  Returns half of the tracked log
+    The path starts at the real point g.  Returns half of the tracked log
     ratios (the full diagonal of log a), the final unit lower factor, the
     number of grid segments used and the largest per-step argument move.
     """
     g = np.asarray(g, dtype=float)
-    n = ctx.n
-    arg = np.zeros(ctx.ambient_size)
-    prev = np.zeros(n)
-    total_steps = 0
-    max_step = 0.0
-    last_ratios = None
-    last_lower = None
-    for end in waypoints:
-        ss = np.linspace(0.0, 1.0, max(int(steps_hint), 1) + 1)
-        while True:
-            coords = prev + ss[:, None] * (end - prev)[None, :]
-            ratios, lower, floor = _path_ratios(ctx, g, coords)
-            if not np.all(floor >= PIVOT_FLOOR):
-                t_bad = float(ss[int(np.argmin(floor))])
-                raise BranchBreakdown(
-                    f"minor degenerated along the path near t={t_bad:.6f}", t=t_bad)
-            dphi = np.angle(ratios[1:] / ratios[:-1])
-            bad = np.flatnonzero(np.max(np.abs(dphi), axis=1) >= ARG_STEP_CAP)
-            if not bad.size:
-                break
-            if len(ss) + bad.size - 1 > MAX_SEGMENTS:
-                raise BranchBreakdown("subdivision cap exceeded while tracking the branch")
-            ss = _refine(ss, bad)
-        arg = arg + dphi.sum(axis=0)
-        max_step = max(max_step, float(np.max(np.abs(dphi))) if dphi.size else 0.0)
-        total_steps += len(ss) - 1
-        prev = end
-        last_ratios, last_lower = ratios[-1], lower[-1]
-    log_full = 0.5 * (np.log(np.abs(last_ratios)) + 1j * arg)
-    return log_full, last_lower, total_steps, max_step
+    # coords and arg are sums with a zero start, so a signed zero comes out as +0.0
+    start = np.zeros(ctx.n)
+    ss = np.linspace(0.0, 1.0, max(int(steps_hint), 1) + 1)
+    while True:
+        coords = start + ss[:, None] * (x - start)[None, :]
+        ratios, lower, floor = _path_ratios(ctx, g, coords)
+        if not np.all(floor >= PIVOT_FLOOR):
+            t_bad = float(ss[int(np.argmin(floor))])
+            raise BranchBreakdown(
+                f"minor degenerated along the path near t={t_bad:.6f}", t=t_bad)
+        dphi = np.angle(ratios[1:] / ratios[:-1])
+        bad = np.flatnonzero(np.max(np.abs(dphi), axis=1) >= ARG_STEP_CAP)
+        if not bad.size:
+            break
+        if len(ss) + bad.size - 1 > MAX_SEGMENTS:
+            raise BranchBreakdown("subdivision cap exceeded while tracking the branch")
+        ss = _refine(ss, bad)
+    arg = np.zeros(ctx.ambient_size) + dphi.sum(axis=0)
+    log_full = 0.5 * (np.log(np.abs(ratios[-1])) + 1j * arg)
+    return log_full, lower[-1], len(ss) - 1, float(np.max(np.abs(dphi)))
 
 
 def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
@@ -217,26 +206,17 @@ def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
 def project_complex(ctx: GroupContext, g, x, steps_hint: int = GRID_STEPS) -> IwasawaFactors:
     """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
 
-    g must be a real group element and X must lie in the admissible polytope;
-    this is project_complex_path with the single waypoint X.
+    g must be a real group element and X must lie in the admissible polytope.
+    The result does not depend on the path to X inside the polytope, because
+    the target tube is simply connected.
     """
-    return project_complex_path(ctx, g, [x], steps_hint)
-
-
-def project_complex_path(ctx: GroupContext, g, waypoints,
-                         steps_hint: int = GRID_STEPS) -> IwasawaFactors:
-    """Factors of g exp(iX) for the last waypoint X, tracked along 0 -> waypoints[0] -> ... .
-
-    All waypoints must lie in the admissible polytope; the result for the last
-    waypoint is path independent because the target tube is simply connected.
-    """
-    waypoints = np.asarray(waypoints, dtype=float)
-    if np.any(omega_margin(ctx, FULL_OMEGA, waypoints) <= 0.0):
+    x = np.asarray(x, dtype=float)
+    if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
         raise OmegaViolation("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
         raise NotInGroup("base point fails the group membership check")
-    log_full, lower, steps, max_step = _track(ctx, g, waypoints, steps_hint)
-    z = np.asarray(g) @ ctx.a_exp(1j * waypoints[-1])
+    log_full, lower, steps, max_step = _track(ctx, g, x, steps_hint)
+    z = np.asarray(g) @ ctx.a_exp(1j * x)
     return _assemble(ctx, z, log_full, lower, steps, max_step)
 
 
@@ -309,7 +289,7 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     bad = np.zeros(batch, dtype=bool)
     for i in np.flatnonzero(~floor_ok | coarse):
         try:
-            lf, ll, _, ms = _track(ctx, g[i], [xs[i]], steps_hint)
+            lf, ll, _, ms = _track(ctx, g[i], xs[i], steps_hint)
         except BranchBreakdown:
             bad[i] = True
             log_full[i] = np.nan

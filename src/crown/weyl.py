@@ -12,13 +12,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 
 import numpy as np
 
 from .errors import RejectionStall
 from .groups import Family, GroupContext
-from .rng import substream
 
 MEMBERSHIP_TOL = 1e-9
 DEDUP_TOL = 1e-12
@@ -72,13 +70,6 @@ class OmegaSpec:
 
 
 FULL_OMEGA = OmegaSpec("scale", scale=1.0)
-
-
-def weyl_order(ctx: GroupContext) -> int:
-    n = ctx.n
-    if ctx.family is Family.SPECIAL_LINEAR:
-        return math.factorial(n)
-    return math.factorial(n) * 2 ** n
 
 
 def weyl_elements(ctx: GroupContext):
@@ -215,10 +206,3 @@ def draw_omega_point(ctx: GroupContext, spec: OmegaSpec, rng) -> np.ndarray:
         if omega_margin(ctx, spec, x) > 0.0:
             return x
     raise RejectionStall(f"acceptance rate below {REJECTION_MIN_RATE} for {spec.label}")
-
-
-def sample_omega(ctx: GroupContext, spec: OmegaSpec, seed: int, count: int) -> np.ndarray:
-    """count i.i.d. uniform samples from omega, deterministic per (seed, index)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return np.array([draw_omega_point(ctx, spec, substream(seed, i)) for i in range(count)])

@@ -4,7 +4,7 @@ Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
 trial, branch-tracking ratios by one product and one strided elimination per
-grid matrix.
+grid matrix, and the tracked branch by a fixed fine grid along a polyline.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from crown.convexity import (
     metric_inner,
     weyl_values,
 )
+from crown.iwasawa import PIVOT_FLOOR
 from crown.sampling import k_project
 
 
@@ -223,3 +224,24 @@ def reference_path_ratios(ctx, g, coords):
     mats = tmp @ np.swapaxes(g, -1, -2)[..., None, :, :]
     ratios, lower, minors = reference_ldl(mats)
     return ratios, lower, np.min(minors, axis=-1)
+
+
+def reference_polyline_log_a(ctx, g, waypoints, steps=256):
+    """Cartan coordinates of log a(g exp(iX)) tracked along 0 -> waypoints[0] -> ... -> X.
+
+    Every leg runs on a fixed grid of steps segments, with no bisection.  The
+    continuous branch is certified on the grid only as far as every step moves
+    every argument by less than pi/2 and no minor drops below PIVOT_FLOOR; both
+    are asserted.
+    """
+    prev = np.zeros(ctx.n)
+    arg = np.zeros(ctx.ambient_size)
+    ts = np.linspace(0.0, 1.0, steps + 1)[:, None]
+    for end in np.asarray(waypoints, dtype=float):
+        ratios, _, floor = reference_path_ratios(ctx, g, prev + ts * (end - prev))
+        assert np.all(floor >= PIVOT_FLOOR)
+        dphi = np.angle(ratios[1:] / ratios[:-1])
+        assert np.max(np.abs(dphi)) < np.pi / 2
+        arg += dphi.sum(axis=0)
+        prev = end
+    return (0.5 * (np.log(np.abs(ratios[-1])) + 1j * arg))[: ctx.n]

@@ -4,7 +4,7 @@ import scipy.linalg
 
 import crown
 import crown.convexity as convexity
-from crown import CovectorIA, ascend_critical, f_a, f_a_lambda, grad_f, separating_functional
+from crown import CovectorIA, ascend_critical, f_a, f_a_lambda, grad_f
 from crown.convexity import (
     ARMIJO_LADDER,
     GRAD_TOL,
@@ -19,8 +19,6 @@ from crown.convexity import (
 )
 from crown.errors import (
     BranchBreakdown,
-    InsideHull,
-    NoConvergence,
     NonRealValue,
     NotInGroup,
     OmegaViolation,
@@ -32,7 +30,7 @@ from crown.sampling import haar_k
 from crown.weyl import FULL_OMEGA, OmegaSpec, apply_weyl, draw_omega_point, hull_contains
 
 from conftest import context
-from oracles import lp_hull_membership, reference_ascend_critical, sl2_im_log_a, sl2_rotation
+from oracles import reference_ascend_critical, sl2_im_log_a, sl2_rotation
 
 
 def _random_a_point(ctx, rng, with_real=True):
@@ -170,16 +168,6 @@ def test_ascent_requires_regular_data(sl3):
     lam = CovectorIA(m_coords=np.zeros(3))
     with pytest.raises(ValueError):
         ascend_critical(sl3, 1j * np.array([0.2, 0.0, -0.2]), np.eye(3), lam)
-
-
-def test_ascent_raise_on_failure_flag(sl2):
-    rng = substream(79, 3)
-    x = sample_regular_direction(sl2, OmegaSpec("scale", scale=0.9), rng)
-    lam = sample_covector(sl2, rng)
-    with pytest.raises(NoConvergence) as info:
-        ascend_critical(sl2, 1j * x, haar_k(sl2, [rng])[0], lam,
-                        max_iter=0, tol=1e-12, raise_on_failure=True)
-    assert info.value.run is not None
 
 
 def _ascent_case(ctx, stream, index, scale=1.0):
@@ -325,30 +313,6 @@ def test_verify_kostant_real_clean(ctx):
     assert rep.violations == 0
     assert rep.min_margin > -1e-9
     assert rep.extras["max_vertex_error"] < 1e-10
-
-
-def test_separating_functional_rank_one(sl2):
-    x = np.array([0.3, -0.3])
-    y = np.array([0.4, -0.4])
-    lam = separating_functional(sl2, x, y)
-    gap = pair_ia(sl2, 1j * y, lam.m_coords) - np.max(weyl_values(sl2, x, lam))
-    assert gap > 0
-    assert crown.is_regular(sl2, lam.m_coords)
-
-
-def test_separating_functional_type_a_outside_point(sl3):
-    x = np.array([0.3, 0.0, -0.3])
-    y = np.array([0.4, -0.1, -0.3])
-    assert not lp_hull_membership(sl3, x, y)
-    lam = separating_functional(sl3, x, y)
-    value_at_y = pair_ia(sl3, 1j * y, lam.m_coords)
-    assert value_at_y > np.max(weyl_values(sl3, x, lam))
-    assert crown.is_regular(sl3, lam.m_coords)
-
-
-def test_separating_functional_inside_raises(sl3):
-    with pytest.raises(InsideHull):
-        separating_functional(sl3, np.array([0.3, 0.0, -0.3]), np.zeros(3))
 
 
 def test_normalizer_enumeration_counts(sl2, sl3, sp2):

@@ -6,7 +6,7 @@ from crown import TubeSpec, boundary_path, boundary_probe, sample_xi, tube_conta
 from crown.iwasawa import minor_ratios
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
-from crown.weyl import OmegaSpec, omega_distance, omega_margin
+from crown.weyl import OmegaSpec, draw_omega_point, omega_distance, omega_margin
 
 from conftest import context
 
@@ -25,7 +25,7 @@ def test_sample_xi_postconditions(ctx):
 
 
 def test_tube_identity_base_reads_off_direction(ctx):
-    x = crown.sample_omega(ctx, OM8, seed=5, count=1)[0]
+    x = draw_omega_point(ctx, OM8, substream(5, 0))
     tube = TubeSpec(base_k=np.eye(ctx.ambient_size), omega=OM8)
     member, margin = tube_contains(ctx, tube, np.eye(ctx.ambient_size), x)
     assert member
@@ -37,7 +37,6 @@ def test_tube_rejects_direction_outside_omega(ctx):
     grow = OmegaSpec("scale", scale=0.95)
     x = None
     rng = substream(5, 77)
-    from crown.weyl import draw_omega_point
     while x is None:
         cand = draw_omega_point(ctx, grow, rng)
         if omega_margin(ctx, OmegaSpec("scale", scale=0.5), cand) < 0:

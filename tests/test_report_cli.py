@@ -175,6 +175,28 @@ def test_cli_breakdown_exit_code(capsys, monkeypatch):
     assert "acceptance rate below" in capsys.readouterr().err
 
 
+def test_cli_non_real_functional_exits_breakdown(capsys, monkeypatch):
+    import crown.convexity as convexity_mod
+    from crown.errors import NonRealValue
+
+    def fail(*args):
+        raise NonRealValue("functional evaluation is not a finite real number")
+    monkeypatch.setattr(convexity_mod, "f_a_lambda", fail)
+    assert main(["gradient-check", "--group", "sl:2", "--configs", "1"]) == EXIT_BREAKDOWN
+    assert "not a finite real number" in capsys.readouterr().err
+
+
+def test_cli_singular_solve_exits_breakdown(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, which otherwise exits as a usage error
+    import crown.convexity as convexity_mod
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(convexity_mod, "batch_reconstruction_residual", fail)
+    assert main(["verify-convexity", "--group", "sl:2", "--samples", "1"]) == EXIT_BREAKDOWN
+    assert "Singular matrix" in capsys.readouterr().err
+
+
 def test_cli_indeterminate_exit_code(capsys):
     # one-iteration ascents cannot converge; flagged runs exit with code 3
     code = main(["critical-points", "--group", "sl:2", "--runs", "2",
