@@ -30,11 +30,9 @@ from .domains import (
     verify_tube_intersection,
 )
 from .groups import (
-    CovectorIA,
     Family,
     GroupContext,
     GroupSpec,
-    RootDatum,
     build_group,
     h_lambda,
     is_regular,

@@ -2,7 +2,8 @@
 
 For a point a of the abelian tube and k in the maximal compact subgroup set
 ``f_a(k) = log a(k a)`` (tracked branch) and ``f_{a,lam}(k) = lam(f_a(k))`` for
-a covector lam vanishing on the real Cartan subspace.  The derivative of
+a covector lam vanishing on the real Cartan subspace, given as the plain array
+m of the coordinates of M with H_lam = i M.  The derivative of
 f_{a,lam} along exp(tX)k is ``kappa_R(X, Ad(n(ka)) H_lam)``, equivalently
 ``lam(p_a(Ad(b(ka))^{-1} X))`` through the triangular part; both routes are
 implemented and cross-checked.  Critical points of f_{a,lam} for regular data
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .groups import (
     GROUP_TOL,
-    CovectorIA,
     Family,
     GroupContext,
     h_lambda,
@@ -92,7 +92,6 @@ ROUTE_TOL = 1e-10
 class CriticalRun:
     """One gradient ascent on K with its diagnostic trail."""
 
-    start_k: np.ndarray
     end_k: np.ndarray
     f_values: np.ndarray
     grad_norm_final: float
@@ -162,52 +161,51 @@ def f_a(ctx: GroupContext, a_point, k) -> np.ndarray:
     return _project(ctx, a_point, k).log_a
 
 
-def f_a_lambda(ctx: GroupContext, a_point, k, lam: CovectorIA) -> float:
+def f_a_lambda(ctx: GroupContext, a_point, k, m) -> float:
     """lam(f_a(k)) through the kappa_R pairing.
 
     The pairing of a Cartan-space value with i*M is real by construction; a
     broken branch surfaces as a non-finite value and is rejected.
     """
-    value = pair_ia(ctx, f_a(ctx, a_point, k), lam.m_coords)
+    value = pair_ia(ctx, f_a(ctx, a_point, k), m)
     if not np.isfinite(value):
         raise NonRealValue("functional evaluation is not a finite real number")
     return float(value)
 
 
-def grad_f(ctx: GroupContext, a_point, k, lam: CovectorIA) -> np.ndarray:
+def grad_f(ctx: GroupContext, a_point, k, m) -> np.ndarray:
     """Riemannian gradient of f_{a,lam} at k, as an element of the compact subalgebra.
 
     Built from the unipotent factor of k exp(a_point): the directional
     derivative along X is kappa_R(X, Ad(n) H_lam), so the gradient is minus the
     metric projection of Ad(n) H_lam onto the compact subalgebra.
     """
-    return _grad_from_n(ctx, _project(ctx, a_point, k).n_part, lam)
+    return _grad_from_n(ctx, _project(ctx, a_point, k).n_part, m)
 
 
-def _grad_from_n(ctx: GroupContext, n_part, lam: CovectorIA) -> np.ndarray:
+def _grad_from_n(ctx: GroupContext, n_part, m) -> np.ndarray:
     """The gradient of grad_f from the unipotent factor n of k exp(a_point)."""
-    h = h_lambda(ctx, lam)
+    h = h_lambda(ctx, m)
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
     coeff = scipy.linalg.cho_solve(ctx.k_gram_chol, -rhs)
     return np.tensordot(coeff, ctx.basis_k, axes=1)
 
 
-def directional_derivative_triangular(ctx: GroupContext, a_point, k,
-                                      lam: CovectorIA, x_dir) -> float:
+def directional_derivative_triangular(ctx: GroupContext, a_point, k, m, x_dir) -> float:
     """Derivative of f_{a,lam} along exp(tX)k evaluated through the triangular part.
 
     Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)).
     """
     b = triangular_part(ctx, _project(ctx, a_point, k))
     ad_b_inv = np.linalg.solve(b, np.asarray(x_dir, dtype=complex) @ b)
-    return float(pair_ia(ctx, project_a(ctx, ad_b_inv), lam.m_coords))
+    return float(pair_ia(ctx, project_a(ctx, ad_b_inv), m))
 
 
-def weyl_values(ctx: GroupContext, x, lam: CovectorIA) -> np.ndarray:
-    """Values lam(i wX) over the Weyl orbit of x."""
+def weyl_values(ctx: GroupContext, x, m) -> np.ndarray:
+    """Values lam(i wX) over the Weyl orbit of x, for the covector with M-coordinates m."""
     orbit = weyl_orbit(ctx, x)
-    return -2.0 * ctx.coord_weight * (orbit @ lam.m_coords)
+    return -2.0 * ctx.coord_weight * (orbit @ m)
 
 
 def _evaluate_rows(ctx: GroupContext, ks, base, x_im, m_coords):
@@ -239,11 +237,11 @@ def _evaluate_rows(ctx: GroupContext, ks, base, x_im, m_coords):
     return values, lowers, failures
 
 
-def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
+def ascend_critical(ctx: GroupContext, a_point, k0, m,
                     max_iter: int = 1000, tol: float = GRAD_TOL) -> CriticalRun:
     """Riemannian gradient ascent of f_{a,lam} with Armijo backtracking.
 
-    Requires regular lam and regular imaginary direction.  Non-converged runs
+    Requires regular m and regular imaginary direction.  Non-converged runs
     are returned with converged=False.
 
     Each step evaluates the step sizes of ARMIJO_LADDER as one batch and runs
@@ -256,16 +254,16 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
         raise ValueError("max_iter must be >= 0")
     a_point = np.asarray(a_point, dtype=complex)
     x_im = a_point.imag
-    if not is_regular(ctx, lam.m_coords):
+    if not is_regular(ctx, m):
         raise ValueError("covector must be regular")
     if not is_regular(ctx, x_im):
         raise ValueError("imaginary direction must be regular")
     if omega_margin(ctx, FULL_OMEGA, x_im) <= 0.0:
         raise OmegaViolation("direction lies outside the admissible polytope")
     base = ctx.a_exp(a_point.real)
-    m_coords = np.asarray(lam.m_coords, dtype=float)
+    m = np.asarray(m, dtype=float)
     k = np.asarray(k0, dtype=float)
-    values, lowers, failures = _evaluate_rows(ctx, k[None], base, x_im, m_coords)
+    values, lowers, failures = _evaluate_rows(ctx, k[None], base, x_im, m)
     if failures[0] is not None:
         raise failures[0]
     f_cur, n_cur = float(values[0]), lowers[0]
@@ -274,7 +272,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
     iterations = 0
     converged = False
     for iterations in range(max_iter + 1):
-        grad = _grad_from_n(ctx, n_cur, lam)
+        grad = _grad_from_n(ctx, n_cur, m)
         sq_norm = metric_inner(ctx, grad, grad)
         grad_norm = np.sqrt(max(sq_norm, 0.0))
         if grad_norm < tol:
@@ -292,7 +290,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
                 else:
                     etas = np.array(ARMIJO_LADDER)
                 ks = k_project(ctx, scipy.linalg.expm(etas[:, None, None] * grad) @ k)
-                rows = _evaluate_rows(ctx, ks, base, x_im, m_coords)
+                rows = _evaluate_rows(ctx, ks, base, x_im, m)
                 cache.update(zip(etas.tolist(), zip(ks, *rows)))
             k_t, f_t, n_t, failure = cache[eta]
             if failure is not None:
@@ -321,9 +319,8 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
                 break
         k, f_cur, n_cur = k_trial, f_trial, n_trial
         f_values.append(f_cur)
-    matched = float(np.max(weyl_values(ctx, x_im, lam)))
+    matched = float(np.max(weyl_values(ctx, x_im, m)))
     return CriticalRun(
-        start_k=np.asarray(k0, dtype=float),
         end_k=k,
         f_values=np.array(f_values),
         grad_norm_final=float(grad_norm),
@@ -334,15 +331,15 @@ def ascend_critical(ctx: GroupContext, a_point, k0, lam: CovectorIA,
     )
 
 
-def sample_covector(ctx: GroupContext, rng) -> CovectorIA:
-    """Unit-norm regular covector parameter, rejection-sampled to REGULARITY_FLOOR."""
+def sample_covector(ctx: GroupContext, rng) -> np.ndarray:
+    """M-coordinates m of a unit-norm regular covector, rejection-sampled to REGULARITY_FLOOR."""
     while True:
         m = rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             m -= m.mean()
         m /= np.linalg.norm(m)
         if is_regular(ctx, m, floor=REGULARITY_FLOOR):
-            return CovectorIA(m_coords=m)
+            return m
 
 
 def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.ndarray:
@@ -494,15 +491,15 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
             re -= re.mean()
         a_point = re + 1j * x
         k = haar_k(ctx, [rng])[0]
-        lam = sample_covector(ctx, rng)
+        m = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
-        grad = grad_f(ctx, a_point, k, lam)
+        grad = grad_f(ctx, a_point, k, m)
         exact = metric_inner(ctx, direction, grad)
-        f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, lam)
-        f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, lam)
+        f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, m)
+        f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, m)
         fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         rel_errs[i] = abs(exact - fd) / (1.0 + abs(exact))
-        other = directional_derivative_triangular(ctx, a_point, k, lam, direction)
+        other = directional_derivative_triangular(ctx, a_point, k, m, direction)
         pair_errs[i] = abs(exact - other)
         if rel_errs[i] > worst:
             worst = rel_errs[i]
@@ -551,9 +548,9 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
     for i in range(runs):
         rng = substream(seed, i)
         x = sample_regular_direction(ctx, omega, rng)
-        lam = sample_covector(ctx, rng)
+        m = sample_covector(ctx, rng)
         k0 = haar_k(ctx, [rng])[0]
-        run = ascend_critical(ctx, 1j * x, k0, lam, max_iter=max_iter)
+        run = ascend_critical(ctx, 1j * x, k0, m, max_iter=max_iter)
         total_iter += run.iterations
         if not run.converged:
             indeterminate += 1

@@ -159,7 +159,7 @@ def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 1
     regular so distances decrease strictly.
     """
     u = np.asarray(direction, dtype=float)
-    vals = np.abs(ctx.root_datum.evaluate(u))
+    vals = np.abs(u @ ctx.roots.T)
     s_star = omega.cutoff / float(np.max(vals))
     if omega.shape == "ball":
         s_star = min(s_star, omega.radius / float(np.linalg.norm(u)))

@@ -7,9 +7,14 @@ Conventions fixed here and relied on everywhere else:
   unipotent factor of the Iwasawa decomposition is then strictly LOWER
   triangular, and the squared abelian factor of ``z = n a k`` can be read off
   the leading principal minors of ``z z^T``.
-* The root data is read off this frame rather than tabulated: position (i, j)
-  of a matrix carries the root ``d_i - d_j`` of the diagonal entries, and the
-  positive roots are those of the strictly lower positions.
+* The roots are read off this frame rather than tabulated: position (i, j) of
+  a matrix carries the root ``d_i - d_j`` of the diagonal entries, and
+  ``GroupContext.roots`` holds them as one array of covectors.  The roots of
+  the strictly lower positions are negative on the chamber of descending
+  coordinates.
+* The context carries a basis of the compact subalgebra k, the directions of
+  the gradient ascent on K; a and n need no basis, because a is the diagonal
+  and the projection onto it reads the diagonal off (``project_a``).
 * Sp(n,R) is first built in the standard block frame with symplectic form
   ``J = [[0, I], [-I, 0]]`` and then conjugated by a fixed permutation into the
   weight-sorted frame.  All public matrices live in the sorted frame; the
@@ -17,7 +22,8 @@ Conventions fixed here and relied on everywhere else:
 * Cartan coordinates are plain numpy arrays of length n: the leading diagonal
   entries of the corresponding matrix.  For the special linear family they sum
   to zero; for the symplectic family the trailing diagonal is the negated
-  reversal of the leading one.
+  reversal of the leading one.  A covector that vanishes on the real Cartan
+  subspace is the plain array m of the coordinates of M, with dual H = i M.
 * The invariant form is ``kappa(X, Y) = c * tr(XY)`` on the defining
   representation with c = 2n for sl(n) and c = 2n + 2 for sp(2n); the scale is
   recorded so that functional values are reproducible.
@@ -66,39 +72,6 @@ class GroupSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class RootDatum:
-    """Restricted root system data in Cartan coordinates, read off the sorted frame.
-
-    ``positive_roots`` are the roots of the strictly lower triangular
-    positions; on the chamber of descending coordinates these take negative
-    values, which is exactly what makes the unipotent factor lower triangular.
-    """
-
-    rank: int
-    roots: np.ndarray            # (count, n) covectors
-    positive_roots: np.ndarray   # (count/2, n)
-
-    def evaluate(self, x):
-        """Values alpha(x) for every root, shape (count,) or (..., count)."""
-        return np.asarray(x) @ self.roots.T
-
-
-@dataclasses.dataclass(frozen=True)
-class CovectorIA:
-    """Functional on the complexified Cartan subspace vanishing on its real part.
-
-    Determined by m_coords, the coordinates of M with H = i*M; the pairing is
-    lam(Z) = kappa_R(Z, i*M), which kills the real part of Z and is real on
-    the imaginary part.
-    """
-
-    m_coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_coords", np.asarray(self.m_coords, dtype=float))
-
-
-@dataclasses.dataclass(frozen=True)
 class GroupContext:
     """Immutable bundle of one concrete group realization.
 
@@ -108,8 +81,6 @@ class GroupContext:
 
     spec: GroupSpec
     ambient_size: int
-    basis_a: np.ndarray          # (dim_a, m, m)
-    basis_n: np.ndarray          # (dim_n, m, m)
     basis_k: np.ndarray          # (dim_k, m, m)
     killing_scale: float
     perm: np.ndarray             # sorted-frame index -> standard-frame index
@@ -117,10 +88,18 @@ class GroupContext:
     k_gram_chol: tuple           # cho_factor of the Gram matrix of basis_k
 
     @functools.cached_property
-    def root_datum(self) -> RootDatum:
-        """The roots of the frame full_diag maps the coordinate basis to."""
-        rank = self.n - 1 if self.family is Family.SPECIAL_LINEAR else self.n
-        return _root_datum(self.full_diag(np.eye(self.n)).T, rank)
+    def roots(self) -> np.ndarray:
+        """The roots as covectors on Cartan coordinates, shape (count, n), read-only.
+
+        Row i of the frame that full_diag maps the coordinate basis to is the
+        covector of ambient diagonal entry i; position (i, j), i != j, of a
+        matrix carries the root frame[i] - frame[j].  Root values of rows x
+        are x @ roots.T.
+        """
+        frame = self.full_diag(np.eye(self.n)).T
+        diffs = frame[:, None, :] - frame[None, :, :]
+        i, j = np.indices(diffs.shape[:2])
+        return _freeze(np.unique(diffs[i != j], axis=0))
 
     @property
     def family(self) -> Family:
@@ -216,21 +195,14 @@ def _freeze(a):
     return a
 
 
-def _sl_bases(n):
-    basis_a = []
-    for i in range(n - 1):
-        h = np.zeros((n, n))
-        h[i, i] = 1.0
-        h[i + 1, i + 1] = -1.0
-        basis_a.append(h)
-    basis_n, basis_k = [], []
+def _sl_basis_k(n):
+    basis_k = []
     for i in range(n):
         for j in range(i):
             e = np.zeros((n, n))
             e[i, j] = 1.0
-            basis_n.append(e)
             basis_k.append(e - e.T)
-    return map(np.array, (basis_a, basis_n, basis_k))
+    return np.array(basis_k)
 
 
 def _sp_embed_alg(a_part, b_part):
@@ -244,27 +216,8 @@ def _sp_embed_alg(a_part, b_part):
     return out
 
 
-def _sp_bases(n):
+def _sp_basis_k(n):
     ee = lambda i, j: np.eye(1, n * n, i * n + j).reshape(n, n)
-    basis_a = []
-    for p in range(n):
-        h = np.zeros((2 * n, 2 * n))
-        h[p, p] = 1.0
-        h[n + p, n + p] = -1.0
-        basis_a.append(h)
-    basis_n = []
-    for p in range(n):
-        for q in range(p):
-            x = np.zeros((2 * n, 2 * n))
-            x[:n, :n] = ee(p, q)
-            x[n:, n:] = -ee(q, p)
-            basis_n.append(x)
-    for p in range(n):
-        for q in range(p, n):
-            x = np.zeros((2 * n, 2 * n))
-            c = ee(p, q) + ee(q, p) if q != p else ee(p, p)
-            x[n:, :n] = c
-            basis_n.append(x)
     basis_k = []
     for p in range(n):
         for q in range(p + 1, n):
@@ -273,29 +226,14 @@ def _sp_bases(n):
         for q in range(p, n):
             b = ee(p, q) + ee(q, p) if q != p else ee(p, p)
             basis_k.append(_sp_embed_alg(np.zeros((n, n)), b))
-    return map(np.array, (basis_a, basis_n, basis_k))
-
-
-def _root_datum(frame, rank) -> RootDatum:
-    """Roots of a frame: row i of frame is the covector of ambient diagonal entry i.
-
-    Position (i, j), i != j, of a matrix carries the root frame[i] - frame[j];
-    the positive roots are those of the strictly lower positions i > j.
-    """
-    diffs = frame[:, None, :] - frame[None, :, :]
-    i, j = np.indices(diffs.shape[:2])
-    return RootDatum(
-        rank=rank,
-        roots=_freeze(np.unique(diffs[i != j], axis=0)),
-        positive_roots=_freeze(np.unique(diffs[i > j], axis=0)),
-    )
+    return np.array(basis_k)
 
 
 def build_group(spec: GroupSpec) -> GroupContext:
     """Construct the sorted-frame realization for a group spec."""
     if spec.family is Family.SPECIAL_LINEAR:
         n = spec.n
-        basis_a, basis_n, basis_k = _sl_bases(n)
+        basis_k = _sl_basis_k(n)
         ctx_kwargs = dict(
             ambient_size=n,
             killing_scale=2.0 * n,
@@ -304,12 +242,10 @@ def build_group(spec: GroupSpec) -> GroupContext:
         )
     else:
         n = spec.n
-        basis_a, basis_n, basis_k = _sp_bases(n)
+        basis_k = _sp_basis_k(n)
         # sorted frame: diagonal weights (e_1 .. e_n, -e_n .. -e_1)
         perm = np.array(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
         ix = np.ix_(perm, perm)
-        basis_a = basis_a[:, perm, :][:, :, perm]
-        basis_n = basis_n[:, perm, :][:, :, perm]
         basis_k = basis_k[:, perm, :][:, :, perm]
         j_std = np.zeros((2 * n, 2 * n))
         j_std[:n, n:] = np.eye(n)
@@ -326,21 +262,19 @@ def build_group(spec: GroupSpec) -> GroupContext:
     chol = scipy.linalg.cho_factor(gram)
     return GroupContext(
         spec=spec,
-        basis_a=_freeze(basis_a),
-        basis_n=_freeze(basis_n),
         basis_k=_freeze(basis_k),
         k_gram_chol=(chol[0], chol[1]),
         **ctx_kwargs,
     )
 
 
-def h_lambda(ctx: GroupContext, lam: CovectorIA):
-    """Dual element H = i * M of a covector on the complexified Cartan space.
+def h_lambda(ctx: GroupContext, m):
+    """Dual element H = i * M of the covector with M-coordinates m.
 
-    Satisfies kappa_R(Z, H) = lam(Z) for every Z there: zero on the real part,
-    -2 kappa(Im Z, M) on the imaginary part.
+    Satisfies kappa_R(Z, H) = lam(Z) for every Z on the complexified Cartan
+    space: zero on the real part, -2 kappa(Im Z, M) on the imaginary part.
     """
-    return 1j * ctx.a_matrix(lam.m_coords)
+    return 1j * ctx.a_matrix(m)
 
 
 def pair_ia(ctx: GroupContext, z_coords, m_coords):
@@ -352,7 +286,7 @@ def pair_ia(ctx: GroupContext, z_coords, m_coords):
 
 def is_regular(ctx: GroupContext, coords, floor: float = 1e-12) -> bool:
     """True when every root is bounded away from zero on the given coordinates."""
-    vals = ctx.root_datum.evaluate(np.asarray(coords, dtype=float))
+    vals = np.asarray(coords, dtype=float) @ ctx.roots.T
     return bool(np.min(np.abs(vals)) > floor)
 
 

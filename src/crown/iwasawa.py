@@ -203,7 +203,7 @@ def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
     )
 
 
-def project_complex(ctx: GroupContext, g, x, steps_hint: int = GRID_STEPS) -> IwasawaFactors:
+def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
     """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
 
     g must be a real group element and X must lie in the admissible polytope.
@@ -215,7 +215,7 @@ def project_complex(ctx: GroupContext, g, x, steps_hint: int = GRID_STEPS) -> Iw
         raise OmegaViolation("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
         raise NotInGroup("base point fails the group membership check")
-    log_full, lower, steps, max_step = _track(ctx, g, x, steps_hint)
+    log_full, lower, steps, max_step = _track(ctx, g, x, GRID_STEPS)
     z = np.asarray(g) @ ctx.a_exp(1j * x)
     return _assemble(ctx, z, log_full, lower, steps, max_step)
 

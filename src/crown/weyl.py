@@ -152,7 +152,7 @@ def omega_margin(ctx: GroupContext, spec: OmegaSpec, x):
     np.linalg.norm(x, axis=-1) and strided rows do not.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    margin = spec.cutoff - np.max(np.abs(ctx.root_datum.evaluate(x)), axis=-1)
+    margin = spec.cutoff - np.max(np.abs(x @ ctx.roots.T), axis=-1)
     if spec.shape == "ball":
         margin = np.minimum(margin, spec.radius - np.sqrt(np.vecdot(x, x)))
     return margin
@@ -161,8 +161,8 @@ def omega_margin(ctx: GroupContext, spec: OmegaSpec, x):
 def omega_distance(ctx: GroupContext, spec: OmegaSpec, x):
     """Euclidean distance of interior rows x (shape (..., n)) to the boundary of omega."""
     x = np.ascontiguousarray(x, dtype=float)
-    vals = np.abs(ctx.root_datum.evaluate(x))
-    norms = np.linalg.norm(ctx.root_datum.roots, axis=1)
+    vals = np.abs(x @ ctx.roots.T)
+    norms = np.linalg.norm(ctx.roots, axis=1)
     dist = np.min((spec.cutoff - vals) / norms, axis=-1)
     if spec.shape == "ball":
         dist = np.minimum(dist, spec.radius - np.sqrt(np.vecdot(x, x)))

@@ -4,8 +4,11 @@ Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
 trial, branch-tracking ratios by one product and one strided elimination per
-grid matrix, and the tracked branch by a fixed fine grid along a polyline.
+grid matrix, and the tracked branch by a fixed fine grid along a polyline or,
+where the path is cone-safe, by the Cauchy-Binet sums of the leading minors.
 """
+
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -184,7 +187,7 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, lam)))
     return CriticalRun(
-        start_k=np.asarray(k0, dtype=float), end_k=k, f_values=np.array(f_values),
+        end_k=k, f_values=np.array(f_values),
         grad_norm_final=float(grad_norm), matched_weyl_value=matched,
         iterations=iterations, converged=converged, gap=abs(f_values[-1] - matched))
 
@@ -245,3 +248,24 @@ def reference_polyline_log_a(ctx, g, waypoints, steps=256):
         arg += dphi.sum(axis=0)
         prev = end
     return (0.5 * (np.log(np.abs(ratios[-1])) + 1j * arg))[: ctx.n]
+
+
+def cauchy_binet_log_a(ctx, g, x):
+    """Full diagonal of log a(g exp(iX)) from the Cauchy-Binet sums of the leading minors.
+
+    Delta_j(1) = sum over |S| = j of det(g[:j, S])^2 exp(2i x_S), where x_S sums
+    the entries of full_diag(X) indexed by S, and log a_j = (Log Delta_j -
+    Log Delta_{j-1}) / 2 with principal logarithms.  That is the tracked branch
+    when 2 max_j s_j(X) < pi, s_j the sum of the j largest entries of
+    full_diag(X) minus the sum of the j smallest: then every term of
+    Delta_j(t), t <= 1, has argument in (-pi/2, pi/2).  g and x may be stacks.
+    """
+    g = np.asarray(g, dtype=float)
+    d = ctx.full_diag(np.asarray(x, dtype=float))
+    m = g.shape[-1]
+    logs = [np.zeros(g.shape[:-2], dtype=complex)]
+    for j in range(1, m + 1):
+        delta = sum(np.linalg.det(g[..., :j, s]) ** 2 * np.exp(2j * d[..., s].sum(axis=-1))
+                    for s in map(list, itertools.combinations(range(m), j)))
+        logs.append(np.log(delta))
+    return 0.5 * np.diff(np.stack(logs, axis=-1), axis=-1)

@@ -4,7 +4,7 @@ import scipy.linalg
 
 import crown
 import crown.convexity as convexity
-from crown import CovectorIA, ascend_critical, f_a, f_a_lambda, grad_f
+from crown import ascend_critical, f_a, f_a_lambda, grad_f
 from crown.convexity import (
     ARMIJO_LADDER,
     GRAD_TOL,
@@ -70,7 +70,7 @@ def test_f_a_lambda_basics(ctx):
     k = haar_k(ctx, [rng])[0]
     assert f_a_lambda(ctx, np.zeros(ctx.n, dtype=complex), k, lam) == pytest.approx(0.0, abs=1e-12)
     x = draw_omega_point(ctx, FULL_OMEGA, rng)
-    want = pair_ia(ctx, 1j * x, lam.m_coords)
+    want = pair_ia(ctx, 1j * x, lam)
     assert f_a_lambda(ctx, 1j * x, np.eye(ctx.ambient_size), lam) == pytest.approx(want, rel=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_f_a_lambda_linearity(ctx):
     k = haar_k(ctx, [rng])[0]
     l1 = sample_covector(ctx, rng)
     l2 = sample_covector(ctx, rng)
-    both = CovectorIA(m_coords=l1.m_coords + l2.m_coords)
+    both = l1 + l2
     v = f_a_lambda(ctx, a_point, k, both)
     v1 = f_a_lambda(ctx, a_point, k, l1)
     v2 = f_a_lambda(ctx, a_point, k, l2)
@@ -138,7 +138,7 @@ def test_ascent_zero_iterations_at_normalizer(sl3):
     element, kw = weyl_k_representatives(sl3)[2]
     run = ascend_critical(sl3, 1j * x, kw, lam)
     assert run.converged and run.iterations == 0
-    own_value = pair_ia(sl3, 1j * apply_weyl(x, element), lam.m_coords)
+    own_value = pair_ia(sl3, 1j * apply_weyl(x, element), lam)
     assert abs(run.f_values[0] - own_value) < 1e-10
 
 
@@ -165,7 +165,7 @@ def test_ascent_monotone_and_matches_weyl_max(sl3):
 
 
 def test_ascent_requires_regular_data(sl3):
-    lam = CovectorIA(m_coords=np.zeros(3))
+    lam = np.zeros(3)
     with pytest.raises(ValueError):
         ascend_critical(sl3, 1j * np.array([0.2, 0.0, -0.2]), np.eye(3), lam)
 
@@ -174,8 +174,7 @@ def _ascent_case(ctx, stream, index, scale=1.0):
     """(a_point, k0, lam) drawn as critical_point_scan draws them; scale stretches lam."""
     rng = substream(stream, index)
     x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), rng)
-    lam = sample_covector(ctx, rng)
-    lam = CovectorIA(m_coords=scale * lam.m_coords)
+    lam = scale * sample_covector(ctx, rng)
     return 1j * x, haar_k(ctx, [rng])[0], lam
 
 
@@ -268,7 +267,7 @@ def test_ascent_rejects_x_outside_polytope_before_evaluating(sl2, monkeypatch):
     evaluations = []
     monkeypatch.setattr(convexity, "track_batch", lambda *a: evaluations.append(a))
     monkeypatch.setattr(scipy.linalg, "expm", lambda *a: evaluations.append(a))
-    lam = CovectorIA(m_coords=np.array([0.6, -0.6]))
+    lam = np.array([0.6, -0.6])
     # the root value 2 lies beyond the cutoff pi/2 of the admissible polytope
     with pytest.raises(OmegaViolation):
         ascend_critical(sl2, 1j * np.array([1.0, -1.0]), np.eye(2), lam)

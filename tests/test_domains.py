@@ -95,7 +95,7 @@ def test_tube_margins_boundary_scan(sl3):
         om = OmegaSpec("scale", scale=c)
         rng = substream(13, 0)
         u = sample_regular_direction(sl3, om, rng)
-        vals = np.abs(sl3.root_datum.evaluate(u))
+        vals = np.abs(u @ sl3.roots.T)
         x = 0.9 * (c * np.pi / 2 / vals.max()) * u
         g = haar_k(sl3, [rng])[0]
         margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, [rng])[0], omega=om), g, x)[1]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crown import decompose_real, minor_ratios, project_complex
+from crown import decompose_real, minor_ratios, project_complex, sample_xi
 from crown.errors import NotInGroup, OmegaViolation, PivotBreakdown
 from crown.groups import Family
 from crown.iwasawa import (
@@ -11,6 +11,7 @@ from crown.iwasawa import (
     _ldl,
     _path_ratios,
     normalized_minors,
+    project_real_batch,
     reconstruction_residual,
     track_batch,
     triangular_part,
@@ -21,6 +22,7 @@ from crown.weyl import FULL_OMEGA, draw_omega_point
 
 from conftest import context
 from oracles import (
+    cauchy_binet_log_a,
     reference_ldl,
     reference_path_ratios,
     reference_polyline_log_a,
@@ -264,21 +266,46 @@ def test_path_independence_two_leg(ctx):
 def test_left_translation_equivariance(ctx):
     # a(n0 a0 z) shifts log a by log a0 and keeps the imaginary part
     rng = substream(61, 5)
-    m = ctx.ambient_size
     for _ in range(10):
         x = draw_omega_point(ctx, FULL_OMEGA, rng)
         g = sample_group_element(ctx, [rng], "k")[0]
         a0 = 0.3 * rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             a0 -= a0.mean()
-        coeff = rng.standard_normal(len(ctx.basis_n)) * 0.4
-        n0 = np.eye(m) + np.tensordot(coeff, ctx.basis_n, axes=1)
-        # exp of strictly lower nilpotent stays unit lower; re-expand exactly
-        import scipy.linalg
-        n0 = scipy.linalg.expm(np.tensordot(coeff, ctx.basis_n, axes=1))
+        # the unit lower factor of h = n a k is a group element of N
+        n0 = project_real_batch(sample_group_element(ctx, [rng], "full-g"))[1][0]
         base = project_complex(ctx, g, x)
         shifted = project_complex(ctx, n0 @ ctx.a_exp(a0) @ g, x)
         np.testing.assert_allclose(shifted.log_a, base.log_a + a0, atol=1e-10)
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:4", "sp:3"])
+def test_left_n_invariance_batch(label):
+    # n' z z^T n'^T keeps every leading minor, so log a(n' z) = log a(z) on the
+    # tracked branch too; a wrong branch would show as a jump of pi
+    ctx = context(label)
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 512, seed=11)
+    hs, _ = sample_xi(ctx, FULL_OMEGA, 512, seed=12)
+    n0s = project_real_batch(hs)[1]
+    base, _, _, bad = track_batch(ctx, gs, xs)
+    shifted, _, _, bad_shifted = track_batch(ctx, n0s @ gs, xs)
+    assert not bad.any() and not bad_shifted.any()
+    assert np.max(np.abs(shifted - base)) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:4", "sp:3"])
+def test_cauchy_binet_route_on_cone_safe_rows(label):
+    ctx = context(label)
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 300, seed=13)
+    d = np.sort(ctx.full_diag(xs), axis=1)
+    m = ctx.ambient_size
+    s = np.stack([d[:, m - j:].sum(axis=1) - d[:, :j].sum(axis=1) for j in range(1, m + 1)])
+    safe = 2.0 * s.max(axis=0) < np.pi
+    # on sl:3 every root value is below pi/2, and s_1 = s_2 = d_1 - d_3 is a root value
+    assert safe.all() if label == "sl:3" else safe.any()
+    log_full = track_batch(ctx, gs[safe], xs[safe])[0]
+    np.testing.assert_allclose(log_full, cauchy_binet_log_a(ctx, gs[safe], xs[safe]),
+                               rtol=0, atol=1e-12)
 
 
 def test_sp_pairing_residual(sp2):
@@ -363,6 +390,8 @@ def test_branch_needs_subdivision_near_corner(sl2):
     # arguments swing quickly near the polytope boundary; result must match oracle
     t = 0.75 * np.pi / 4
     theta = 1.3
-    f = project_complex(sl2, sl2_rotation(theta), np.array([t, -t]), steps_hint=2)
-    assert abs(f.log_a[0].imag - sl2_im_log_a(theta, t)) < 1e-12
-    assert f.max_arg_step < np.pi / 2
+    g, x = sl2_rotation(theta), np.array([t, -t])
+    # a two-step grid near the corner: the largest step is 0.60, below the cap
+    log_full, _, max_steps, _ = track_batch(sl2, g[None], x[None], steps_hint=2)
+    assert abs(log_full[0, 0].imag - sl2_im_log_a(theta, t)) < 1e-12
+    assert max_steps[0] < np.pi / 2
