@@ -48,7 +48,7 @@ from .iwasawa import (
 )
 from .report import VerificationReport
 from .rng import substream
-from .siegel import SiegelPoint, chi, cross_check_crown, sample_siegel, verify_siegel
+from .siegel import cross_check_crown, sample_siegel, verify_siegel
 from .weyl import (
     OmegaSpec,
     dominant_rep,

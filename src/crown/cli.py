@@ -2,10 +2,11 @@
 
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
-failure, a stalled rejection sampler, a functional value that is not real, or
-a singular linear solve), 73 the --out report file cannot be written.  Reports
-are byte-identical across reruns of the same argv except for the wall_time_ms
-field.  Each subparser names the handler that runs it beside its flags.
+failure, a stalled rejection sampler, a functional value that is not real, a
+singular linear solve, or a Siegel draw off the upper half-space), 73 the
+--out report file cannot be written.  Reports are byte-identical across reruns
+of the same argv except for the wall_time_ms field.  Each subparser names the
+handler that runs it beside its flags.
 """
 
 from __future__ import annotations

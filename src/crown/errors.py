@@ -14,24 +14,19 @@ class NotInGroup(CrownError):
 
 
 class NumericalBreakdown(CrownError):
-    """A positive pivot of a real LDL factorization came out nonpositive."""
+    """A quantity that must be positive came out nonpositive.
+
+    A pivot of a real LDL factorization, or the smallest eigenvalue of the
+    imaginary part of a drawn Siegel point.
+    """
 
 
 class PivotBreakdown(CrownError):
     """A leading principal minor degenerated below the relative floor."""
 
-    def __init__(self, message, index=None, value=None):
-        super().__init__(message)
-        self.index = index
-        self.value = value
-
 
 class BranchBreakdown(CrownError):
     """Continuous branch tracking failed (degenerate minor or subdivision cap)."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class OmegaViolation(CrownError):

@@ -127,10 +127,7 @@ def minor_ratios(mat) -> np.ndarray:
     bad = np.flatnonzero(~(norm >= PIVOT_FLOOR))
     if bad.size:
         j = int(bad[0])
-        raise PivotBreakdown(
-            f"minor {j + 1} degenerated (normalized size {norm[j]:.3e})",
-            index=j, value=norm[j],
-        )
+        raise PivotBreakdown(f"minor {j + 1} degenerated (normalized size {norm[j]:.3e})")
     return ratios
 
 
@@ -173,8 +170,7 @@ def _track(ctx: GroupContext, g, x, steps_hint: int):
         ratios, lower, floor = _path_ratios(ctx, g, coords)
         if not np.all(floor >= PIVOT_FLOOR):
             t_bad = float(ss[int(np.argmin(floor))])
-            raise BranchBreakdown(
-                f"minor degenerated along the path near t={t_bad:.6f}", t=t_bad)
+            raise BranchBreakdown(f"minor degenerated along the path near t={t_bad:.6f}")
         dphi = np.angle(ratios[1:] / ratios[:-1])
         bad = np.flatnonzero(np.max(np.abs(dphi), axis=1) >= ARG_STEP_CAP)
         if not bad.size:

@@ -1,22 +1,21 @@
 """The Siegel upper half-space of Sp(n,R) and its minor positivity checks.
 
 Points are complex symmetric n x n matrices with positive definite imaginary
-part.  The leading-principal-minor ratios chi_j share the elimination kernel
-of the Iwasawa module, so the two positivity statements checked here, namely
-that no minor vanishes and that every ratio has positive imaginary part, use
-exactly the code path that computes the crown projection.
+part, drawn batch-first as the rows of one (count, n, n) array.  Their minor
+ratios chi_j share the elimination kernel of the Iwasawa module, so the two
+statements checked here, that no leading principal minor vanishes and that
+every ratio has positive imaginary part, use the code path of the crown projection.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import time
 
 import numpy as np
 
 from .domains import sample_xi
-from .errors import PivotBreakdown
+from .errors import NumericalBreakdown, PivotBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
 from .parallel import chunk_ranges
@@ -30,61 +29,53 @@ DIRECT_EPS = 1e-3
 NORMALIZED_MINOR_FLOOR = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
-class SiegelPoint:
-    """Complex symmetric matrix with positive definite imaginary part."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        scale = 1.0 + float(np.max(np.abs(z)))
-        if np.max(np.abs(z - z.T)) > 1e-10 * scale:
-            raise ValueError("point must be symmetric")
-        if np.min(np.linalg.eigvalsh(z.imag)) <= 0.0:
-            raise ValueError("imaginary part must be positive definite")
-        object.__setattr__(self, "z", z)
-
-
 @functools.lru_cache(maxsize=8)
 def _sp_context(n: int) -> GroupContext:
     return build_group(GroupSpec(Family.SYMPLECTIC, n))
 
 
 def fractional_action(g_std, w) -> np.ndarray:
-    """(A w + B)(C w + D)^{-1} for a standard-frame symplectic block matrix."""
+    """(A w + B)(C w + D)^{-1} for standard-frame g_std (..., 2n, 2n) and w (..., n, n).
+
+    One stacked solve; each matrix of a stack gets the bits of its own call.
+    """
     g_std = np.asarray(g_std)
     w = np.asarray(w, dtype=complex)
-    n = w.shape[0]
-    a, b = g_std[:n, :n], g_std[:n, n:]
-    c, d = g_std[n:, :n], g_std[n:, n:]
+    n = w.shape[-1]
+    a, b = g_std[..., :n, :n], g_std[..., :n, n:]
+    c, d = g_std[..., n:, :n], g_std[..., n:, n:]
     num = a @ w + b
     den = c @ w + d
-    out = np.linalg.solve(den.T, num.T).T
-    return 0.5 * (out + out.T)
+    # the solve gives the transpose of num den^{-1}; symmetrizing makes that moot
+    out = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _draw_siegel(n: int, seed: int, lo: int, hi: int) -> list[SiegelPoint]:
-    """The points of indices lo..hi-1; the orbit draws share one group-element batch."""
+def _draw_siegel(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1: direct draws at even indices, orbit draws at odd ones.
+
+    Raises NumericalBreakdown when an imaginary part is not positive definite.
+    """
     ctx = _sp_context(n)
     eye = np.eye(n)
-    orbit_rngs = [substream(seed, i) for i in range(lo | 1, hi, 2)]
-    gs = iter(ctx.to_standard_frame(sample_group_element(ctx, orbit_rngs, "full-g")))
-    points = []
-    for i in range(lo, hi):
-        if i % 2:
-            points.append(SiegelPoint(fractional_action(next(gs), 1j * eye)))
-            continue
-        rng = substream(seed, i)
-        x = rng.standard_normal((n, n))
-        x = 0.5 * (x + x.T)
-        low = rng.standard_normal((n, n))
-        points.append(SiegelPoint(x + 1j * (low @ low.T + DIRECT_EPS * eye)))
-    return points
+    index = np.arange(lo, hi)
+    odd = index % 2 == 1
+    gauss = np.empty((np.count_nonzero(~odd), 2, n, n))
+    for row, i in zip(gauss, index[~odd]):
+        substream(seed, i).standard_normal(out=row)
+    x = 0.5 * (gauss[:, 0] + np.swapaxes(gauss[:, 0], 1, 2))
+    low = gauss[:, 1]
+    gs = sample_group_element(ctx, [substream(seed, i) for i in index[odd]], "full-g")
+    z = np.empty((hi - lo, n, n), dtype=complex)
+    z[~odd] = x + 1j * (low @ np.swapaxes(low, 1, 2) + DIRECT_EPS * eye)
+    z[odd] = fractional_action(ctx.to_standard_frame(gs), 1j * eye)
+    if not np.all(np.linalg.eigvalsh(z.imag)[:, 0] > 0.0):
+        raise NumericalBreakdown("a Siegel draw has a non-positive-definite imaginary part")
+    return z
 
 
-def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
-    """Seeded points of the upper half-space, two interleaved strategies.
+def sample_siegel(n: int, count: int, seed: int) -> np.ndarray:
+    """Seeded points of the upper half-space as rows of shape (count, n, n).
 
     Even indices: direct draws x + i(L L^T + DIRECT_EPS I) with Gaussian x and L.
     Odd indices: orbit draws g.(iI) under the fractional action of bounded
@@ -92,12 +83,7 @@ def sample_siegel(n: int, count: int, seed: int) -> list[SiegelPoint]:
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    return [point for lo, hi in chunk_ranges(count) for point in _draw_siegel(n, seed, lo, hi)]
-
-
-def chi(point: SiegelPoint) -> np.ndarray:
-    """Minor ratios (Delta_1/Delta_0, ..., Delta_n/Delta_{n-1}) of the point."""
-    return minor_ratios(point.z)
+    return np.concatenate([_draw_siegel(n, seed, lo, hi) for lo, hi in chunk_ranges(count)])
 
 
 def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
@@ -116,22 +102,22 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     min_minor = np.inf
     witness = None
     breakdowns = 0
-    for i, point in enumerate(sample_siegel(n, samples, seed)):
+    for i, z in enumerate(sample_siegel(n, samples, seed)):
         try:
-            ratios = chi(point)
+            ratios = minor_ratios(z)
         except PivotBreakdown:
             breakdowns += 1
             violations += 1
             if breakdowns == 1:
-                witness = {"sample_index": i, "z": matrix_wire(point.z), "pivot_breakdown": True}
+                witness = {"sample_index": i, "z": matrix_wire(z), "pivot_breakdown": True}
             continue
         sample_im = float(np.min(ratios.imag))
-        sample_minor = float(np.min(normalized_minors(point.z)))
+        sample_minor = float(np.min(normalized_minors(z)))
         if sample_im < min_im:
             min_im = sample_im
             if not breakdowns:
                 witness = {"sample_index": i, "min_im_chi": sample_im,
-                           "chi": vector_wire(ratios), "z": matrix_wire(point.z)}
+                           "chi": vector_wire(ratios), "z": matrix_wire(z)}
         min_minor = min(min_minor, sample_minor)
         if sample_im <= 0.0 or sample_minor < NORMALIZED_MINOR_FLOOR:
             violations += 1
@@ -175,22 +161,21 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
         raise ValueError("samples must be >= 1")
     start = time.monotonic()
     n = ctx.n
-    eye = 1j * np.eye(n)
+    gs, xs = sample_xi(ctx, FULL_OMEGA, samples, seed)
+    ws = fractional_action(ctx.to_standard_frame(gs), fractional_action(
+        ctx.to_standard_frame(ctx.a_exp(1j * xs)), 1j * np.eye(n)))
     disagreements = 0
     indeterminate = 0
     min_margin = np.inf
     max_value_gap = 0.0
     witness = None
-    for i, (g, x) in enumerate(zip(*sample_xi(ctx, FULL_OMEGA, samples, seed))):
+    for i, (g, x, w) in enumerate(zip(gs, xs, ws)):
         log_full, _, _, bad = track_batch(ctx, g[None], x[None])
         if bad[0]:
             indeterminate += 1
             continue
         y_crown = log_full[0, :n].imag
         crown_ok = bool(np.max(np.abs(y_crown)) < np.pi / 4.0 + MEMBERSHIP_TOL)
-        g_std = ctx.to_standard_frame(g)
-        ax_std = ctx.to_standard_frame(ctx.a_exp(1j * x))
-        w = fractional_action(g_std, fractional_action(ax_std, eye))
         try:
             ratios = minor_ratios(w)
         except PivotBreakdown:

@@ -3,8 +3,9 @@
 Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
-trial, branch-tracking ratios by one product and one strided elimination per
-grid matrix, and the tracked branch by a fixed fine grid along a polyline or,
+trial, Siegel points by one draw and one fractional action per index,
+branch-tracking ratios by one product and one strided elimination per grid
+matrix, and the tracked branch by a fixed fine grid along a polyline or,
 where the path is cone-safe, by the Cauchy-Binet sums of the leading minors.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from crown import f_a_lambda, grad_f, weyl_orbit
+from crown import Family, GroupSpec, build_group, f_a_lambda, grad_f, substream, weyl_orbit
 from crown.convexity import (
     ARMIJO_SHRINK,
     ARMIJO_SLOPE,
@@ -26,7 +27,8 @@ from crown.convexity import (
     weyl_values,
 )
 from crown.iwasawa import PIVOT_FLOOR
-from crown.sampling import k_project
+from crown.sampling import P_RADIUS, k_project
+from crown.siegel import DIRECT_EPS
 
 
 def lp_hull_membership(ctx, x, y, tol=1e-9):
@@ -131,6 +133,36 @@ def reference_group_element(ctx, rng, mode, radius):
     if mode == "k":
         return k
     return k @ _exp_symmetric(_sample_p(ctx, rng, radius))
+
+
+# Frozen Siegel sampler: one draw per index and one fractional action per orbit
+# point, the rows that the chunked crown.siegel.sample_siegel must keep bit for bit.
+
+def reference_fractional_action(g_std, w):
+    """(A w + B)(C w + D)^{-1} for one standard-frame symplectic matrix."""
+    n = w.shape[0]
+    a, b = g_std[:n, :n], g_std[:n, n:]
+    c, d = g_std[n:, :n], g_std[n:, n:]
+    out = np.linalg.solve((c @ w + d).T, (a @ w + b).T).T
+    return 0.5 * (out + out.T)
+
+
+def reference_sample_siegel(n, count, seed):
+    """(count, n, n) points: x + i(L L^T + DIRECT_EPS I) at even indices, g.(iI) at odd."""
+    ctx = build_group(GroupSpec(Family.SYMPLECTIC, n))
+    eye = np.eye(n)
+    points = []
+    for i in range(count):
+        rng = substream(seed, i)
+        if i % 2:
+            g = reference_group_element(ctx, rng, "full-g", P_RADIUS)
+            points.append(reference_fractional_action(ctx.to_standard_frame(g), 1j * eye))
+            continue
+        x = rng.standard_normal((n, n))
+        x = 0.5 * (x + x.T)
+        low = rng.standard_normal((n, n))
+        points.append(x + 1j * (low @ low.T + DIRECT_EPS * eye))
+    return np.array(points)
 
 
 # Frozen scalar gradient ascent: one projection per Armijo trial and one more

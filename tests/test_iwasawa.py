@@ -10,6 +10,7 @@ from crown.iwasawa import (
     GRID_STEPS,
     _ldl,
     _path_ratios,
+    _track,
     normalized_minors,
     project_real_batch,
     reconstruction_residual,
@@ -386,12 +387,26 @@ def test_path_ratios_match_per_matrix_products(label):
             assert_same_bits(got, want)
 
 
-def test_branch_needs_subdivision_near_corner(sl2):
-    # arguments swing quickly near the polytope boundary; result must match oracle
+def test_branch_on_a_coarse_grid_near_corner(sl2):
+    # near the polytope corner a two-step grid still matches the closed form
     t = 0.75 * np.pi / 4
     theta = 1.3
     g, x = sl2_rotation(theta), np.array([t, -t])
-    # a two-step grid near the corner: the largest step is 0.60, below the cap
+    # the largest step is 0.60, below the cap: no sl:2 path needs subdivision, because
+    # the top ratio cos 2t + i sin 2t cos 2theta keeps a positive real part
     log_full, _, max_steps, _ = track_batch(sl2, g[None], x[None], steps_hint=2)
     assert abs(log_full[0, 0].imag - sl2_im_log_a(theta, t)) < 1e-12
     assert max_steps[0] < np.pi / 2
+
+
+def test_branch_subdivides_on_a_one_step_grid(sl3):
+    # one grid step over the whole path moves some sl:3 arguments past pi/2, so those
+    # rows are bisected (19 of these 256) and land on the branch of the default grid
+    gs, xs = sample_xi(sl3, FULL_OMEGA, 256, 1)
+    segments = [_track(sl3, g, x, 1)[2] for g, x in zip(gs, xs)]
+    assert max(segments) > 1
+    coarse, _, max_steps, bad = track_batch(sl3, gs, xs, steps_hint=1)
+    fine, _, _, fine_bad = track_batch(sl3, gs, xs)
+    assert not bad.any() and not fine_bad.any()
+    np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12)
+    assert np.all(max_steps < np.pi / 2)

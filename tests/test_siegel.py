@@ -1,36 +1,26 @@
 import numpy as np
 import pytest
 
-from crown import SiegelPoint, chi, cross_check_crown, sample_siegel, verify_siegel
-from crown.errors import PivotBreakdown
+from crown import cross_check_crown, minor_ratios, sample_siegel, sample_xi, verify_siegel
+from crown.cli import EXIT_BREAKDOWN, main
+from crown.errors import NumericalBreakdown, PivotBreakdown
 from crown.rng import substream
 from crown.sampling import sample_group_element
 from crown.siegel import _sp_context, fractional_action
+from crown.weyl import FULL_OMEGA
 
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        SiegelPoint(np.array([[1j, 1.0], [0.0, 1j]]))
-    with pytest.raises(ValueError):
-        SiegelPoint(np.array([[-1j, 0.0], [0.0, 1j]]))
-    SiegelPoint(1j * np.eye(3))
+from oracles import reference_fractional_action, reference_sample_siegel
 
 
 def test_chi_base_point_and_diagonal():
-    np.testing.assert_allclose(chi(SiegelPoint(1j * np.eye(4))), 1j * np.ones(4))
+    np.testing.assert_allclose(minor_ratios(1j * np.eye(4)), 1j * np.ones(4))
     w = np.diag([0.3 + 0.2j, -1.0 + 1.5j, 2.0 + 0.7j])
-    np.testing.assert_allclose(chi(SiegelPoint(w)), np.diagonal(w))
+    np.testing.assert_allclose(minor_ratios(w), np.diagonal(w))
 
 
 def test_chi_worked_point():
-    ratios = chi(SiegelPoint(np.array([[1j, 0.5], [0.5, 1j]])))
+    ratios = minor_ratios(np.array([[1j, 0.5], [0.5, 1j]]))
     np.testing.assert_allclose(ratios, [1j, 1.25j], atol=1e-12)
-
-
-def test_chi_shares_elimination_kernel():
-    from crown.iwasawa import minor_ratios
-    point = sample_siegel(3, 1, seed=4)[0]
-    np.testing.assert_array_equal(chi(point), minor_ratios(point.z))
 
 
 def test_fractional_action_identity_and_base(sp2):
@@ -61,12 +51,42 @@ def test_orbit_strategy_stays_in_upper_half_space():
 
 
 def test_sample_siegel_postconditions():
-    points = sample_siegel(2, 32, seed=5)
-    for p in points:
-        assert np.min(np.linalg.eigvalsh(p.z.imag)) > 0
-    again = sample_siegel(2, 32, seed=5)
-    for p, q in zip(points, again):
-        np.testing.assert_array_equal(p.z, q.z)
+    z = sample_siegel(2, 32, seed=5)
+    assert z.shape == (32, 2, 2) and z.dtype == complex
+    np.testing.assert_array_equal(z, np.swapaxes(z, 1, 2))
+    assert np.min(np.linalg.eigvalsh(z.imag)) > 0
+    np.testing.assert_array_equal(sample_siegel(2, 32, seed=5), z)
+
+
+@pytest.mark.parametrize("count", [1, 3, 513, 1100])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_siegel_matches_per_index_reference(n, count):
+    # chunked rows: one Gaussian buffer and one stacked fractional action a chunk
+    assert sample_siegel(n, count, 7).tobytes() == reference_sample_siegel(n, count, 7).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cross_check_fractional_action_is_stacked(n):
+    # the two stacked calls of cross_check_crown keep the bits of one call a row
+    ctx = _sp_context(n)
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 600, 31)
+    g_std = ctx.to_standard_frame(gs)
+    ax_std = ctx.to_standard_frame(ctx.a_exp(1j * xs))
+    eye = 1j * np.eye(n)
+    stacked = fractional_action(g_std, fractional_action(ax_std, eye))
+    rows = [fractional_action(g, fractional_action(a, eye)) for g, a in zip(g_std, ax_std)]
+    frozen = [reference_fractional_action(g, reference_fractional_action(a, eye))
+              for g, a in zip(g_std, ax_std)]
+    assert stacked.tobytes() == np.array(rows).tobytes() == np.array(frozen).tobytes()
+
+
+def test_non_positive_draw_is_a_breakdown(monkeypatch):
+    # L L^T - 100 I is not positive definite: a numerical breakdown, not a usage error
+    import crown.siegel as siegel_mod
+    monkeypatch.setattr(siegel_mod, "DIRECT_EPS", -100.0)
+    with pytest.raises(NumericalBreakdown):
+        sample_siegel(2, 4, seed=1)
+    assert main(["siegel", "--n", "2", "--samples", "4"]) == EXIT_BREAKDOWN
 
 
 def test_verify_siegel_clean():
@@ -81,7 +101,7 @@ def test_verify_siegel_clean():
 def test_chi_of_a_one_by_one_point():
     # verify_siegel(1, ...) eliminates 1 x 1 matrices
     z = np.array([[0.3 + 1.7j]])
-    ratios = chi(SiegelPoint(z))
+    ratios = minor_ratios(z)
     assert ratios.shape == (1,) and ratios.tobytes() == z[0].tobytes()
     rep = verify_siegel(1, 64, seed=3)
     assert rep.violations == 0 and rep.extras["pivot_breakdowns"] == 0
