@@ -4,8 +4,9 @@ Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
 failure, a stalled rejection sampler, a functional value that is not real, a
 singular linear solve, or a Siegel draw off the upper half-space), 73 the
---out report file cannot be written.  Reports are byte-identical across reruns
-of the same argv except for the wall_time_ms field.  Each subparser names the
+--out report file cannot be written.  run is the one place that times a
+command: it stamps wall_time_ms on the report, so reports are byte-identical
+across reruns of the same argv except for that field.  Each subparser names the
 handler that runs it beside its flags.
 """
 
@@ -173,26 +174,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _query_report(command, ctx, seed, tolerances, extras, start) -> VerificationReport:
-    return VerificationReport(
-        command=command,
-        group=group_wire(ctx),
-        omega=None,
-        seed=seed,
-        samples_requested=1,
-        samples_completed=1,
-        samples_indeterminate=0,
-        violations=0,
-        min_margin=None,
-        worst_witness=None,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set=tolerances,
-        extras=extras,
-    )
-
-
 def _run_decompose(args) -> VerificationReport:
-    start = time.monotonic()
     ctx = args.group
     m = ctx.ambient_size
     if args.entries.size != m * m:
@@ -206,36 +188,33 @@ def _run_decompose(args) -> VerificationReport:
     else:
         factors = project_complex(ctx, g, args.x)
         z = g @ ctx.a_exp(1j * args.x)
-    extras = {
-        "n_part": matrix_wire(factors.n_part),
-        "log_a": vector_wire(factors.log_a),
-        "k_part": matrix_wire(factors.k_part),
-        "path_steps": factors.path_steps,
-        "max_arg_step": factors.max_arg_step,
-        "reconstruction_residual": reconstruction_residual(ctx, factors, z),
-    }
-    return _query_report("decompose", ctx, 0,
-                         {"pivot_floor": PIVOT_FLOOR, "reconstruction_rtol": RECON_RTOL},
-                         extras, start)
+    return VerificationReport(
+        command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
+        tolerance_set={"pivot_floor": PIVOT_FLOOR, "reconstruction_rtol": RECON_RTOL},
+        extras={"n_part": matrix_wire(factors.n_part),
+                "log_a": vector_wire(factors.log_a),
+                "k_part": matrix_wire(factors.k_part),
+                "path_steps": factors.path_steps,
+                "max_arg_step": factors.max_arg_step,
+                "reconstruction_residual": reconstruction_residual(ctx, factors, z)},
+    )
 
 
 def _run_hull(args) -> VerificationReport:
-    start = time.monotonic()
     ctx = args.group
     if args.x.size != ctx.n or args.y.size != ctx.n:
         raise CrownError(f"--x and --y need {ctx.n} coordinates for {ctx.spec.label}")
     member, margin = hull_contains(ctx, args.x, args.y, args.tol)
-    report = _query_report("hull", ctx, 0, {"membership_tol": args.tol},
-                           {"inside": bool(member), "verdict": "inside" if member else "outside"},
-                           start)
-    report.min_margin = float(margin)
-    return report
+    return VerificationReport(
+        command="hull", group=group_wire(ctx), seed=0, samples_requested=1,
+        min_margin=float(margin), tolerance_set={"membership_tol": args.tol},
+        extras={"inside": bool(member), "verdict": "inside" if member else "outside"},
+    )
 
 
 def _run_boundary(args) -> VerificationReport:
     import scipy.stats
 
-    start = time.monotonic()
     ctx = args.group
     rng = substream(args.seed, NS_AUX)
     direction = convexity.sample_regular_direction(ctx, args.omega, rng)
@@ -245,15 +224,15 @@ def _run_boundary(args) -> VerificationReport:
     pairs = domains.boundary_probe(ctx, args.omega, g, path)
     out_dists = [d for _, d in pairs]
     rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
-    report = _query_report("boundary", ctx, args.seed, {"final_distance_cap": 1e-3},
-                           {"input_distances": input_dists,
-                            "output_distances": out_dists,
-                            "spearman": rho,
-                            "final_distance": out_dists[-1],
-                            "direction": [float(v) for v in direction]},
-                           start)
-    report.omega = args.omega.as_dict()
-    return report
+    return VerificationReport(
+        command="boundary", group=group_wire(ctx), seed=args.seed, samples_requested=1,
+        omega=args.omega.as_dict(), tolerance_set={"final_distance_cap": 1e-3},
+        extras={"input_distances": input_dists,
+                "output_distances": out_dists,
+                "spearman": rho,
+                "final_distance": out_dists[-1],
+                "direction": [float(v) for v in direction]},
+    )
 
 
 def _run_siegel(args) -> VerificationReport:
@@ -270,9 +249,14 @@ def _run_lemma24(args) -> VerificationReport:
 
 
 def run(argv) -> tuple[int, str, str | None]:
-    """Execute one command line; returns (exit_code, rendered report, out path)."""
+    """Execute one command line; returns (exit_code, rendered report, out path).
+
+    The report's wall_time_ms is the time args.run takes, parsing excluded.
+    """
     args = build_parser().parse_args(argv)
+    start = time.monotonic()
     report = args.run(args)
+    report.wall_time_ms = int((time.monotonic() - start) * 1000)
     return report.exit_code, report.render(args.format), args.out
 
 

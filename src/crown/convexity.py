@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 
 import numpy as np
 import scipy.linalg
@@ -84,6 +83,7 @@ GRAD_TOL = 1e-6
 KOSTANT_BOX = 1.0
 VERTEX_TOL = 1e-10
 FD_STEP = 1e-5
+MEDIAN_REL_TOL = 1e-7
 MAX_REL_TOL = 1e-5
 ROUTE_TOL = 1e-10
 
@@ -367,7 +367,6 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    start = time.monotonic()
     nn = ctx.n
 
     def run_chunk(lo, hi):
@@ -391,20 +390,20 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
         parts, command="verify-convexity", ctx=ctx, omega=omega, seed=seed,
-        samples=samples, tol=tol, start=start,
+        samples=samples, tol=tol,
         extras={"mode": mode, "p_radius": P_RADIUS if mode == "full-g" else 0.0},
         steps_hint=steps_hint,
     )
 
 
-def _fold_report(parts, *, command, ctx, omega, seed, samples, tol, start,
+def _fold_report(parts, *, command, ctx, omega, seed, samples, tol,
                  extras, steps_hint=GRID_STEPS) -> VerificationReport:
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
         tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
                     **grid_tolerances(steps_hint), "reconstruction_rtol": RECON_RTOL,
                     "group_tol": GROUP_TOL},
-        start=start, extras=extras,
+        extras=extras,
     )
 
 
@@ -418,7 +417,6 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    start = time.monotonic()
     nn = ctx.n
     reps = weyl_k_representatives(ctx)
     helm = helmert(nn) if ctx.family is Family.SPECIAL_LINEAR else None
@@ -452,7 +450,7 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tol=tol, start=start,
+        samples=samples, tol=tol,
         extras={"box_halfwidth": KOSTANT_BOX, "vertex_tol": VERTEX_TOL,
                 "weyl_order": len(reps)},
     )
@@ -474,11 +472,11 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     Per configuration: random tube point, Haar k, random covector and tangent
     direction.  The pairing of the gradient with the direction is compared
     against a central difference of f_{a,lam} and against the independent
-    evaluation through the triangular part.
+    evaluation through the triangular part.  A median relative error above
+    MEDIAN_REL_TOL adds one violation.
     """
     if configs < 1:
         raise ValueError("configs must be >= 1")
-    start = time.monotonic()
     rel_errs = np.empty(configs)
     pair_errs = np.empty(configs)
     witness = None
@@ -506,19 +504,15 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
             witness = {"sample_index": i, "rel_err": float(rel_errs[i]),
                        "exact": float(exact), "fd": float(fd)}
     violations = int(np.sum((rel_errs > MAX_REL_TOL) | (pair_errs > ROUTE_TOL)))
+    median_miss = int(np.median(rel_errs) > MEDIAN_REL_TOL)
     return VerificationReport(
         command="gradient-check",
         group=group_wire(ctx),
-        omega=None,
         seed=seed,
         samples_requested=configs,
-        samples_completed=configs,
-        samples_indeterminate=0,
-        violations=violations,
-        min_margin=None,
+        violations=min(violations + median_miss, configs),
         worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
-        tolerance_set={"fd_step": FD_STEP, "median_rel_tol": 1e-7,
+        tolerance_set={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
                        "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
                        "pivot_floor": PIVOT_FLOOR, **grid_tolerances()},
         extras={"median_rel_err": float(np.median(rel_errs)),
@@ -537,7 +531,6 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    start = time.monotonic()
     omega = OmegaSpec("scale", scale=0.9)
     converged = 0
     violations = 0
@@ -569,12 +562,9 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         omega=omega.as_dict(),
         seed=seed,
         samples_requested=runs,
-        samples_completed=converged,
         samples_indeterminate=indeterminate,
         violations=violations,
-        min_margin=None,
         worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL,
                        "regularity_floor": REGULARITY_FLOOR,
                        "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK},
@@ -599,7 +589,6 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
         raise ValueError("direction must be regular")
     if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
         raise ValueError("direction must lie inside the admissible polytope")
-    start = time.monotonic()
     normalizers = normalizer_elements(ctx)
 
     def draw_far_k(rng):
@@ -624,7 +613,7 @@ def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> Verification
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="lemma24", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tol=IM_N_FLOOR, start=start,
+        samples=samples, tol=IM_N_FLOOR,
         extras={"x": list(map(float, x))},
     )
     report.tolerance_set.update(im_n_floor=IM_N_FLOOR, normalizer_gap=NORMALIZER_GAP,

@@ -12,7 +12,6 @@ them because the triangular subgroup preserves the base tube.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
@@ -81,7 +80,6 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
     """Assert every sampled crown point lies in every sampled compact tube."""
     if z_count < 1 or k_count < 1:
         raise ValueError("counts must be >= 1")
-    start = time.monotonic()
     gs, xs = sample_xi(ctx, omega, z_count, seed)
     tubes = np.concatenate([haar_k(ctx, [substream(seed, NS_TUBE + j) for j in range(lo, hi)])
                             for lo, hi in chunk_ranges(k_count)])
@@ -98,16 +96,16 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
 
     parts = map_chunks(run_chunk, chunk_ranges(z_count * k_count))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
-                 requested=z_count * k_count, tol=tol, start=start,
+                 requested=z_count * k_count, tol=tol,
                  extras={"z_count": z_count, "k_count": k_count})
 
 
-def _fold(parts, *, command, ctx, omega, seed, requested, tol, start, extras):
+def _fold(parts, *, command, ctx, omega, seed, requested, tol, extras):
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
         tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
                     **grid_tolerances(), "reconstruction_rtol": RECON_RTOL},
-        start=start, extras=extras,
+        extras=extras,
     )
 
 
@@ -121,7 +119,6 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    start = time.monotonic()
     nn = ctx.n
 
     def run_chunk(lo, hi):
@@ -142,14 +139,13 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
                        "x": vector_wire(xs[i]), "g": matrix_wire(gs[i])},
             max_slice_witness_error=witness_err)
         # the abelian slice samples count beside the crown points
-        part["completed"] += int((~slice_bad).sum())
         part["indeterminate"] += int(slice_bad.sum())
         part["violations"] += int(witness_err > 1e-10)
         return part
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
-                 requested=2 * samples, tol=tol, start=start, extras={})
+                 requested=2 * samples, tol=tol, extras={})
 
 
 def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int = 12) -> np.ndarray:

@@ -6,15 +6,13 @@ are a fixed function of the sample count and every sample draws from its own
 before it.
 
 A verifier's chunk draws its samples, scores them and hands the per-sample
-arrays to chunk_part, which returns the chunk's part: completed,
-indeterminate and violation counts, the smallest margin over the good rows
-with the witness attaining it, and named chunk maxima (max_arg_step always
-among them).  fold_report folds the parts of a sweep into one report.
+arrays to chunk_part, which returns the chunk's part: indeterminate and
+violation counts, the smallest margin over the good rows with the witness
+attaining it, and named chunk maxima (max_arg_step always among them).
+fold_report folds the parts of a sweep into one report.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -46,7 +44,6 @@ def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
     i_min = int(np.argmin(margins))
     found = bool(ok.any())
     return {
-        "completed": int(ok.sum()),
         "indeterminate": int(bad.sum()),
         "violations": int(np.sum(violated & ok)),
         "min_margin": float(margins[i_min]) if found else np.inf,
@@ -55,7 +52,7 @@ def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
     }
 
 
-def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances, start,
+def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances,
                 extras) -> VerificationReport:
     """One report from the chunk parts of a sweep, folded in chunk order.
 
@@ -75,12 +72,10 @@ def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances, star
         omega=omega.as_dict() if omega is not None else None,
         seed=seed,
         samples_requested=requested,
-        samples_completed=sum(p["completed"] for p in parts),
         samples_indeterminate=sum(p["indeterminate"] for p in parts),
         violations=sum(p["violations"] for p in parts),
         min_margin=None if not np.isfinite(min_margin) else float(min_margin),
         worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set=tolerances,
         extras={**{name: max(p["maxima"][name] for p in parts) for name in parts[0]["maxima"]},
                 **extras},

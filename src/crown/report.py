@@ -1,8 +1,9 @@
 """Verification reports: seeded Monte-Carlo outcomes with stable serialization.
 
-Reports are plain data.  JSON output is key-sorted so that identical runs are
-byte-identical except for the wall_time_ms field; CSV output is a flat two-line
-summary of the scalar fields.
+Reports are plain data.  JSON output is key-sorted and CSV output is a flat
+two-line summary of the scalar fields.  samples_completed is derived: requested
+minus indeterminate.  The library leaves wall_time_ms at 0, so library reports
+are byte-identical across reruns; the command line stamps the run's time.
 """
 
 from __future__ import annotations
@@ -52,21 +53,22 @@ def _plain(value):
 class VerificationReport:
     command: str
     group: dict | None
-    omega: dict | None
     seed: int
     samples_requested: int
-    samples_completed: int
-    samples_indeterminate: int
-    violations: int
-    min_margin: float | None
-    worst_witness: dict | None
-    wall_time_ms: int
     tolerance_set: dict
+    omega: dict | None = None
+    samples_completed: int = dataclasses.field(init=False)
+    samples_indeterminate: int = 0
+    violations: int = 0
+    min_margin: float | None = None
+    worst_witness: dict | None = None
+    wall_time_ms: int = 0
     extras: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if self.samples_completed + self.samples_indeterminate != self.samples_requested:
-            raise ValueError("completed + indeterminate must equal requested")
+        if not 0 <= self.samples_indeterminate <= self.samples_requested:
+            raise ValueError("indeterminate must lie in [0, requested]")
+        self.samples_completed = self.samples_requested - self.samples_indeterminate
         if self.violations > self.samples_completed:
             raise ValueError("violations cannot exceed completed samples")
 

@@ -10,7 +10,6 @@ every ratio has positive imaginary part, use the code path of the crown projecti
 from __future__ import annotations
 
 import functools
-import time
 
 import numpy as np
 
@@ -96,7 +95,6 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     """
     if n < 1 or samples < 1:
         raise ValueError("n and samples must be >= 1")
-    start = time.monotonic()
     violations = 0
     min_im = np.inf
     min_minor = np.inf
@@ -126,15 +124,11 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     return VerificationReport(
         command="siegel",
         group=group_wire(_sp_context(n)),
-        omega=None,
         seed=seed,
         samples_requested=samples,
-        samples_completed=samples,
-        samples_indeterminate=0,
         violations=violations,
         min_margin=float(min_im) if np.isfinite(min_im) else None,
         worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
                        "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
         extras={"min_im_chi": float(min_im) if np.isfinite(min_im) else None,
@@ -159,7 +153,6 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
         raise ValueError("cross check requires a symplectic context")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    start = time.monotonic()
     n = ctx.n
     gs, xs = sample_xi(ctx, FULL_OMEGA, samples, seed)
     ws = fractional_action(ctx.to_standard_frame(gs), fractional_action(
@@ -193,19 +186,15 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
                        "y_crown": vector_wire(y_crown), "y_siegel": vector_wire(y_siegel)}
         if crown_ok != siegel_ok:
             disagreements += 1
-    completed = samples - indeterminate
     return VerificationReport(
         command="siegel-crown",
         group=group_wire(ctx),
-        omega=None,
         seed=seed,
         samples_requested=samples,
-        samples_completed=completed,
         samples_indeterminate=indeterminate,
         violations=disagreements,
         min_margin=float(min_margin) if np.isfinite(min_margin) else None,
         worst_witness=witness,
-        wall_time_ms=int((time.monotonic() - start) * 1000),
         tolerance_set={"membership_tol": MEMBERSHIP_TOL, "pivot_floor": PIVOT_FLOOR},
         extras={"max_value_gap_monitored": max_value_gap},
     )

@@ -195,27 +195,26 @@ def test_a09_lemma24_probe():
 
 
 def test_a10_determinism():
-    # rerun the A01, A07 and A08 configurations and compare serialized reports
+    # rerun the A01, A07 and A08 configurations; library reports carry no timing to strip
     ctx = context("sl:2")
     for label in GROUPS:
         for mode in ("k", "full-g"):
             rep = crown.verify_complex_convexity(
                 context(label), FULL_OMEGA, 10_000, seed=7, tol=MARGIN_TOL, mode=mode)
-            same = _strip_timing(_cache[f"a01:{label}:{mode}"].to_json()) == \
-                _strip_timing(rep.to_json())
-            _check(f"A10 rerun A01 {label} {mode}", same)
+            _check(f"A10 rerun A01 {label} {mode}",
+                   _cache[f"a01:{label}:{mode}"].to_json() == rep.to_json())
     omega = OmegaSpec("scale", scale=0.8)
     ctx3 = context("sl:3")
     rep = crown.verify_tube_intersection(ctx3, omega, 1000, 100, seed=21, tol=MARGIN_TOL)
     _check("A10 rerun A07 tubes",
-           _strip_timing(_cache["a07:tubes"].to_json()) == _strip_timing(rep.to_json()))
+           _cache["a07:tubes"].to_json() == rep.to_json())
     rep = crown.verify_image(ctx3, omega, 10_000, seed=22, tol=MARGIN_TOL)
     _check("A10 rerun A07 image",
-           _strip_timing(_cache["a07:image"].to_json()) == _strip_timing(rep.to_json()))
+           _cache["a07:image"].to_json() == rep.to_json())
     for n in (2, 3):
         rep = crown.verify_siegel(n, 10_000, seed=31)
         _check(f"A10 rerun A08 n={n}",
-               _strip_timing(_cache[f"a08:{n}"].to_json()) == _strip_timing(rep.to_json()))
+               _cache[f"a08:{n}"].to_json() == rep.to_json())
     # end-to-end CLI determinism including serialization
     argv = ["verify-convexity", "--group", "sl:2", "--omega", "scale:1.0",
             "--samples", "2000", "--seed", "7", "--tol", "1e-9", "--format", "json"]

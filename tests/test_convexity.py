@@ -349,6 +349,16 @@ def test_gradient_check_report(sl2):
     assert rep.extras["max_route_gap"] < 1e-10
 
 
+def test_gradient_check_applies_median_tol(monkeypatch, sp2):
+    from crown.cli import main
+
+    monkeypatch.setattr(convexity, "MEDIAN_REL_TOL", 0.0)
+    rep = crown.gradient_check(sp2, 4, seed=3)
+    assert rep.extras["max_rel_err"] <= convexity.MAX_REL_TOL
+    assert rep.violations == 1
+    assert main(["gradient-check", "--group", "sp:2", "--configs", "4", "--seed", "3"]) == 2
+
+
 def test_critical_point_scan_report(sl2):
     rep = crown.critical_point_scan(sl2, 10, seed=5)
     assert rep.violations == 0

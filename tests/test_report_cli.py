@@ -1,11 +1,16 @@
+import itertools
 import json
 import re
+import types
 
 import numpy as np
 import pytest
 
+import crown
+from crown import cli
 from crown.cli import EXIT_BREAKDOWN, EXIT_CANTCREAT, EXIT_USAGE, main, run
 from crown.report import VerificationReport, matrix_wire, vector_wire
+from crown.weyl import FULL_OMEGA
 
 
 def _report(**overrides):
@@ -15,7 +20,6 @@ def _report(**overrides):
         omega={"shape": "scale", "scale": 1.0, "radius": None},
         seed=7,
         samples_requested=10,
-        samples_completed=9,
         samples_indeterminate=1,
         violations=0,
         min_margin=0.25,
@@ -29,14 +33,17 @@ def _report(**overrides):
 
 
 def test_report_invariant_enforced():
+    assert _report().samples_completed == 9
+    for indeterminate in (-1, 11):
+        with pytest.raises(ValueError):
+            _report(samples_indeterminate=indeterminate)
+    assert _report(violations=9).violations == 9
     with pytest.raises(ValueError):
-        _report(samples_completed=5)
-    with pytest.raises(ValueError):
-        _report(violations=50)
+        _report(violations=10)
 
 
 def test_report_exit_codes():
-    assert _report(samples_indeterminate=0, samples_completed=10).exit_code == 0
+    assert _report(samples_indeterminate=0).exit_code == 0
     assert _report(violations=2).exit_code == 2
     assert _report().exit_code == 3
 
@@ -62,6 +69,27 @@ def test_report_json_roundtrip_and_csv():
 
 def _strip_timing(text):
     return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+
+
+def test_library_reports_are_byte_identical_untouched(sl2, sp2):
+    for call in (lambda: crown.verify_complex_convexity(sl2, FULL_OMEGA, 50, seed=4),
+                 lambda: crown.gradient_check(sp2, 3, seed=4),
+                 lambda: crown.verify_siegel(2, 20, seed=4)):
+        first, second = call(), call()
+        assert first.wall_time_ms == second.wall_time_ms == 0
+        assert first.to_json() == second.to_json()
+
+
+def test_cli_run_stamps_the_time(monkeypatch):
+    # the clock cli reads alternates, so each run reads 0.25 s between its two calls
+    readings = itertools.cycle([10.0, 10.25])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(readings)))
+    argv = ["hull", "--group", "sl:2", "--x", "0.1,-0.1", "--y", "0,0"]
+    _, out, _ = run(argv)
+    assert '"wall_time_ms": 250' in out
+    _, out, _ = run(argv + ["--format", "csv"])
+    header, row = (line.split(",") for line in out.strip().split("\n"))
+    assert dict(zip(header, row))["wall_time_ms"] == "250"
 
 
 def test_cli_determinism_byte_identical():

@@ -3,16 +3,21 @@
 Nothing here runs crown's elimination or branch tracker.  Leading minors are
 mpmath determinants at 50 digits, and the branch of log a(g exp(iX)) is the
 continuous argument of each minor of g exp(2itD) g^T along a fixed grid in t,
-anchored at the positive definite g g^T of t = 0.
+anchored at the positive definite g g^T of t = 0.  Tube witnesses store no
+group element; crown's seeded samplers redraw it from the witness's indices.
 """
 
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from mpmath import mp
 
-from crown import Family, GroupSpec, build_group
+from crown import Family, GroupSpec, build_group, sample_xi
+from crown.rng import NS_TUBE, substream
+from crown.sampling import haar_k
+from crown.weyl import OmegaSpec
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGITS = 50
@@ -94,4 +99,38 @@ def test_convexity_witness_at_50_digits(name):
         margin = _hull_margin(family, [mp.mpf(v) for v in x], y)
         assert abs(margin - witness["margin"]) < 1e-12
         # the verdict: every witness lies inside the hull
+        assert margin > 0
+
+
+def _omega_margin(ctx, omega, y):
+    """Least slack of y against the root cutoff of omega and, for a ball, its radius."""
+    margin = mp.mpf(omega.cutoff) - max(abs(mp.fsum(r * v for r, v in zip(row, y)))
+                                        for row in ctx.roots.tolist())
+    if omega.shape == "ball":
+        margin = min(margin, mp.mpf(omega.radius) - mp.sqrt(mp.fsum(v * v for v in y)))
+    return margin
+
+
+@pytest.mark.parametrize("name", ["image_sl3", "image_sp2_ball", "tubes_sl3", "tubes_sp2_ball"])
+def test_omega_witness_at_50_digits(name):
+    report = _golden(name)
+    witness = report["worst_witness"]
+    ctx = build_group(GroupSpec(Family(report["group"]["family"]), report["group"]["n"]))
+    omega = OmegaSpec(**report["omega"])
+    x = [re for re, _ in witness["x"]]
+    if "g" in witness:
+        g = np.array([re for re, _ in witness["g"]["data"]]).reshape(
+            witness["g"]["rows"], witness["g"]["cols"])
+    else:
+        # the tube sweep translates crown point z_index by tube base k_index
+        gs, xs = sample_xi(ctx, omega, report["extras"]["z_count"], report["seed"])
+        assert xs[witness["z_index"]].tolist() == x
+        base = haar_k(ctx, [substream(report["seed"], NS_TUBE + witness["k_index"])])[0]
+        g = base.T @ gs[witness["z_index"]]
+    with mp.workdps(DIGITS):
+        d = [mp.mpf(v) for v in ctx.full_diag(x)]
+        y = _tracked_im_log_a(mp.matrix(g.tolist()), d)[: ctx.n]
+        margin = _omega_margin(ctx, omega, y)
+        assert abs(margin - witness["margin"]) < 1e-12
+        # the verdict: the witness, the sweep's worst point, lies inside omega
         assert margin > 0
