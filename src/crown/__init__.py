@@ -21,11 +21,10 @@ from .convexity import (
     weyl_k_representatives,
 )
 from .domains import (
-    TubeSpec,
     boundary_path,
     boundary_probe,
     sample_xi,
-    tube_contains,
+    verify_boundary,
     verify_image,
     verify_tube_intersection,
 )
@@ -43,7 +42,6 @@ from .iwasawa import (
     decompose_real,
     minor_ratios,
     project_complex,
-    reconstruction_residual,
     triangular_part,
 )
 from .report import VerificationReport

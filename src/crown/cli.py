@@ -7,7 +7,8 @@ singular linear solve, or a Siegel draw off the upper half-space), 73 the
 --out report file cannot be written.  run is the one place that times a
 command: it stamps wall_time_ms on the report, so reports are byte-identical
 across reruns of the same argv except for that field.  Each subparser names the
-handler that runs it beside its flags.
+library call that runs it beside its flags; the only handlers here check the
+shape of a single query (decompose, hull) or pick the siegel verifier.
 """
 
 from __future__ import annotations
@@ -19,26 +20,17 @@ import time
 import numpy as np
 
 from . import convexity, domains, siegel
-from .errors import (
-    BranchBreakdown,
-    CrownError,
-    NonRealValue,
-    NumericalBreakdown,
-    PivotBreakdown,
-    RejectionStall,
-)
+from .errors import CrownError, NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import (
     PIVOT_FLOOR,
     RECON_RTOL,
+    batch_reconstruction_residual,
     decompose_real,
     project_complex,
-    reconstruction_residual,
 )
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
-from .rng import NS_AUX, substream
-from .sampling import haar_k
-from .weyl import MEMBERSHIP_TOL, OmegaSpec, hull_contains, omega_distance
+from .weyl import MEMBERSHIP_TOL, OmegaSpec, hull_contains
 
 EXIT_USAGE = 64
 EXIT_BREAKDOWN = 70
@@ -156,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=parse_omega, default=parse_omega("scale:0.8"))
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_run_boundary)
+    p.set_defaults(run=lambda a: domains.verify_boundary(a.group, a.omega, a.steps, a.seed))
 
     p = add_parser("siegel", help="upper half-space minor positivity", parent=common)
     p.add_argument("--n", type=int, required=True)
@@ -169,7 +161,7 @@ def build_parser() -> _Parser:
     p = add_parser("lemma24", help="imaginary unipotent part far from the normalizer")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_run_lemma24)
+    p.set_defaults(run=lambda a: convexity.lemma24_probe(a.group, a.samples, a.seed))
 
     return parser
 
@@ -196,7 +188,8 @@ def _run_decompose(args) -> VerificationReport:
                 "k_part": matrix_wire(factors.k_part),
                 "path_steps": factors.path_steps,
                 "max_arg_step": factors.max_arg_step,
-                "reconstruction_residual": reconstruction_residual(ctx, factors, z)},
+                "reconstruction_residual": batch_reconstruction_residual(
+                    ctx, z[None], factors.log_full[None], factors.n_part[None])[0]},
     )
 
 
@@ -212,40 +205,11 @@ def _run_hull(args) -> VerificationReport:
     )
 
 
-def _run_boundary(args) -> VerificationReport:
-    import scipy.stats
-
-    ctx = args.group
-    rng = substream(args.seed, NS_AUX)
-    direction = convexity.sample_regular_direction(ctx, args.omega, rng)
-    g = haar_k(ctx, [rng])[0]
-    path = domains.boundary_path(ctx, args.omega, direction, args.steps)
-    input_dists = omega_distance(ctx, args.omega, path).tolist()
-    pairs = domains.boundary_probe(ctx, args.omega, g, path)
-    out_dists = [d for _, d in pairs]
-    rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
-    return VerificationReport(
-        command="boundary", group=group_wire(ctx), seed=args.seed, samples_requested=1,
-        omega=args.omega.as_dict(), tolerance_set={"final_distance_cap": 1e-3},
-        extras={"input_distances": input_dists,
-                "output_distances": out_dists,
-                "spearman": rho,
-                "final_distance": out_dists[-1],
-                "direction": [float(v) for v in direction]},
-    )
-
-
 def _run_siegel(args) -> VerificationReport:
     if args.cross_check:
         ctx = build_group(GroupSpec(Family.SYMPLECTIC, args.n))
         return siegel.cross_check_crown(ctx, args.samples, args.seed)
     return siegel.verify_siegel(args.n, args.samples, args.seed)
-
-
-def _run_lemma24(args) -> VerificationReport:
-    rng = substream(args.seed, NS_AUX)
-    x = convexity.sample_regular_direction(args.group, OmegaSpec("scale", scale=0.9), rng)
-    return convexity.lemma24_probe(args.group, x, args.samples, args.seed)
 
 
 def run(argv) -> tuple[int, str, str | None]:
@@ -266,8 +230,7 @@ def main(argv=None) -> int:
         code, rendered, out = run(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (BranchBreakdown, PivotBreakdown, NumericalBreakdown, RejectionStall,
-            NonRealValue, np.linalg.LinAlgError) as exc:
+    except (NumericalBreakdown, np.linalg.LinAlgError) as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (CrownError, ValueError) as exc:

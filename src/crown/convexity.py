@@ -48,7 +48,7 @@ from .iwasawa import (
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
-from .rng import substream
+from .rng import NS_AUX, substream
 from .sampling import (
     P_RADIUS,
     haar_k,
@@ -574,21 +574,18 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
     )
 
 
-def lemma24_probe(ctx: GroupContext, x, samples: int, seed: int) -> VerificationReport:
+def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationReport:
     """Contrapositive probe: far from the normalizer the unipotent factor is not real.
 
-    For Haar k rejected to Frobenius distance > 0.1 from every element of the
-    normalizer of the Cartan subspace, records the minimum over samples of the
-    largest entry of |Im n(k exp(iX))|.  Samples at or below the engineering
-    floor are counted as violations.
+    X is a regular direction of the polytope scaled by 0.9, drawn from the
+    auxiliary stream of seed.  For Haar k rejected to Frobenius distance > 0.1
+    from every element of the normalizer of the Cartan subspace, records the
+    minimum over samples of the largest entry of |Im n(k exp(iX))|.  Samples
+    at or below the engineering floor are counted as violations.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if not is_regular(ctx, x, floor=REGULARITY_FLOOR):
-        raise ValueError("direction must be regular")
-    if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
-        raise ValueError("direction must lie inside the admissible polytope")
+    x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), substream(seed, NS_AUX))
     normalizers = normalizer_elements(ctx)
 
     def draw_far_k(rng):

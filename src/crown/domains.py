@@ -6,15 +6,16 @@ tube over a compact base k consists of the points whose translate by k^{-1}
 projects into the abelian tube of omega; membership is decided by tracking
 log a along t -> k^{-1} g exp(itX) and testing the imaginary part against
 omega.  Only compact bases are tested: the full tube intersection reduces to
-them because the triangular subgroup preserves the base tube.
+them because the triangular subgroup preserves the base tube.  The boundary
+verifier tracks a path toward the edge of omega and checks that the projected
+distances to the boundary follow the input distances.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
+from .convexity import sample_regular_direction
 from .errors import BranchBreakdown
 from .groups import GroupContext
 from .iwasawa import (
@@ -24,24 +25,10 @@ from .iwasawa import (
     track_batch,
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
-from .report import VerificationReport, matrix_wire, vector_wire
-from .rng import NS_TUBE, substream
+from .report import VerificationReport, group_wire, matrix_wire, vector_wire
+from .rng import NS_AUX, NS_TUBE, substream
 from .sampling import haar_k, sample_group_element
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, draw_omega_point, omega_distance, omega_margin
-
-
-@dataclasses.dataclass(frozen=True)
-class TubeSpec:
-    """Horospherical tube with a compact base point."""
-
-    base_k: np.ndarray
-    omega: OmegaSpec
-
-    def __post_init__(self):
-        k = np.asarray(self.base_k, dtype=float)
-        if np.linalg.norm(k @ k.T - np.eye(k.shape[0])) > 1e-10 * k.shape[0]:
-            raise ValueError("tube base must lie in the compact subgroup")
-        object.__setattr__(self, "base_k", k)
 
 
 def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int):
@@ -60,18 +47,15 @@ def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int):
     return np.concatenate(gs), np.array(xs)
 
 
-def tube_contains(ctx: GroupContext, tube: TubeSpec, g, x):
-    """(member, margin) of the crown point g exp(iX) in a tube.
+def _tube_margins(ctx: GroupContext, omega: OmegaSpec, ks, gs, xs):
+    """(margins, max_steps, bad) of crown points g exp(iX) in the tubes over bases k.
 
-    The margin is the omega margin of Im log a of the translated point; the
-    translate k^{-1} g is again real, so the tracked branch stays anchored.
+    Row i translates g_i exp(iX_i) by k_i^{-1} = k_i^T; the translate is again
+    real, so the tracked branch stays anchored.  The margin is the omega margin
+    of Im log a of the translate; rows whose tracking broke down are NaN.
     """
-    base = tube.base_k.T @ g
-    log_full, _, _, bad = track_batch(ctx, base[None], np.asarray(x)[None])
-    if bad[0]:
-        raise BranchBreakdown("branch tracking broke down on the translated point")
-    margin = float(omega_margin(ctx, tube.omega, log_full[0, : ctx.n].imag))
-    return margin >= -MEMBERSHIP_TOL, margin
+    log_full, _, max_steps, bad = track_batch(ctx, np.swapaxes(ks, 1, 2) @ gs, xs)
+    return omega_margin(ctx, omega, log_full[:, : ctx.n].imag), max_steps, bad
 
 
 def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
@@ -86,9 +70,7 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
 
     def run_chunk(lo, hi):
         z_idx, k_idx = np.divmod(np.arange(lo, hi), k_count)
-        base = np.swapaxes(tubes[k_idx], 1, 2) @ gs[z_idx]
-        log_full, _, max_steps, bad = track_batch(ctx, base, xs[z_idx])
-        margins = omega_margin(ctx, omega, log_full[:, : ctx.n].imag)
+        margins, max_steps, bad = _tube_margins(ctx, omega, tubes[k_idx], gs[z_idx], xs[z_idx])
         return chunk_part(
             margins, bad, max_steps, margins < -tol,
             lambda i: {"z_index": int(z_idx[i]), "k_index": int(k_idx[i]),
@@ -187,3 +169,31 @@ def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path) -> list[tuple
     if left.size:
         raise BranchBreakdown(f"projected point left omega at step {int(left[0])}")
     return list(enumerate(omega_distance(ctx, omega, ys).tolist()))
+
+
+def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
+                    seed: int) -> VerificationReport:
+    """As X runs toward the edge of omega, Im log a(g exp(iX)) runs to the edge too.
+
+    Draws a regular direction and a Haar g from the auxiliary stream of seed,
+    probes the boundary path of steps points along the direction, and reports
+    both distance sequences with their Spearman rank correlation.
+    """
+    import scipy.stats
+
+    rng = substream(seed, NS_AUX)
+    direction = sample_regular_direction(ctx, omega, rng)
+    g = haar_k(ctx, [rng])[0]
+    path = boundary_path(ctx, omega, direction, steps)
+    input_dists = omega_distance(ctx, omega, path).tolist()
+    out_dists = [d for _, d in boundary_probe(ctx, omega, g, path)]
+    rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
+    return VerificationReport(
+        command="boundary", group=group_wire(ctx), seed=seed, samples_requested=1,
+        omega=omega.as_dict(), tolerance_set={"final_distance_cap": 1e-3},
+        extras={"input_distances": input_dists,
+                "output_distances": out_dists,
+                "spearman": rho,
+                "final_distance": out_dists[-1],
+                "direction": [float(v) for v in direction]},
+    )

@@ -14,18 +14,19 @@ class NotInGroup(CrownError):
 
 
 class NumericalBreakdown(CrownError):
-    """A quantity that must be positive came out nonpositive.
+    """The numerics of a run broke down; the command line exits 70 on this family.
 
-    A pivot of a real LDL factorization, or the smallest eigenvalue of the
-    imaginary part of a drawn Siegel point.
+    Raised directly for a quantity that must be positive and came out
+    nonpositive: a pivot of a real LDL factorization, or the smallest
+    eigenvalue of the imaginary part of a drawn Siegel point.
     """
 
 
-class PivotBreakdown(CrownError):
+class PivotBreakdown(NumericalBreakdown):
     """A leading principal minor degenerated below the relative floor."""
 
 
-class BranchBreakdown(CrownError):
+class BranchBreakdown(NumericalBreakdown):
     """Continuous branch tracking failed (degenerate minor or subdivision cap)."""
 
 
@@ -33,9 +34,9 @@ class OmegaViolation(CrownError):
     """Imaginary direction lies outside the admissible polytope."""
 
 
-class RejectionStall(CrownError):
+class RejectionStall(NumericalBreakdown):
     """Rejection sampler acceptance rate fell below the safety floor."""
 
 
-class NonRealValue(CrownError):
+class NonRealValue(NumericalBreakdown):
     """A quantity that must be real carried a non-negligible imaginary part."""

@@ -54,8 +54,8 @@ class IwasawaFactors:
     """Factor triple (n, log a, k) with branch-tracking metadata.
 
     log_a holds Cartan coordinates (complex); the diagonal matrix is recovered
-    through the context.  pair_residual records how well the redundant trailing
-    log-ratios of the symplectic frame matched the negated leading ones.
+    through the context.  log_full is the tracked diagonal of log a, all m
+    entries as the elimination gives them; log_a is its leading n.
     """
 
     n_part: np.ndarray
@@ -63,7 +63,7 @@ class IwasawaFactors:
     k_part: np.ndarray
     path_steps: int
     max_arg_step: float
-    pair_residual: float
+    log_full: np.ndarray
 
 
 def _ldl(mat):
@@ -184,18 +184,12 @@ def _track(ctx: GroupContext, g, x, steps_hint: int):
 
 
 def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
-    """Factors of z from its log diagonal and unit lower factor.
-
-    The trailing log-ratios of the symplectic frame are redundant; their
-    mismatch with the negated leading ones is recorded as pair_residual.
-    """
+    """Factors of z from its log diagonal and unit lower factor."""
     a_diag = np.exp(log_full)
     k = np.linalg.solve(lower, z) / a_diag[:, None]
-    coords = log_full[: ctx.n]
-    pair = float(np.max(np.abs(log_full - ctx.full_diag(coords))))
     return IwasawaFactors(
-        n_part=lower, log_a=coords, k_part=k,
-        path_steps=steps, max_arg_step=max_step, pair_residual=pair,
+        n_part=lower, log_a=log_full[: ctx.n], k_part=k,
+        path_steps=steps, max_arg_step=max_step, log_full=log_full,
     )
 
 
@@ -244,13 +238,6 @@ def triangular_part(ctx: GroupContext, factors: IwasawaFactors) -> np.ndarray:
     """b = n a, lower triangular with diagonal exp(log a)."""
     diag = np.exp(ctx.full_diag(factors.log_a))
     return factors.n_part * diag[None, :]
-
-
-def reconstruction_residual(ctx: GroupContext, factors: IwasawaFactors, z) -> float:
-    """Relative Frobenius residual of n exp(log a) k against z."""
-    z = np.asarray(z)
-    recon = triangular_part(ctx, factors) @ factors.k_part
-    return float(np.linalg.norm(recon - z) / max(np.linalg.norm(z), _TINY))
 
 
 def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:

@@ -13,9 +13,8 @@ import numpy as np
 import crown
 from crown import OmegaSpec
 from crown.cli import run as cli_run
-from crown.convexity import sample_regular_direction
 from crown.groups import Family
-from crown.rng import NS_AUX, substream
+from crown.rng import substream
 from crown.sampling import sample_group_element
 from crown.weyl import FULL_OMEGA, draw_omega_point, hull_contains
 
@@ -183,10 +182,7 @@ def test_a08_siegel_minors():
 
 def test_a09_lemma24_probe():
     for label in ("sl:2", "sl:3"):
-        ctx = context(label)
-        x = sample_regular_direction(
-            ctx, OmegaSpec("scale", scale=0.9), substream(17, NS_AUX))
-        rep = crown.lemma24_probe(ctx, x, 1000, seed=17)
+        rep = crown.lemma24_probe(context(label), 1000, seed=17)
         _check(
             f"A09 {label}",
             rep.violations == 0 and rep.extras["min_im_n"] > 1e-10,

@@ -332,14 +332,9 @@ def test_lemma24_sl2_closed_form(sl2):
 
 
 def test_lemma24_probe_report(sl2):
-    rep = crown.lemma24_probe(sl2, np.array([0.3, -0.3]), 100, seed=2)
+    rep = crown.lemma24_probe(sl2, 100, seed=2)
     assert rep.violations == 0
     assert rep.extras["min_im_n"] > 1e-10
-
-
-def test_lemma24_probe_requires_regular(sl3):
-    with pytest.raises(ValueError):
-        crown.lemma24_probe(sl3, np.array([0.3, 0.3, -0.6]), 10, seed=1)
 
 
 def test_gradient_check_report(sl2):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import crown
-from crown import TubeSpec, boundary_path, boundary_probe, sample_xi, tube_contains
+from crown import boundary_path, boundary_probe, sample_xi
+from crown.domains import _tube_margins
 from crown.iwasawa import minor_ratios
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
@@ -11,6 +12,14 @@ from crown.weyl import OmegaSpec, draw_omega_point, omega_distance, omega_margin
 from conftest import context
 
 OM8 = OmegaSpec("scale", scale=0.8)
+
+
+def tube_margin(ctx, omega, k, g, x):
+    """The tube margin of one crown point g exp(iX) over base k, a batch of one."""
+    margins, _, bad = _tube_margins(ctx, omega, k[None], np.asarray(g)[None],
+                                    np.asarray(x)[None])
+    assert not bad[0]
+    return margins[0]
 
 
 def test_sample_xi_postconditions(ctx):
@@ -26,9 +35,9 @@ def test_sample_xi_postconditions(ctx):
 
 def test_tube_identity_base_reads_off_direction(ctx):
     x = draw_omega_point(ctx, OM8, substream(5, 0))
-    tube = TubeSpec(base_k=np.eye(ctx.ambient_size), omega=OM8)
-    member, margin = tube_contains(ctx, tube, np.eye(ctx.ambient_size), x)
-    assert member
+    eye = np.eye(ctx.ambient_size)
+    margin = tube_margin(ctx, OM8, eye, eye, x)
+    assert margin > 0
     assert np.isclose(margin, omega_margin(ctx, OM8, x), atol=1e-12)
 
 
@@ -41,14 +50,8 @@ def test_tube_rejects_direction_outside_omega(ctx):
         cand = draw_omega_point(ctx, grow, rng)
         if omega_margin(ctx, OmegaSpec("scale", scale=0.5), cand) < 0:
             x = cand
-    tube = TubeSpec(base_k=np.eye(ctx.ambient_size), omega=OmegaSpec("scale", scale=0.5))
-    member, margin = tube_contains(ctx, tube, np.eye(ctx.ambient_size), x)
-    assert not member and margin < 0
-
-
-def test_tube_spec_validates_base(sl2):
-    with pytest.raises(ValueError):
-        TubeSpec(base_k=np.diag([2.0, 0.5]), omega=OM8)
+    eye = np.eye(ctx.ambient_size)
+    assert tube_margin(ctx, OmegaSpec("scale", scale=0.5), eye, eye, x) < 0
 
 
 def test_tube_membership_right_k_invariant(ctx):
@@ -74,14 +77,14 @@ def test_verify_tube_intersection_clean(sl3):
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2"])
 def test_tube_contains_is_a_batch_of_one_of_the_sweep(label):
-    # every (z, k) pair queried alone gives the sweep's margin bit for bit
+    # every (z, k) pair queried alone through _tube_margins gives the sweep's margin bit for bit
     ctx = context(label)
     seed, z_count, k_count = 4, 6, 5
     rep = crown.verify_tube_intersection(ctx, OM8, z_count, k_count, seed)
     gs, xs = sample_xi(ctx, OM8, z_count, seed)
     bases = [haar_k(ctx, [substream(seed, NS_TUBE + j)])[0] for j in range(k_count)]
-    margins = np.array([[tube_contains(ctx, TubeSpec(base_k=k, omega=OM8), g, x)[1]
-                         for k in bases] for g, x in zip(gs, xs)])
+    margins = np.array([[tube_margin(ctx, OM8, k, g, x) for k in bases]
+                        for g, x in zip(gs, xs)])
     z_index, k_index = np.unravel_index(np.argmin(margins), margins.shape)
     assert margins.min() == rep.min_margin
     assert (z_index, k_index) == (rep.worst_witness["z_index"], rep.worst_witness["k_index"])
@@ -98,8 +101,7 @@ def test_tube_margins_boundary_scan(sl3):
         vals = np.abs(u @ sl3.roots.T)
         x = 0.9 * (c * np.pi / 2 / vals.max()) * u
         g = haar_k(sl3, [rng])[0]
-        margins = [tube_contains(sl3, TubeSpec(base_k=haar_k(sl3, [rng])[0], omega=om), g, x)[1]
-                   for _ in range(10)]
+        margins = [tube_margin(sl3, om, haar_k(sl3, [rng])[0], g, x) for _ in range(10)]
         assert min(margins) > 0
         mins.append(min(margins))
     # frozen observation: margins grow linearly with the omega scale at fixed depth

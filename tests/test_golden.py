@@ -15,7 +15,8 @@ import re
 
 import pytest
 
-from crown.cli import run
+from crown import lemma24_probe, verify_boundary
+from crown.cli import build_parser, run
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -69,3 +70,15 @@ def render(argv) -> str:
 @pytest.mark.parametrize("name", list(CASES))
 def test_report_matches_golden(name):
     assert render(CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["boundary_sl3", "boundary_sl3_ball", "boundary_sp2_ball",
+                                  "lemma24_sl3", "lemma24_sp2"])
+def test_library_call_matches_golden(name):
+    # the command is one library call: called directly, it gives the golden report
+    args = build_parser().parse_args(CASES[name])
+    if args.command == "boundary":
+        report = verify_boundary(args.group, args.omega, args.steps, args.seed)
+    else:
+        report = lemma24_probe(args.group, args.samples, args.seed)
+    assert report.to_json() == (GOLDEN / f"{name}.json").read_text()

@@ -1,12 +1,30 @@
-"""The README's Library section runs as written and lists every export."""
+"""The README's command lines parse, and its Library section runs as written and lists
+every export."""
 
 import pathlib
 import re
 import types
 
 import crown
+from crown.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_command_line_block_parses():
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    block = re.search(r"```\n(.*?)```", text[start:], re.S).group(1)
+    block = block.replace("\\\n", " ").replace("[--cross-check]", "--cross-check")
+    parser = build_parser()
+    shown = set()
+    for line in block.splitlines():
+        argv = line.split()
+        assert argv[0] == "crown"
+        shown.add(parser.parse_args(argv[1:]).command)
+    # every subcommand of the parser appears in the block
+    commands = re.search(r"\{(.*?)\}", parser.format_usage()).group(1).split(",")
+    assert shown == set(commands)
 
 
 def _library_section():

@@ -9,6 +9,13 @@ import pytest
 import crown
 from crown import cli
 from crown.cli import EXIT_BREAKDOWN, EXIT_CANTCREAT, EXIT_USAGE, main, run
+from crown.errors import (
+    BranchBreakdown,
+    NonRealValue,
+    NumericalBreakdown,
+    PivotBreakdown,
+    RejectionStall,
+)
 from crown.report import VerificationReport, matrix_wire, vector_wire
 from crown.weyl import FULL_OMEGA
 
@@ -205,7 +212,6 @@ def test_cli_breakdown_exit_code(capsys, monkeypatch):
 
 def test_cli_non_real_functional_exits_breakdown(capsys, monkeypatch):
     import crown.convexity as convexity_mod
-    from crown.errors import NonRealValue
 
     def fail(*args):
         raise NonRealValue("functional evaluation is not a finite real number")
@@ -223,6 +229,17 @@ def test_cli_singular_solve_exits_breakdown(capsys, monkeypatch):
     monkeypatch.setattr(convexity_mod, "batch_reconstruction_residual", fail)
     assert main(["verify-convexity", "--group", "sl:2", "--samples", "1"]) == EXIT_BREAKDOWN
     assert "Singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [BranchBreakdown, PivotBreakdown, RejectionStall,
+                                   NonRealValue, NumericalBreakdown, np.linalg.LinAlgError])
+def test_cli_breakdown_family_exits_70(error, capsys, monkeypatch):
+    # the exit code follows the class: every NumericalBreakdown and a singular solve exit 70
+    def fail(*args):
+        raise error("broke down")
+    monkeypatch.setattr(cli, "hull_contains", fail)
+    assert main(["hull", "--group", "sl:2", "--x", "0.1,-0.1", "--y", "0,0"]) == EXIT_BREAKDOWN
+    assert capsys.readouterr().err == "crown: error: broke down\n"
 
 
 def test_cli_indeterminate_exit_code(capsys):

@@ -84,8 +84,10 @@ def test_non_positive_draw_is_a_breakdown(monkeypatch):
     # L L^T - 100 I is not positive definite: a numerical breakdown, not a usage error
     import crown.siegel as siegel_mod
     monkeypatch.setattr(siegel_mod, "DIRECT_EPS", -100.0)
-    with pytest.raises(NumericalBreakdown):
+    with pytest.raises(NumericalBreakdown) as info:
         sample_siegel(2, 4, seed=1)
+    # the base class itself, not one of its subclasses
+    assert type(info.value) is NumericalBreakdown
     assert main(["siegel", "--n", "2", "--samples", "4"]) == EXIT_BREAKDOWN
 
 

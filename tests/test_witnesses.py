@@ -13,8 +13,10 @@ import pathlib
 import numpy as np
 import pytest
 from mpmath import mp
+from test_golden import CASES
 
 from crown import Family, GroupSpec, build_group, sample_xi
+from crown.convexity import IM_N_FLOOR
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
 from crown.weyl import OmegaSpec
@@ -51,6 +53,26 @@ def test_siegel_witness_chi_at_50_digits():
         assert min(c.imag for c in chi) > 0
 
 
+def _gram(g, d, t=1):
+    """g exp(2itD) g^T for real g and D = diag(d), the matrix whose minors give a(g exp(itD))."""
+    m = len(d)
+    phase = [mp.expj(2 * t * dj) for dj in d]
+    return mp.matrix([[mp.fsum(g[r, s] * phase[s] * g[c, s] for s in range(m))
+                       for c in range(m)] for r in range(m)])
+
+
+def _ldl(mat):
+    """(L, pivots) of M = L diag(pivots) L^T, L unit lower triangular, by elimination."""
+    m = mat.rows
+    work, lower = mat.copy(), mp.eye(m)
+    for j in range(m):
+        for r in range(j + 1, m):
+            lower[r, j] = work[r, j] / work[j, j]
+            for c in range(j + 1, m):
+                work[r, c] -= lower[r, j] * work[j, c]
+    return lower, [work[j, j] for j in range(m)]
+
+
 def _tracked_im_log_a(g, d):
     """Im of the full diagonal of log a(g exp(iX)), D = diag(d), on a GRID-step path."""
     m = len(d)
@@ -58,10 +80,7 @@ def _tracked_im_log_a(g, d):
     largest = mp.mpf(0)
     prev = None
     for k in range(GRID + 1):
-        phase = [mp.expj(2 * mp.mpf(k) / GRID * dj) for dj in d]
-        path = mp.matrix([[mp.fsum(g[r, s] * phase[s] * g[c, s] for s in range(m))
-                           for c in range(m)] for r in range(m)])
-        minors = _leading_minors(path)
+        minors = _leading_minors(_gram(g, d, mp.mpf(k) / GRID))
         if prev is not None:
             steps = [mp.arg(now / before) for now, before in zip(minors, prev)]
             largest = max([largest] + [abs(s) for s in steps])
@@ -134,3 +153,51 @@ def test_omega_witness_at_50_digits(name):
         assert abs(margin - witness["margin"]) < 1e-12
         # the verdict: the witness, the sweep's worst point, lies inside omega
         assert margin > 0
+
+
+def _group(report):
+    return build_group(GroupSpec(Family(report["group"]["family"]), report["group"]["n"]))
+
+
+def _flag(argv, name):
+    """The float list a golden command line passes to name, or None when it passes none."""
+    if name not in argv:
+        return None
+    return [float(v) for v in argv[argv.index(name) + 1].split(",")]
+
+
+@pytest.mark.parametrize("name", ["decompose_sl3_real", "decompose_sp2_real",
+                                  "decompose_sl3_x", "decompose_sp2_x"])
+def test_decompose_factors_at_50_digits(name):
+    # z = g exp(iX) has z z^T = n a^2 n^T: the LDL^T of g exp(2iD) g^T gives n and |a|^2
+    report = _golden(name)
+    ctx = _group(report)
+    entries = _flag(CASES[name], "--entries")
+    x = _flag(CASES[name], "--x") or [0.0] * ctx.n
+    m = ctx.ambient_size
+    with mp.workdps(DIGITS):
+        g = mp.matrix([entries[r * m:(r + 1) * m] for r in range(m)])
+        d = [mp.mpf(v) for v in ctx.full_diag(x)]
+        lower, pivots = _ldl(_gram(g, d))
+        im_log_a = _tracked_im_log_a(g, d)
+        log_a = [mp.log(abs(p)) / 2 + 1j * y for p, y in zip(pivots, im_log_a)][: ctx.n]
+        assert max(abs(a - b) for a, b in zip(log_a, _numbers(report["extras"]["log_a"]))) < 1e-12
+        n_part = _matrix(report["extras"]["n_part"])
+        assert max(abs(lower[r, c] - n_part[r, c]) for r in range(m) for c in range(m)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["lemma24_sl3", "lemma24_sp2"])
+def test_lemma24_witness_at_50_digits(name):
+    # the worst k keeps an imaginary unipotent part: the largest |Im n| of k exp(iX)
+    report = _golden(name)
+    witness = report["worst_witness"]
+    ctx = _group(report)
+    with mp.workdps(DIGITS):
+        k = _matrix(witness["k"]).apply(mp.re)
+        d = [mp.mpf(v) for v in ctx.full_diag(report["extras"]["x"])]
+        lower, _ = _ldl(_gram(k, d))
+        m = ctx.ambient_size
+        im_n = max(abs(lower[r, c].imag) for r in range(m) for c in range(m))
+        assert abs(im_n - witness["im_n"]) < 1e-12
+        # the verdict: far from the normalizer, n is not real
+        assert im_n > IM_N_FLOOR
