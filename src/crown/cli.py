@@ -3,12 +3,13 @@
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
 failure, a stalled rejection sampler, a functional value that is not real, a
-singular linear solve, or a Siegel draw off the upper half-space), 73 the
---out report file cannot be written.  run is the one place that times a
-command: it stamps wall_time_ms on the report, so reports are byte-identical
-across reruns of the same argv except for that field.  Each subparser names the
-library call that runs it beside its flags; the only handlers here check the
-shape of a single query (decompose, hull) or pick the siegel verifier.
+singular linear solve, a Siegel draw off the upper half-space, or a k basis
+with a non-diagonal Gram matrix), 73 the --out report file cannot be written.
+run is the one place that times a command: it stamps wall_time_ms on the
+report, so reports are byte-identical across reruns of the same argv except
+for that field.  Each subparser names the library call that runs it beside its
+flags; the only handlers here check the shape of a single query (decompose,
+hull) or pick the siegel verifier.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import dataclasses
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchBreakdown,
@@ -173,14 +172,17 @@ def f_a_lambda(ctx: GroupContext, a_point, k, m) -> float:
     return float(value)
 
 
-def grad_f(ctx: GroupContext, a_point, k, m) -> np.ndarray:
+def grad_f(ctx: GroupContext, a_point, k, m, factors=None) -> np.ndarray:
     """Riemannian gradient of f_{a,lam} at k, as an element of the compact subalgebra.
 
     Built from the unipotent factor of k exp(a_point): the directional
     derivative along X is kappa_R(X, Ad(n) H_lam), so the gradient is minus the
-    metric projection of Ad(n) H_lam onto the compact subalgebra.
+    metric projection of Ad(n) H_lam onto the compact subalgebra.  factors, when
+    given, are the factors of k exp(a_point), which are then not projected again.
     """
-    return _grad_from_n(ctx, _project(ctx, a_point, k).n_part, m)
+    if factors is None:
+        factors = _project(ctx, a_point, k)
+    return _grad_from_n(ctx, factors.n_part, m)
 
 
 def _grad_from_n(ctx: GroupContext, n_part, m) -> np.ndarray:
@@ -188,16 +190,18 @@ def _grad_from_n(ctx: GroupContext, n_part, m) -> np.ndarray:
     h = h_lambda(ctx, m)
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
-    coeff = scipy.linalg.cho_solve(ctx.k_gram_chol, -rhs)
+    r = ctx.k_gram_rsqrt
+    coeff = (-rhs * r) * r
     return np.tensordot(coeff, ctx.basis_k, axes=1)
 
 
-def directional_derivative_triangular(ctx: GroupContext, a_point, k, m, x_dir) -> float:
+def directional_derivative_triangular(ctx: GroupContext, factors, m, x_dir) -> float:
     """Derivative of f_{a,lam} along exp(tX)k evaluated through the triangular part.
 
-    Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)).
+    Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)), with b
+    the triangular part of the factors of k exp(a_point).
     """
-    b = triangular_part(ctx, _project(ctx, a_point, k))
+    b = triangular_part(ctx, factors)
     ad_b_inv = np.linalg.solve(b, np.asarray(x_dir, dtype=complex) @ b)
     return float(pair_ia(ctx, project_a(ctx, ad_b_inv), m))
 
@@ -250,6 +254,8 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
     only when the search consumes it, so the run takes the steps, values and
     exceptions of one scalar evaluation per trial, bit for bit.
     """
+    import scipy.linalg
+
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     a_point = np.asarray(a_point, dtype=complex)
@@ -475,6 +481,8 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     evaluation through the triangular part.  A median relative error above
     MEDIAN_REL_TOL adds one violation.
     """
+    import scipy.linalg
+
     if configs < 1:
         raise ValueError("configs must be >= 1")
     rel_errs = np.empty(configs)
@@ -491,13 +499,14 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         k = haar_k(ctx, [rng])[0]
         m = sample_covector(ctx, rng)
         direction = random_k_direction(ctx, rng)
-        grad = grad_f(ctx, a_point, k, m)
+        factors = _project(ctx, a_point, k)
+        grad = grad_f(ctx, a_point, k, m, factors)
         exact = metric_inner(ctx, direction, grad)
         f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, m)
         f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, m)
         fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         rel_errs[i] = abs(exact - fd) / (1.0 + abs(exact))
-        other = directional_derivative_triangular(ctx, a_point, k, m, direction)
+        other = directional_derivative_triangular(ctx, factors, m, direction)
         pair_errs[i] = abs(exact - other)
         if rel_errs[i] > worst:
             worst = rel_errs[i]

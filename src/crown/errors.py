@@ -22,6 +22,13 @@ class NumericalBreakdown(CrownError):
     """
 
 
+class GramNotDiagonal(NumericalBreakdown):
+    """The Gram matrix of the basis of k has a nonzero off-diagonal entry.
+
+    The gradient solve reads its diagonal alone, so build_group refuses such a basis.
+    """
+
+
 class PivotBreakdown(NumericalBreakdown):
     """A leading principal minor degenerated below the relative floor."""
 

@@ -13,8 +13,9 @@ Conventions fixed here and relied on everywhere else:
   the strictly lower positions are negative on the chamber of descending
   coordinates.
 * The context carries a basis of the compact subalgebra k, the directions of
-  the gradient ascent on K; a and n need no basis, because a is the diagonal
-  and the projection onto it reads the diagonal off (``project_a``).
+  the gradient ascent on K, with the reciprocal square roots of the diagonal of
+  its Gram matrix; a and n need no basis, because a is the diagonal and the
+  projection onto it reads the diagonal off (``project_a``).
 * Sp(n,R) is first built in the standard block frame with symplectic form
   ``J = [[0, I], [-I, 0]]`` and then conjugated by a fixed permutation into the
   weight-sorted frame.  All public matrices live in the sorted frame; the
@@ -36,9 +37,8 @@ import functools
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
-from .errors import UnsupportedFamily
+from .errors import GramNotDiagonal, UnsupportedFamily
 
 GROUP_TOL = 1e-10
 
@@ -85,7 +85,7 @@ class GroupContext:
     killing_scale: float
     perm: np.ndarray             # sorted-frame index -> standard-frame index
     symplectic_form: np.ndarray | None
-    k_gram_chol: tuple           # cho_factor of the Gram matrix of basis_k
+    k_gram_rsqrt: np.ndarray     # 1/sqrt of the diagonal Gram matrix of basis_k
 
     @functools.cached_property
     def roots(self) -> np.ndarray:
@@ -259,11 +259,15 @@ def build_group(spec: GroupSpec) -> GroupContext:
 
     scale = ctx_kwargs["killing_scale"]
     gram = np.einsum("aij,bji->ab", basis_k, basis_k) * (-2.0 * scale)
-    chol = scipy.linalg.cho_factor(gram)
+    diag = np.diag(gram)
+    # the gradient solve multiplies by 1/sqrt(diag) twice, which has the bits of a
+    # Cholesky solve only when every off-diagonal entry is 0.0
+    if np.any(gram != np.diag(diag)):
+        raise GramNotDiagonal(f"the Gram matrix of the k basis of {spec.label} is not diagonal")
     return GroupContext(
         spec=spec,
         basis_k=_freeze(basis_k),
-        k_gram_chol=(chol[0], chol[1]),
+        k_gram_rsqrt=_freeze(1.0 / np.sqrt(diag)),
         **ctx_kwargs,
     )
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from crown import Family, GroupSpec
-from crown.errors import UnsupportedFamily
+import crown.groups as groups
+from crown import Family, GroupSpec, build_group, cli
+from crown.errors import GramNotDiagonal, UnsupportedFamily
 from crown.groups import h_lambda, is_regular, pair_ia, project_a
 from crown.rng import substream
 
@@ -87,6 +88,33 @@ def test_root_sets_explicit(sl3, sp2):
         n = ctx.n
         count = n * (n - 1) if ctx.family is Family.SPECIAL_LINEAR else 2 * n * n
         assert len(ctx.roots) == count
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_reciprocal_diagonal_solve_has_the_bits_of_cho_solve(label):
+    import scipy.linalg
+
+    ctx = context(label)
+    gram = np.einsum("aij,bji->ab", ctx.basis_k, ctx.basis_k) * (-2.0 * ctx.killing_scale)
+    assert np.all(gram == np.diag(np.diag(gram)))
+    r = ctx.k_gram_rsqrt
+    assert not r.flags.writeable
+    chol = scipy.linalg.cho_factor(gram)
+    rng = substream(59, len(gram))
+    rhs = rng.standard_normal((10_000, len(gram))) * 10.0 ** rng.uniform(-3, 3, (10_000, 1))
+    got = (rhs * r) * r
+    want = np.array([scipy.linalg.cho_solve(chol, b) for b in rhs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_non_diagonal_gram_is_refused(monkeypatch):
+    basis = groups._sl_basis_k(3)
+    basis[0] += basis[1]
+    monkeypatch.setattr(groups, "_sl_basis_k", lambda n: basis)
+    with pytest.raises(GramNotDiagonal):
+        build_group(GroupSpec(Family.SPECIAL_LINEAR, 3))
+    argv = ["hull", "--group", "sl:3", "--x", "0.1,0,-0.1", "--y", "0,0,0"]
+    assert cli.main(argv) == cli.EXIT_BREAKDOWN
 
 
 def test_basis_k_spans_compact_subalgebra(ctx):

@@ -1,8 +1,12 @@
 """Module boundaries and surface: no private cross-module imports, no unused
-imports, and no exception class that nothing raises."""
+imports, no exception class that nothing raises, and no scipy at import time."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import crown
 
@@ -56,3 +60,66 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert declared - raised == set()
+
+
+def _import_time_nodes(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # scipy.linalg alone takes about 0.2 s to import; the commands that need it load it
+    found = []
+    for path, tree in _modules():
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def _python(script):
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_crown_leaves_scipy_unloaded():
+    assert _python("import sys, crown; print('scipy' in sys.modules)") == "False\n"
+
+
+BLOCKED_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+import crown, crown.cli
+from crown import (Family, GroupSpec, build_group, verify_complex_convexity, verify_image,
+                   verify_siegel, verify_tube_intersection)
+from crown.weyl import FULL_OMEGA
+ctxs = {label: build_group(GroupSpec(Family(label[:2]), int(label[3:])))
+        for label in ["sl:2", "sl:3", "sl:4", "sp:2", "sp:3"]}
+reports = [verify_complex_convexity(ctxs["sl:3"], FULL_OMEGA, 40, seed=1),
+           verify_complex_convexity(ctxs["sp:2"], FULL_OMEGA, 40, seed=1, mode="full-g"),
+           verify_image(ctxs["sl:3"], FULL_OMEGA, 40, seed=2),
+           verify_tube_intersection(ctxs["sp:2"], FULL_OMEGA, 8, 5, seed=3),
+           verify_siegel(3, 40, seed=4)]
+print(json.dumps([[r.samples_requested, r.samples_completed, r.violations] for r in reports]))
+"""
+
+
+def test_crown_runs_with_scipy_blocked():
+    runs = json.loads(_python(BLOCKED_SCIPY_RUN))
+    assert len(runs) == 5
+    assert all(completed == requested > 0 and violations == 0
+               for requested, completed, violations in runs)

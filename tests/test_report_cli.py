@@ -11,6 +11,7 @@ from crown import cli
 from crown.cli import EXIT_BREAKDOWN, EXIT_CANTCREAT, EXIT_USAGE, main, run
 from crown.errors import (
     BranchBreakdown,
+    GramNotDiagonal,
     NonRealValue,
     NumericalBreakdown,
     PivotBreakdown,
@@ -231,8 +232,9 @@ def test_cli_singular_solve_exits_breakdown(capsys, monkeypatch):
     assert "Singular matrix" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [BranchBreakdown, PivotBreakdown, RejectionStall,
-                                   NonRealValue, NumericalBreakdown, np.linalg.LinAlgError])
+@pytest.mark.parametrize("error", [BranchBreakdown, GramNotDiagonal, PivotBreakdown,
+                                   RejectionStall, NonRealValue, NumericalBreakdown,
+                                   np.linalg.LinAlgError])
 def test_cli_breakdown_family_exits_70(error, capsys, monkeypatch):
     # the exit code follows the class: every NumericalBreakdown and a singular solve exit 70
     def fail(*args):

@@ -7,6 +7,7 @@ anchored at the positive definite g g^T of t = 0.  Tube witnesses store no
 group element; crown's seeded samplers redraw it from the witness's indices.
 """
 
+import itertools
 import json
 import pathlib
 
@@ -16,7 +17,7 @@ from mpmath import mp
 from test_golden import CASES
 
 from crown import Family, GroupSpec, build_group, sample_xi
-from crown.convexity import IM_N_FLOOR
+from crown.convexity import IM_N_FLOOR, weyl_k_representatives
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
 from crown.weyl import OmegaSpec
@@ -164,6 +165,36 @@ def _flag(argv, name):
     if name not in argv:
         return None
     return [float(v) for v in argv[argv.index(name) + 1].split(",")]
+
+
+@pytest.mark.parametrize("name", ["kostant_sl3", "kostant_sp2"])
+def test_kostant_vertex_error_at_50_digits(name):
+    # k_w exp(X) = exp(wX) k_w, so log a(k_w exp X) is the vertex wX: the exact vertex
+    # error is 0, and the golden's max_vertex_error is rounding alone
+    report = _golden(name)
+    ctx = _group(report)
+    x = [re for re, _ in report["worst_witness"]["x"]]
+    reps = weyl_k_representatives(ctx)
+    assert len(reps) == report["extras"]["weyl_order"]
+    signs = (itertools.product([1, -1], repeat=ctx.n) if ctx.family is Family.SYMPLECTIC
+             else [[1] * ctx.n])
+    orbit = [[s * v for s, v in zip(sign, perm)]
+             for sign in signs for perm in itertools.permutations(x)]
+    m = ctx.ambient_size
+    with mp.workdps(DIGITS):
+        exp_x = mp.diag([mp.exp(v) for v in ctx.full_diag(x)])
+        hit, error = set(), mp.mpf(0)
+        for _, kw in reps:
+            # z = g has z z^T = n a^2 n^T: the LDL^T pivots of g g^T are a^2
+            _, pivots = _ldl(_gram(mp.matrix(kw.tolist()) * exp_x, [mp.mpf(0)] * m))
+            log_a = [mp.log(p.real) / 2 for p in pivots][: ctx.n]
+            gaps = [max(abs(a - v) for a, v in zip(log_a, w)) for w in orbit]
+            hit.add(gaps.index(min(gaps)))
+            error = max(error, min(gaps))
+        # every Weyl image of x is attained, each by one representative
+        assert hit == set(range(len(orbit))) and len(orbit) == len(reps)
+        assert error < mp.mpf(10) ** -40
+        assert abs(error - report["extras"]["max_vertex_error"]) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["decompose_sl3_real", "decompose_sp2_real",
