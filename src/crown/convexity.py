@@ -8,7 +8,10 @@ f_{a,lam} along exp(tX)k is ``kappa_R(X, Ad(n(ka)) H_lam)``, equivalently
 ``lam(p_a(Ad(b(ka))^{-1} X))`` through the triangular part; both routes are
 implemented and cross-checked.  Critical points of f_{a,lam} for regular data
 lie in the normalizer of the Cartan subspace, so seeded gradient ascents must
-terminate at one of the finitely many values lam(i wX).
+terminate at one of the finitely many values lam(i wX).  The ascent takes
+Barzilai-Borwein steps on the Cayley retraction, which keeps K without a
+matrix exponential; in this module only the finite differences of
+gradient_check load scipy, for expm.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import (
-    BranchBreakdown,
-    NonRealValue,
-    NotInGroup,
-    OmegaViolation,
-    RejectionStall,
-)
+from .errors import NonRealValue, OmegaViolation, RejectionStall
 from .groups import (
     GROUP_TOL,
     Family,
@@ -72,8 +69,6 @@ from .weyl import (
 REGULARITY_FLOOR = 1e-3
 ARMIJO_SLOPE = 0.1
 ARMIJO_SHRINK = 0.5
-# step sizes of one speculative Armijo batch: the expansion from 1, then the shrink
-ARMIJO_LADDER = (1.0, 2.0, 4.0, 8.0, 0.5, 0.25, 0.125, 0.0625)
 STEP_FLOOR = 1e-12
 STEP_CAP = 2.0 ** 20
 IM_N_FLOOR = 1e-10
@@ -161,12 +156,17 @@ def f_a(ctx: GroupContext, a_point, k) -> np.ndarray:
 
 
 def f_a_lambda(ctx: GroupContext, a_point, k, m) -> float:
-    """lam(f_a(k)) through the kappa_R pairing.
+    """lam(f_a(k)) through the kappa_R pairing."""
+    return _checked_value(ctx, _project(ctx, a_point, k), m)
+
+
+def _checked_value(ctx: GroupContext, factors, m) -> float:
+    """lam(log a) of the factors of k exp(a_point).
 
     The pairing of a Cartan-space value with i*M is real by construction; a
     broken branch surfaces as a non-finite value and is rejected.
     """
-    value = pair_ia(ctx, f_a(ctx, a_point, k), m)
+    value = pair_ia(ctx, factors.log_a, m)
     if not np.isfinite(value):
         raise NonRealValue("functional evaluation is not a finite real number")
     return float(value)
@@ -212,50 +212,20 @@ def weyl_values(ctx: GroupContext, x, m) -> np.ndarray:
     return -2.0 * ctx.coord_weight * (orbit @ m)
 
 
-def _evaluate_rows(ctx: GroupContext, ks, base, x_im, m_coords):
-    """f_{a,lam} and the unipotent factor at each element of a stack ks, failures kept.
-
-    Row i has the bits of f_a_lambda and of grad_f's projection at ks[i];
-    base is exp(Re a_point).  Returns (values, lowers, failures), where
-    failures[i] is None or the exception that the scalar evaluation of row i
-    would raise.  Nothing is raised here.
-    """
-    gs = ks @ base
-    count, m = gs.shape[0], gs.shape[-1]
-    values = np.full(count, np.nan)
-    lowers = np.full((count, m, m), np.nan, dtype=complex)
-    member = ctx.in_group(gs)
-    failures = [None if ok else NotInGroup("base point fails the group membership check")
-                for ok in member]
-    rows = np.flatnonzero(member)
-    if rows.size:
-        log_full, lowers[rows], _, bad = track_batch(
-            ctx, gs[rows], np.tile(x_im, (rows.size, 1)))
-        # the stacked form keeps the bits of pair_ia's 1-D dot on every row
-        dots = (np.imag(log_full[:, None, :ctx.n]) @ m_coords[:, None])[:, 0, 0]
-        values[rows] = -2.0 * ctx.coord_weight * dots
-        for i in rows[bad]:
-            failures[i] = BranchBreakdown("branch tracking broke down along the path")
-        for i in rows[~bad & ~np.isfinite(values[rows])]:
-            failures[i] = NonRealValue("functional evaluation is not a finite real number")
-    return values, lowers, failures
-
-
 def ascend_critical(ctx: GroupContext, a_point, k0, m,
                     max_iter: int = 1000, tol: float = GRAD_TOL) -> CriticalRun:
-    """Riemannian gradient ascent of f_{a,lam} with Armijo backtracking.
+    """Riemannian gradient ascent of f_{a,lam}: Barzilai-Borwein steps on a Cayley retraction.
 
     Requires regular m and regular imaginary direction.  Non-converged runs
     are returned with converged=False.
 
-    Each step evaluates the step sizes of ARMIJO_LADDER as one batch and runs
-    the Armijo expansion and shrink over the cached rows; a further batch is
-    evaluated only when the search runs past the cache.  A row fails (raises)
-    only when the search consumes it, so the run takes the steps, values and
-    exceptions of one scalar evaluation per trial, bit for bit.
+    The trial point for step eta is the Cayley transform
+    (I - eta X/2)^{-1} (I + eta X/2) k of the gradient X, which stays in K.
+    Each step starts from the Barzilai-Borwein size <s,s>/<s,y> of the last
+    accepted step (s = eta X, y = X - X_next), or STEP_CAP when <s,y> <= 0,
+    and halves it until the monotone Armijo test holds; below STEP_FLOOR the
+    run stalls.  The accepted trial's projection supplies the next gradient.
     """
-    import scipy.linalg
-
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     a_point = np.asarray(a_point, dtype=complex)
@@ -266,19 +236,16 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
         raise ValueError("imaginary direction must be regular")
     if omega_margin(ctx, FULL_OMEGA, x_im) <= 0.0:
         raise OmegaViolation("direction lies outside the admissible polytope")
-    base = ctx.a_exp(a_point.real)
     m = np.asarray(m, dtype=float)
     k = np.asarray(k0, dtype=float)
-    values, lowers, failures = _evaluate_rows(ctx, k[None], base, x_im, m)
-    if failures[0] is not None:
-        raise failures[0]
-    f_cur, n_cur = float(values[0]), lowers[0]
+    eye = np.eye(ctx.ambient_size)
+    factors = _project(ctx, a_point, k)
+    f_cur = _checked_value(ctx, factors, m)
+    grad = _grad_from_n(ctx, factors.n_part, m)
     f_values = [f_cur]
-    grad_norm = np.inf
-    iterations = 0
+    eta = 1.0
     converged = False
     for iterations in range(max_iter + 1):
-        grad = _grad_from_n(ctx, n_cur, m)
         sq_norm = metric_inner(ctx, grad, grad)
         grad_norm = np.sqrt(max(sq_norm, 0.0))
         if grad_norm < tol:
@@ -286,44 +253,22 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
             break
         if iterations == max_iter:
             break
-        cache = {}
-
-        def trial(eta):
-            if eta not in cache:
-                if cache:
-                    ratio = 2.0 if eta > 1.0 else ARMIJO_SHRINK
-                    etas = eta * ratio ** np.arange(len(ARMIJO_LADDER))
-                else:
-                    etas = np.array(ARMIJO_LADDER)
-                ks = k_project(ctx, scipy.linalg.expm(etas[:, None, None] * grad) @ k)
-                rows = _evaluate_rows(ctx, ks, base, x_im, m)
-                cache.update(zip(etas.tolist(), zip(ks, *rows)))
-            k_t, f_t, n_t, failure = cache[eta]
-            if failure is not None:
-                raise failure
-            return k_t, float(f_t), n_t
-
-        eta = 1.0
-        k_trial, f_trial, n_trial = trial(eta)
-        if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
-            # flat ridges want steps far above 1; expand while the slope test holds
-            while eta < STEP_CAP:
-                k_next, f_next, n_next = trial(2.0 * eta)
-                if f_next < f_cur + ARMIJO_SLOPE * 2.0 * eta * sq_norm or f_next <= f_trial:
-                    break
-                eta *= 2.0
-                k_trial, f_trial, n_trial = k_next, f_next, n_next
-        else:
-            stalled = True
-            while eta >= STEP_FLOOR:
-                eta *= ARMIJO_SHRINK
-                k_trial, f_trial, n_trial = trial(eta)
-                if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
-                    stalled = False
-                    break
-            if stalled:
+        while eta >= STEP_FLOOR:
+            half = 0.5 * eta * grad
+            k_trial = k_project(ctx, np.linalg.solve(eye - half, (eye + half) @ k))
+            factors = _project(ctx, a_point, k_trial)
+            f_trial = _checked_value(ctx, factors, m)
+            if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
                 break
-        k, f_cur, n_cur = k_trial, f_trial, n_trial
+            eta *= ARMIJO_SHRINK
+        else:
+            # no step size down to STEP_FLOOR passed the Armijo test: the run stalls
+            break
+        grad_next = _grad_from_n(ctx, factors.n_part, m)
+        s = eta * grad
+        sy = metric_inner(ctx, s, grad - grad_next)
+        eta = min(metric_inner(ctx, s, s) / sy, STEP_CAP) if sy > 0.0 else STEP_CAP
+        k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, m)))
     return CriticalRun(
@@ -574,7 +519,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         samples_indeterminate=indeterminate,
         violations=violations,
         worst_witness=witness,
-        tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL,
+        tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
                        "regularity_floor": REGULARITY_FLOOR,
                        "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK},
         extras={"convergence_rate": converged / runs,

@@ -3,16 +3,16 @@
 Kept free of the implementation routes they validate: hull membership is
 decided by LP feasibility over the explicit orbit, SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
-trial, Siegel points by one draw and one fractional action per index,
-branch-tracking ratios by one product and one strided elimination per grid
-matrix, and the tracked branch by a fixed fine grid along a polyline or,
-where the path is cone-safe, by the Cauchy-Binet sums of the leading minors.
+value and one more per gradient, Siegel points by one draw and one fractional
+action per index, branch-tracking ratios by one product and one strided
+elimination per grid matrix, and the tracked branch by a fixed fine grid along
+a polyline or, where the path is cone-safe, by the Cauchy-Binet sums of the
+leading minors.
 """
 
 import itertools
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 from crown import Family, GroupSpec, build_group, f_a_lambda, grad_f, substream, weyl_orbit
@@ -165,23 +165,25 @@ def reference_sample_siegel(n, count, seed):
     return np.array(points)
 
 
-# Frozen scalar gradient ascent: one projection per Armijo trial and one more
-# for each gradient, the trail that the batched ladder of
-# crown.convexity.ascend_critical must keep bit for bit.
+# Frozen scalar gradient ascent: one projection for each value and one more for
+# each gradient, the trail that crown.convexity.ascend_critical, which projects
+# each accepted trial once for both, must keep bit for bit.
 
 def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL,
                               trials=None):
-    """Scalar Armijo ascent of f_{a,lam}; appends every step size tried to trials."""
+    """Scalar Barzilai-Borwein ascent of f_{a,lam} on the Cayley retraction.
+
+    Appends every step size tried to trials.
+    """
     a_point = np.asarray(a_point, dtype=complex)
-    x_im = a_point.imag
     k = np.asarray(k0, dtype=float)
+    eye = np.eye(ctx.ambient_size)
     f_cur = f_a_lambda(ctx, a_point, k, lam)
+    grad = grad_f(ctx, a_point, k, lam)
     f_values = [f_cur]
-    grad_norm = np.inf
-    iterations = 0
+    eta = 1.0
     converged = False
     for iterations in range(max_iter + 1):
-        grad = grad_f(ctx, a_point, k, lam)
         sq_norm = metric_inner(ctx, grad, grad)
         grad_norm = np.sqrt(max(sq_norm, 0.0))
         if grad_norm < tol:
@@ -189,35 +191,25 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
             break
         if iterations == max_iter:
             break
-
-        def trial(eta):
+        accepted = False
+        while not accepted and eta >= STEP_FLOOR:
             if trials is not None:
                 trials.append(eta)
-            k_t = k_project(ctx, scipy.linalg.expm(eta * grad) @ k)
-            return k_t, f_a_lambda(ctx, a_point, k_t, lam)
-
-        eta = 1.0
-        k_trial, f_trial = trial(eta)
-        if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
-            while eta < STEP_CAP:
-                k_next, f_next = trial(2.0 * eta)
-                if f_next < f_cur + ARMIJO_SLOPE * 2.0 * eta * sq_norm or f_next <= f_trial:
-                    break
-                eta *= 2.0
-                k_trial, f_trial = k_next, f_next
-        else:
-            stalled = True
-            while eta >= STEP_FLOOR:
+            half = 0.5 * eta * grad
+            k_trial = k_project(ctx, np.linalg.solve(eye - half, (eye + half) @ k))
+            f_trial = f_a_lambda(ctx, a_point, k_trial, lam)
+            accepted = f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm
+            if not accepted:
                 eta *= ARMIJO_SHRINK
-                k_trial, f_trial = trial(eta)
-                if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
-                    stalled = False
-                    break
-            if stalled:
-                break
-        k, f_cur = k_trial, f_trial
+        if not accepted:
+            break
+        grad_next = grad_f(ctx, a_point, k_trial, lam)
+        s = eta * grad
+        s_y = metric_inner(ctx, s, grad - grad_next)
+        eta = min(metric_inner(ctx, s, s) / s_y, STEP_CAP) if s_y > 0.0 else STEP_CAP
+        k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
-    matched = float(np.max(weyl_values(ctx, x_im, lam)))
+    matched = float(np.max(weyl_values(ctx, a_point.imag, lam)))
     return CriticalRun(
         end_k=k, f_values=np.array(f_values),
         grad_norm_final=float(grad_norm), matched_weyl_value=matched,

@@ -4,10 +4,11 @@ import scipy.linalg
 
 import crown
 import crown.convexity as convexity
+import crown.iwasawa as iwasawa
 from crown import ascend_critical, f_a, f_a_lambda, grad_f
 from crown.convexity import (
-    ARMIJO_LADDER,
     GRAD_TOL,
+    STEP_FLOOR,
     directional_derivative_triangular,
     metric_inner,
     normalizer_elements,
@@ -187,12 +188,15 @@ def _assert_same_run(got, want):
     assert got.grad_norm_final == want.grad_norm_final
 
 
-# label -> (case name, substream, index, covector scale, max_iter, tol); a
-# stretched covector makes the first steps overshoot, so the shrink passes 1/16
+# label -> (case name, substream, index, covector scale, max_iter, tol); in
+# "expand" a Barzilai-Borwein step goes above 8, a stretched covector makes the
+# first steps overshoot, so the shrink passes 1/16, and with tol 0 the sl:3
+# "stall" run halves below STEP_FLOOR before max_iter
 ORACLE_CASES = {
     "sl:2": [("expand", 99, 1, 1.0, 40, GRAD_TOL), ("shrink", 98, 2, 60.0, 12, GRAD_TOL),
              ("deep-shrink", 98, 2, 60.0, 60, 0.0)],
-    "sl:3": [("expand", 99, 3, 1.0, 40, GRAD_TOL), ("shrink", 98, 0, 60.0, 12, GRAD_TOL)],
+    "sl:3": [("expand", 99, 3, 1.0, 40, GRAD_TOL), ("shrink", 98, 0, 60.0, 12, GRAD_TOL),
+             ("stall", 99, 0, 1.0, 200, 0.0)],
     "sp:2": [("expand", 99, 7, 1.0, 40, GRAD_TOL), ("shrink", 98, 0, 60.0, 12, GRAD_TOL)],
 }
 
@@ -215,43 +219,37 @@ def test_ascent_matches_scalar_oracle_bit_for_bit(label):
             assert max(trials) > 8.0
         elif name.endswith("shrink"):
             assert min(trials) < 1.0 / 16.0
+        elif name == "stall":
+            assert not got.converged and got.iterations < max_iter
+            assert min(trials) < 2.0 * STEP_FLOOR
         elif name == "no-step":
             assert got.iterations == 0 and trials == []
 
 
-def _fault_rows(monkeypatch, fault, row):
-    """Break one row of every ladder batch: it leaves the group, breaks down or is not real."""
-    if fault == "leaves-group":
-        original = convexity.k_project
+def _fault_trials(monkeypatch, fault):
+    """Break every trial point: it leaves the group, its branch breaks down or its value is not real.
 
-        def patched(ctx, k):
-            out = original(ctx, k)
-            if out.ndim == 3:
-                out = out.copy()
-                out[row] *= 2.0
-            return out
-        monkeypatch.setattr(convexity, "k_project", patched)
-        return
-    original = convexity.track_batch
-
-    def patched(ctx, g, xs, *args):
-        log_full, lower, max_steps, bad = original(ctx, g, xs, *args)
-        if len(g) == len(ARMIJO_LADDER):
-            log_full[row] = complex(np.nan, np.nan)
-            bad[row] = fault == "breakdown"
-        return log_full, lower, max_steps, bad
-    monkeypatch.setattr(convexity, "track_batch", patched)
-
-
-@pytest.mark.parametrize("fault", ["breakdown", "leaves-group", "non-real"])
-def test_unconsumed_speculative_failure_does_not_raise(sl3, monkeypatch, fault):
-    a_point, k0, lam = _ascent_case(sl3, 99, 3)
+    The start point, evaluated before the first trial, is left intact.
+    """
+    original_k_project, original_project = convexity.k_project, convexity.project_complex
     trials = []
-    want = reference_ascend_critical(sl3, a_point, k0, lam, 40, GRAD_TOL, trials)
-    # the run never shrinks, so the last ladder row (eta = 1/16) is never consumed
-    assert min(trials) > ARMIJO_LADDER[-1]
-    _fault_rows(monkeypatch, fault, len(ARMIJO_LADDER) - 1)
-    _assert_same_run(ascend_critical(sl3, a_point, k0, lam, max_iter=40), want)
+
+    def k_project(ctx, k):
+        trials.append(k)
+        out = original_k_project(ctx, k)
+        return 2.0 * out if fault == "leaves-group" else out
+
+    def project_complex(ctx, g, x):
+        if trials and fault == "breakdown":
+            # no minor clears an infinite floor, so the tracker itself raises
+            monkeypatch.setattr(iwasawa, "PIVOT_FLOOR", np.inf)
+        factors = original_project(ctx, g, x)
+        if trials and fault == "non-real":
+            factors.log_a = np.full_like(factors.log_a, complex(np.nan, np.nan))
+        return factors
+    monkeypatch.setattr(convexity, "k_project", k_project)
+    monkeypatch.setattr(convexity, "project_complex", project_complex)
+    return trials
 
 
 @pytest.mark.parametrize("fault, error", [("breakdown", BranchBreakdown),
@@ -259,20 +257,46 @@ def test_unconsumed_speculative_failure_does_not_raise(sl3, monkeypatch, fault):
                                           ("non-real", NonRealValue)])
 def test_consumed_failure_raises_the_scalar_class(sl3, monkeypatch, fault, error):
     a_point, k0, lam = _ascent_case(sl3, 99, 3)
-    _fault_rows(monkeypatch, fault, ARMIJO_LADDER.index(1.0))
+    trials = _fault_trials(monkeypatch, fault)
     with pytest.raises(error):
         ascend_critical(sl3, a_point, k0, lam, max_iter=40)
+    assert len(trials) == 1
 
 
 def test_ascent_rejects_x_outside_polytope_before_evaluating(sl2, monkeypatch):
     evaluations = []
-    monkeypatch.setattr(convexity, "track_batch", lambda *a: evaluations.append(a))
-    monkeypatch.setattr(scipy.linalg, "expm", lambda *a: evaluations.append(a))
+    monkeypatch.setattr(convexity, "project_complex", lambda *a: evaluations.append(a))
     lam = np.array([0.6, -0.6])
     # the root value 2 lies beyond the cutoff pi/2 of the admissible polytope
     with pytest.raises(OmegaViolation):
         ascend_critical(sl2, 1j * np.array([1.0, -1.0]), np.eye(2), lam)
     assert evaluations == []
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"])
+def test_cayley_trial_stays_in_group(label):
+    # (I - eta X/2)^{-1} (I + eta X/2) k is orthogonal for skew X, and the
+    # Cayley transform of an element of k lies in K for both families
+    ctx = context(label)
+    eye = np.eye(ctx.ambient_size)
+    rng = substream(83, 0)
+    for _ in range(5):
+        k = haar_k(ctx, [rng])[0]
+        direction = random_k_direction(ctx, rng)
+        for eta in (1e-3, 1.0, 1e3):
+            half = 0.5 * eta * direction
+            cayley = np.linalg.solve(eye - half, (eye + half) @ k)
+            np.testing.assert_allclose(cayley.T @ cayley, eye, rtol=0.0, atol=1e-12)
+            assert ctx.in_group(cayley)
+            assert ctx.in_group(convexity.k_project(ctx, cayley))
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sl:4", "sp:1", "sp:2", "sp:3"])
+def test_critical_point_scan_converges_up_the_rank_ladder(label):
+    rep = crown.critical_point_scan(context(label), 20, seed=5, max_iter=1500)
+    assert rep.extras["convergence_rate"] == 1.0
+    assert rep.violations == 0
+    assert rep.extras["max_gap_converged"] < 1e-8
 
 
 # ------------------------------------------------------------------- verifiers

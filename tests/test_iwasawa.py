@@ -353,7 +353,7 @@ def test_track_batch_matches_scalar(ctx):
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2"])
 def test_track_batch_row_independent_of_batch(label):
-    # the batched Armijo ladder of ascend_critical relies on this, bit for bit
+    # project_complex can become track_batch on a batch of one only while this holds
     ctx = context(label)
     count = 512
     rngs = [substream(67, i) for i in range(count)]
