@@ -324,7 +324,7 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
         rngs = [substream(seed, i) for i in range(lo, hi)]
         xs = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
         gs = sample_group_element(ctx, rngs, mode)
-        log_full, lower, max_steps, bad = track_batch(ctx, gs, xs, steps_hint)
+        log_full, lower, max_steps, _, bad = track_batch(ctx, gs, xs, steps_hint)
         ok = ~bad
         ys = log_full[:, :nn].imag
         margins = hull_margins_batch(ctx, xs, ys, tol)
@@ -554,7 +554,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
         gs = np.empty((count, ctx.ambient_size, ctx.ambient_size))
         for i in range(count):
             gs[i] = draw_far_k(substream(seed, lo + i))
-        _, lower, max_steps, bad = track_batch(ctx, gs, np.tile(x, (count, 1)))
+        _, lower, max_steps, _, bad = track_batch(ctx, gs, np.tile(x, (count, 1)))
         im_n = np.max(np.abs(lower.imag), axis=(1, 2))
         return chunk_part(
             im_n, bad, max_steps, im_n <= IM_N_FLOOR,

@@ -54,7 +54,7 @@ def _tube_margins(ctx: GroupContext, omega: OmegaSpec, ks, gs, xs):
     real, so the tracked branch stays anchored.  The margin is the omega margin
     of Im log a of the translate; rows whose tracking broke down are NaN.
     """
-    log_full, _, max_steps, bad = track_batch(ctx, np.swapaxes(ks, 1, 2) @ gs, xs)
+    log_full, _, max_steps, _, bad = track_batch(ctx, np.swapaxes(ks, 1, 2) @ gs, xs)
     return omega_margin(ctx, omega, log_full[:, : ctx.n].imag), max_steps, bad
 
 
@@ -109,10 +109,10 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
         xs = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
         gs = sample_group_element(ctx, rngs, "full-g")
         ws = np.array([draw_omega_point(ctx, omega, rng) for rng in rngs])
-        log_full, _, max_steps, bad = track_batch(ctx, gs, xs)
+        log_full, _, max_steps, _, bad = track_batch(ctx, gs, xs)
         margins = omega_margin(ctx, omega, log_full[:, :nn].imag)
         slice_eye = np.tile(np.eye(ctx.ambient_size), (count, 1, 1))
-        slice_log, _, _, slice_bad = track_batch(ctx, slice_eye, ws)
+        slice_log, _, _, _, slice_bad = track_batch(ctx, slice_eye, ws)
         witness_err = float(np.max(np.abs(slice_log[~slice_bad][:, :nn] - 1j * ws[~slice_bad]))) \
             if (~slice_bad).any() else np.inf
         part = chunk_part(
@@ -162,7 +162,7 @@ def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path) -> list[tuple
     if dists[-1] >= 1e-3:
         raise ValueError("path must approach the boundary below 1e-3")
     gs = np.repeat(np.asarray(g, dtype=float)[None], len(x_path), axis=0)
-    log_full, _, _, _ = track_batch(ctx, gs, x_path)
+    log_full = track_batch(ctx, gs, x_path)[0]
     ys = log_full[:, : ctx.n].imag
     # rows whose tracking broke down are NaN and fail the margin test too
     left = np.flatnonzero(~(omega_margin(ctx, omega, ys) > 0.0))

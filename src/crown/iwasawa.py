@@ -11,8 +11,9 @@ On points ``z = g exp(iX)`` with g real and X inside the admissible polytope
 the logarithm ``log a`` is determined by continuity along ``t -> g exp(itX)``
 from the positive-definite real point at t = 0.  The branch is tracked by
 unwrapping the arguments of the m pivot ratios: each step of the parameter
-grid must move every ratio argument by less than pi/2, offending steps are
-bisected, and the total number of segments is capped.
+grid must move every ratio argument by less than pi/2, a path with an offending
+step is tracked again on a grid twice as fine, and the number of segments is
+capped.  track_batch is the one tracker; project_complex is a batch of one.
 
 Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
 path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
@@ -44,7 +45,7 @@ ARG_STEP_CAP = np.pi / 2.0
 MAX_SEGMENTS = 2 ** 14
 RECON_RTOL = 1e-10
 SYM_TOL = 1e-10
-# parameter-grid segments per tracked path before any bisection
+# parameter-grid segments per tracked path before any retry on a finer grid
 GRID_STEPS = 16
 _TINY = np.finfo(float).tiny
 
@@ -146,41 +147,7 @@ def _path_ratios(ctx: GroupContext, g, coords):
     tmp = g[..., None, :, :] * diag[..., None, :]
     block = tmp.reshape(lead + (steps * m, m)) @ np.swapaxes(g, -1, -2)
     ratios, lower, minors = _ldl(block.reshape(lead + (steps, m, m)))
-    return ratios, lower, np.min(minors, axis=-1)
-
-
-def _refine(ss, bad):
-    mids = 0.5 * (ss[bad] + ss[bad + 1])
-    return np.sort(np.concatenate([ss, mids]))
-
-
-def _track(ctx: GroupContext, g, x, steps_hint: int):
-    """Continuous branch of the log minor ratios along t -> tX from direction 0.
-
-    The path starts at the real point g.  Returns half of the tracked log
-    ratios (the full diagonal of log a), the final unit lower factor, the
-    number of grid segments used and the largest per-step argument move.
-    """
-    g = np.asarray(g, dtype=float)
-    # coords and arg are sums with a zero start, so a signed zero comes out as +0.0
-    start = np.zeros(ctx.n)
-    ss = np.linspace(0.0, 1.0, max(int(steps_hint), 1) + 1)
-    while True:
-        coords = start + ss[:, None] * (x - start)[None, :]
-        ratios, lower, floor = _path_ratios(ctx, g, coords)
-        if not np.all(floor >= PIVOT_FLOOR):
-            t_bad = float(ss[int(np.argmin(floor))])
-            raise BranchBreakdown(f"minor degenerated along the path near t={t_bad:.6f}")
-        dphi = np.angle(ratios[1:] / ratios[:-1])
-        bad = np.flatnonzero(np.max(np.abs(dphi), axis=1) >= ARG_STEP_CAP)
-        if not bad.size:
-            break
-        if len(ss) + bad.size - 1 > MAX_SEGMENTS:
-            raise BranchBreakdown("subdivision cap exceeded while tracking the branch")
-        ss = _refine(ss, bad)
-    arg = np.zeros(ctx.ambient_size) + dphi.sum(axis=0)
-    log_full = 0.5 * (np.log(np.abs(ratios[-1])) + 1j * arg)
-    return log_full, lower[-1], len(ss) - 1, float(np.max(np.abs(dphi)))
+    return ratios, lower, minors.min(axis=-1)
 
 
 def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
@@ -198,16 +165,20 @@ def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
 
     g must be a real group element and X must lie in the admissible polytope.
     The result does not depend on the path to X inside the polytope, because
-    the target tube is simply connected.
+    the target tube is simply connected.  This is track_batch on a batch of
+    one; a row that comes back bad raises BranchBreakdown.
     """
+    g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
         raise OmegaViolation("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
         raise NotInGroup("base point fails the group membership check")
-    log_full, lower, steps, max_step = _track(ctx, g, x, GRID_STEPS)
-    z = np.asarray(g) @ ctx.a_exp(1j * x)
-    return _assemble(ctx, z, log_full, lower, steps, max_step)
+    log_full, lower, max_steps, segments, bad = track_batch(ctx, g[None], x[None])
+    if bad[0]:
+        raise BranchBreakdown("a minor degenerated along the path or the segment cap was reached")
+    z = g @ ctx.a_exp(1j * x)
+    return _assemble(ctx, z, log_full[0], lower[0], int(segments[0]), float(max_steps[0]))
 
 
 def project_real_batch(g):
@@ -247,40 +218,46 @@ def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
 
 
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
-    """Vectorized branch tracking for a batch of (g_i, X_i) pairs.
+    """Continuous branch of log a(g_i exp(iX_i)) for a batch of (g_i, X_i) pairs.
 
-    Runs the whole batch on one uniform grid and falls back to the adaptive
-    scalar tracker for samples whose grid was too coarse, so per-sample results
-    do not depend on the batch composition.
+    Each path t -> g exp(itX) starts at the real point g and runs on a uniform
+    grid of steps_hint segments.  A row with a grid step that moves some ratio
+    argument by pi/2 or more is tracked again, alone, on a grid twice as fine,
+    up to MAX_SEGMENTS segments, so no row depends on the batch it came in.
 
-    Returns (log_full, lower, max_steps, bad) where bad marks samples whose
-    tracking broke down; their rows are NaN.
+    Returns (log_full, lower, max_steps, segments, bad): the full diagonal of
+    log a and the unit lower factor at t = 1, each row's largest argument step
+    and final segment count, and the rows whose tracking broke down (a
+    degenerate minor on the grid, or the segment cap); bad rows are NaN.
     """
     g = np.asarray(g, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    batch = g.shape[0]
-    ts = np.linspace(0.0, 1.0, max(int(steps_hint), 1) + 1)
+    steps = max(int(steps_hint), 1)
+    ts = np.linspace(0.0, 1.0, steps + 1)
     coords = ts[None, :, None] * xs[:, None, :]
     ratios, lower, floor = _path_ratios(ctx, g, coords)
     with np.errstate(invalid="ignore"):
         dphi = np.angle(ratios[:, 1:, :] / ratios[:, :-1, :])
-    max_steps = np.max(np.abs(dphi), axis=(1, 2))
-    floor_ok = np.all(floor >= PIVOT_FLOOR, axis=1)
-    coarse = max_steps >= ARG_STEP_CAP
+    # ndarray methods skip numpy's Python-level dispatch, which shows on one-row batches
+    max_steps = np.abs(dphi).max(axis=(1, 2))
+    bad = ~(floor >= PIVOT_FLOOR).all(axis=1)
     log_full = 0.5 * (np.log(np.abs(ratios[:, -1, :])) + 1j * dphi.sum(axis=1))
     lower_last = lower[:, -1, :, :].copy()
-    bad = np.zeros(batch, dtype=bool)
-    for i in np.flatnonzero(~floor_ok | coarse):
-        try:
-            lf, ll, _, ms = _track(ctx, g[i], xs[i], steps_hint)
-        except BranchBreakdown:
+    segments = np.full(g.shape[0], steps)
+    # a retry holds no grid of its callers, so peak memory is one row's finest grid
+    del coords, ratios, lower, floor, dphi
+    for i in np.flatnonzero(bad | (max_steps >= ARG_STEP_CAP)):
+        if bad[i] or 2 * steps > MAX_SEGMENTS:
             bad[i] = True
             log_full[i] = np.nan
             continue
-        log_full[i] = lf
-        lower_last[i] = ll
-        max_steps[i] = ms
-    return log_full, lower_last, max_steps, bad
+        retry = _track(ctx, g[i:i + 1], xs[i:i + 1], 2 * steps)
+        log_full[i], lower_last[i], max_steps[i], segments[i], bad[i] = (r[0] for r in retry)
+    return log_full, lower_last, max_steps, segments, bad
+
+
+# the name a retry is called through, so a trace can count retries apart from batches
+_track = track_batch
 
 
 def batch_reconstruction_residual(ctx: GroupContext, z, log_full, lower) -> np.ndarray:

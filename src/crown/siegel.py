@@ -163,7 +163,7 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
     max_value_gap = 0.0
     witness = None
     for i, (g, x, w) in enumerate(zip(gs, xs, ws)):
-        log_full, _, _, bad = track_batch(ctx, g[None], x[None])
+        log_full, _, _, _, bad = track_batch(ctx, g[None], x[None])
         if bad[0]:
             indeterminate += 1
             continue

@@ -30,6 +30,7 @@ from crown.rng import substream
 from crown.sampling import haar_k
 from crown.weyl import FULL_OMEGA, OmegaSpec, apply_weyl, draw_omega_point, hull_contains
 
+import oracles
 from conftest import context
 from oracles import reference_ascend_critical, sl2_im_log_a, sl2_rotation
 
@@ -224,6 +225,23 @@ def test_ascent_matches_scalar_oracle_bit_for_bit(label):
             assert min(trials) < 2.0 * STEP_FLOOR
         elif name == "no-step":
             assert got.iterations == 0 and trials == []
+
+
+@pytest.mark.parametrize("label", list(ORACLE_CASES))
+def test_ascent_clamps_barzilai_borwein_steps_at_step_cap(label, monkeypatch):
+    # a cap below the "expand" case's largest step binds on a positive <s,y>, so a
+    # step that skipped the clamp would leave the oracle's run
+    cap = 2.0
+    monkeypatch.setattr(convexity, "STEP_CAP", cap)
+    monkeypatch.setattr(oracles, "STEP_CAP", cap)
+    ctx = context(label)
+    _, stream, index, scale, max_iter, tol = ORACLE_CASES[label][0]
+    a_point, k0, lam = _ascent_case(ctx, stream, index, scale)
+    trials = []
+    want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials)
+    got = ascend_critical(ctx, a_point, k0, lam, max_iter=max_iter, tol=tol)
+    _assert_same_run(got, want)
+    assert max(trials) == cap
 
 
 def _fault_trials(monkeypatch, fault):

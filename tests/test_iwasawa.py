@@ -3,14 +3,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crown import decompose_real, minor_ratios, project_complex, sample_xi
+from crown import (
+    decompose_real,
+    iwasawa,
+    minor_ratios,
+    project_complex,
+    sample_xi,
+    verify_complex_convexity,
+)
 from crown.errors import NotInGroup, OmegaViolation, PivotBreakdown
 from crown.groups import Family
 from crown.iwasawa import (
     GRID_STEPS,
     _ldl,
     _path_ratios,
-    _track,
     batch_reconstruction_residual,
     normalized_minors,
     project_real_batch,
@@ -137,9 +143,10 @@ def test_ldl_zero_pivot_stays_in_its_own_matrix(cplx):
 def test_empty_batches(label):
     ctx = context(label)
     m = ctx.ambient_size
-    log_full, lower, max_steps, bad = track_batch(ctx, np.empty((0, m, m)), np.empty((0, ctx.n)))
+    log_full, lower, max_steps, segments, bad = track_batch(
+        ctx, np.empty((0, m, m)), np.empty((0, ctx.n)))
     assert log_full.shape == (0, m) and lower.shape == (0, m, m)
-    assert max_steps.shape == (0,) and bad.shape == (0,)
+    assert max_steps.shape == segments.shape == bad.shape == (0,)
     ratios, lower, minors = _ldl(np.empty((0, m, m)))
     assert ratios.shape == (0, m) and lower.shape == (0, m, m) and minors.shape == (0, m)
 
@@ -294,8 +301,8 @@ def test_left_n_invariance_batch(label):
     gs, xs = sample_xi(ctx, FULL_OMEGA, 512, seed=11)
     hs, _ = sample_xi(ctx, FULL_OMEGA, 512, seed=12)
     n0s = project_real_batch(hs)[1]
-    base, _, _, bad = track_batch(ctx, gs, xs)
-    shifted, _, _, bad_shifted = track_batch(ctx, n0s @ gs, xs)
+    base, _, _, _, bad = track_batch(ctx, gs, xs)
+    shifted, _, _, _, bad_shifted = track_batch(ctx, n0s @ gs, xs)
     assert not bad.any() and not bad_shifted.any()
     assert np.max(np.abs(shifted - base)) <= 1e-12
 
@@ -344,7 +351,7 @@ def test_track_batch_matches_scalar(ctx):
     count = 40
     xs = np.array([draw_omega_point(ctx, FULL_OMEGA, rng) for _ in range(count)])
     gs = np.array([sample_group_element(ctx, [rng], "k")[0] for _ in range(count)])
-    log_full, lower, max_steps, bad = track_batch(ctx, gs, xs)
+    log_full, lower, max_steps, segments, bad = track_batch(ctx, gs, xs)
     assert not bad.any()
     for i in range(0, count, 7):
         f = project_complex(ctx, gs[i], xs[i])
@@ -353,14 +360,15 @@ def test_track_batch_matches_scalar(ctx):
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2"])
 def test_track_batch_row_independent_of_batch(label):
-    # project_complex can become track_batch on a batch of one only while this holds
+    # project_complex is track_batch on a batch of one, so it keeps the batch's bits
+    # only while this holds
     ctx = context(label)
     count = 512
     rngs = [substream(67, i) for i in range(count)]
     xs = np.array([draw_omega_point(ctx, FULL_OMEGA, rng) for rng in rngs])
     gs = sample_group_element(ctx, rngs, "full-g")
     batch = track_batch(ctx, gs, xs)
-    assert not batch[3].any()
+    assert not batch[4].any()
     for i in range(count):
         alone = track_batch(ctx, gs[i:i + 1], xs[i:i + 1])
         for got, want in zip(alone, batch):
@@ -384,12 +392,12 @@ def test_path_ratios_match_per_matrix_products(label):
         for got, want in zip(_path_ratios(ctx, gs, coords),
                              reference_path_ratios(ctx, gs, coords)):
             assert_same_bits(got, want)
-    # leading shape () on a refined, uneven grid, as _track calls it
-    ss = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])[::3]]))
+    # one row alone on a doubled grid, as a retry of track_batch calls it
+    ts = np.linspace(0.0, 1.0, 2 * GRID_STEPS + 1)
     for i in range(0, count, 9):
-        coords = ss[:, None] * xs[i][None, :]
-        for got, want in zip(_path_ratios(ctx, gs[i], coords),
-                             reference_path_ratios(ctx, gs[i], coords)):
+        coords = ts[None, :, None] * xs[i:i + 1, None, :]
+        for got, want in zip(_path_ratios(ctx, gs[i:i + 1], coords),
+                             reference_path_ratios(ctx, gs[i:i + 1], coords)):
             assert_same_bits(got, want)
 
 
@@ -400,19 +408,51 @@ def test_branch_on_a_coarse_grid_near_corner(sl2):
     g, x = sl2_rotation(theta), np.array([t, -t])
     # the largest step is 0.60, below the cap: no sl:2 path needs subdivision, because
     # the top ratio cos 2t + i sin 2t cos 2theta keeps a positive real part
-    log_full, _, max_steps, _ = track_batch(sl2, g[None], x[None], steps_hint=2)
+    log_full, _, max_steps, _, _ = track_batch(sl2, g[None], x[None], steps_hint=2)
     assert abs(log_full[0, 0].imag - sl2_im_log_a(theta, t)) < 1e-12
     assert max_steps[0] < np.pi / 2
 
 
 def test_branch_subdivides_on_a_one_step_grid(sl3):
     # one grid step over the whole path moves some sl:3 arguments past pi/2, so those
-    # rows are bisected (19 of these 256) and land on the branch of the default grid
+    # rows (19 of these 256) are tracked again on two segments and land on the branch
+    # of the default grid
     gs, xs = sample_xi(sl3, FULL_OMEGA, 256, 1)
-    segments = [_track(sl3, g, x, 1)[2] for g, x in zip(gs, xs)]
-    assert max(segments) > 1
-    coarse, _, max_steps, bad = track_batch(sl3, gs, xs, steps_hint=1)
-    fine, _, _, fine_bad = track_batch(sl3, gs, xs)
+    coarse, _, max_steps, segments, bad = track_batch(sl3, gs, xs, steps_hint=1)
+    fine, _, _, fine_segments, fine_bad = track_batch(sl3, gs, xs)
+    assert np.sum(segments == 2) == 19 and np.all((segments == 1) | (segments == 2))
+    assert np.all(fine_segments == GRID_STEPS)
     assert not bad.any() and not fine_bad.any()
     np.testing.assert_allclose(coarse, fine, rtol=0, atol=1e-12)
     assert np.all(max_steps < np.pi / 2)
+
+
+def test_segment_cap_marks_retried_rows_bad(sl3, monkeypatch):
+    # with a cap of one segment the 19 rows that need two cannot be tracked again
+    gs, xs = sample_xi(sl3, FULL_OMEGA, 256, 1)
+    free = track_batch(sl3, gs, xs, steps_hint=1)
+    retried = free[3] == 2
+    assert np.sum(retried) == 19
+    sweep = dict(omega=FULL_OMEGA, samples=256, seed=1, mode="full-g", steps_hint=1)
+    assert verify_complex_convexity(sl3, **sweep).samples_indeterminate == 0
+    monkeypatch.setattr(iwasawa, "MAX_SEGMENTS", 1)
+    capped = track_batch(sl3, gs, xs, steps_hint=1)
+    np.testing.assert_array_equal(capped[4], retried)
+    assert np.all(np.isnan(capped[0][retried]))
+    for got, want in zip(capped, free):
+        assert got[~retried].tobytes() == want[~retried].tobytes()
+    rep = verify_complex_convexity(sl3, **sweep)
+    assert rep.samples_indeterminate == 19 and rep.tolerance_set["max_segments"] == 1
+
+
+def test_retry_doubles_again_until_the_grid_is_fine(sl3, monkeypatch):
+    # four of these rows are still too coarse on two segments, so the retry of each
+    # retries again on four; a cap of two segments stops exactly those rows
+    gs, xs = sample_xi(sl3, FULL_OMEGA, 4096, 2)
+    coarse, _, _, segments, bad = track_batch(sl3, gs, xs, steps_hint=1)
+    deep = segments == 4
+    assert np.sum(deep) == 4 and np.all(segments <= 4) and not bad.any()
+    np.testing.assert_allclose(coarse[deep], track_batch(sl3, gs[deep], xs[deep])[0],
+                               rtol=0, atol=1e-12)
+    monkeypatch.setattr(iwasawa, "MAX_SEGMENTS", 2)
+    np.testing.assert_array_equal(track_batch(sl3, gs, xs, steps_hint=1)[4], deep)

@@ -28,7 +28,7 @@ def _break_rows(monkeypatch, module, margin_of):
     calls = []
 
     def broken(ctx, gs, xs, *rest):
-        log_full, lower, max_steps, bad = original(ctx, gs, xs, *rest)
+        log_full, lower, max_steps, segments, bad = original(ctx, gs, xs, *rest)
         log_full, max_steps, bad = log_full.copy(), max_steps.copy(), bad.copy()
         margins = margin_of(ctx, xs, log_full[:, : ctx.n].imag)
         if len(calls) == 0:
@@ -41,7 +41,7 @@ def _break_rows(monkeypatch, module, margin_of):
         log_full[bad] = complex(np.nan, np.nan)
         max_steps[bad] = 99.0
         calls.append((margins, max_steps, bad))
-        return log_full, lower, max_steps, bad
+        return log_full, lower, max_steps, segments, bad
 
     monkeypatch.setattr(module, "track_batch", broken)
     return calls

@@ -1,9 +1,9 @@
 """Independent 50-digit witnesses: the numbers behind golden verdicts, recomputed in mpmath.
 
-Nothing here runs crown's elimination or branch tracker.  Leading minors are
-mpmath determinants at 50 digits, and the branch of log a(g exp(iX)) is the
-continuous argument of each minor of g exp(2itD) g^T along a fixed grid in t,
-anchored at the positive definite g g^T of t = 0.  Tube witnesses store no
+No witness here comes from crown's elimination or branch tracker.  Leading
+minors are mpmath determinants at 50 digits, and the branch of log a(g exp(iX))
+is the continuous argument of each minor of g exp(2itD) g^T along a fixed grid
+in t, anchored at the positive definite g g^T of t = 0.  Tube witnesses store no
 group element; crown's seeded samplers redraw it from the witness's indices.
 """
 
@@ -18,9 +18,10 @@ from test_golden import CASES
 
 from crown import Family, GroupSpec, build_group, sample_xi
 from crown.convexity import IM_N_FLOOR, weyl_k_representatives
+from crown.iwasawa import track_batch
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
-from crown.weyl import OmegaSpec
+from crown.weyl import FULL_OMEGA, OmegaSpec
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DIGITS = 50
@@ -90,6 +91,22 @@ def _tracked_im_log_a(g, d):
     # every grid step moves every argument well inside the pi/2 of a continuous branch
     assert largest < mp.pi / 8
     return [(arg[j] - (arg[j - 1] if j else 0)) / 2 for j in range(m)]
+
+
+
+def test_retried_rows_at_50_digits():
+    # a one-step grid is too coarse for 19 of these rows, so track_batch tracks each
+    # again, alone, on two segments; the branch it lands on is the 50-digit one
+    ctx = build_group(GroupSpec(Family.SPECIAL_LINEAR, 3))
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 256, 1)
+    log_full, _, _, segments, bad = track_batch(ctx, gs, xs, steps_hint=1)
+    retried = np.flatnonzero(segments == 2)
+    assert len(retried) == 19 and not bad.any()
+    with mp.workdps(DIGITS):
+        for i in retried:
+            d = [mp.mpf(v) for v in ctx.full_diag(xs[i])]
+            y = _tracked_im_log_a(mp.matrix(gs[i].tolist()), d)
+            assert max(abs(a - b) for a, b in zip(y, log_full[i].imag)) < 1e-12
 
 
 def _hull_margin(family, x, y):
