@@ -18,7 +18,6 @@ from .convexity import (
     normalizer_elements,
     verify_complex_convexity,
     verify_kostant_real,
-    weyl_k_representatives,
 )
 from .domains import (
     boundary_path,

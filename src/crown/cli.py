@@ -22,10 +22,9 @@ import numpy as np
 
 from . import convexity, domains, siegel
 from .errors import CrownError, NumericalBreakdown
-from .groups import Family, GroupContext, GroupSpec, build_group
+from .groups import GROUP_TOL, Family, GroupContext, GroupSpec, build_group
 from .iwasawa import (
     PIVOT_FLOOR,
-    RECON_RTOL,
     batch_reconstruction_residual,
     decompose_real,
     project_complex,
@@ -183,7 +182,7 @@ def _run_decompose(args) -> VerificationReport:
         z = g @ ctx.a_exp(1j * args.x)
     return VerificationReport(
         command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
-        tolerance_set={"pivot_floor": PIVOT_FLOOR, "reconstruction_rtol": RECON_RTOL},
+        tolerance_set={"pivot_floor": PIVOT_FLOOR, "group_tol": GROUP_TOL},
         extras={"n_part": matrix_wire(factors.n_part),
                 "log_a": vector_wire(factors.log_a),
                 "k_part": matrix_wire(factors.k_part),

@@ -40,7 +40,6 @@ from .iwasawa import (
     triangular_part,
     GRID_STEPS,
     PIVOT_FLOOR,
-    RECON_RTOL,
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
@@ -50,19 +49,16 @@ from .sampling import (
     haar_k,
     k_project,
     sample_group_element,
-    unitary_embed,
 )
 from .weyl import (
     FULL_OMEGA,
     MEMBERSHIP_TOL,
     REJECTION_MIN_RATE,
     OmegaSpec,
-    apply_weyl,
     draw_omega_point,
     helmert,
     hull_margins_batch,
     omega_margin,
-    weyl_elements,
     weyl_orbit,
 )
 
@@ -95,47 +91,22 @@ class CriticalRun:
     gap: float
 
 
-def weyl_k_representatives(ctx: GroupContext):
-    """(abstract element, matrix in K) pairs realizing the Weyl group.
+def normalizer_elements(ctx: GroupContext) -> np.ndarray:
+    """All elements of the normalizer of the Cartan subspace in K, shape (count, m, m).
 
-    Signed permutation matrices; for the special linear family the sign of one
-    column is flipped when needed to land in SO(n).  The adjoint action of the
-    matrix on Cartan coordinates equals the abstract element's action.
+    Each Weyl representative ctx.weyl_k[i] times each element of the
+    centralizer, the diagonal sign matrices (of determinant 1 for sl, embedded
+    from U(n) for sp), representatives outer.
     """
     n = ctx.n
-    out = []
-    for element in weyl_elements(ctx):
-        perm, signs = element
-        if ctx.family is Family.SPECIAL_LINEAR:
-            mat = np.zeros((n, n))
-            mat[perm, range(n)] = 1.0
-            if np.linalg.det(mat) < 0.0:
-                mat[:, 0] = -mat[:, 0]
-        else:
-            u = np.zeros((n, n), dtype=complex)
-            u[perm, range(n)] = np.where(np.array(signs) > 0, 1.0, 1.0j)
-            mat = unitary_embed(ctx, u)
-        out.append((element, mat))
-    return out
-
-
-def _sign_diagonals(n, even_only):
-    for eps in itertools.product((1.0, -1.0), repeat=n):
-        if even_only and np.prod(eps) < 0.0:
-            continue
-        yield np.array(eps)
-
-
-def normalizer_elements(ctx: GroupContext) -> np.ndarray:
-    """All elements of the normalizer of the Cartan subspace in K."""
-    n = ctx.n
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    centr = np.where(np.eye(n, dtype=bool), signs[:, None, :], 0.0)
     if ctx.family is Family.SPECIAL_LINEAR:
-        centr = [np.diag(eps) for eps in _sign_diagonals(n, even_only=True)]
+        centr = centr[np.prod(signs, axis=1) > 0.0]
     else:
-        centr = [unitary_embed(ctx, np.diag(eps).astype(complex))
-                 for eps in _sign_diagonals(n, even_only=False)]
-    reps = [mat for _, mat in weyl_k_representatives(ctx)]
-    return np.array([r @ z for r in reps for z in centr])
+        centr = ctx.unitary_embed(centr)
+    m = ctx.ambient_size
+    return (ctx.weyl_k[:, None] @ centr[None]).reshape(-1, m, m)
 
 
 def metric_inner(ctx: GroupContext, x, y) -> float:
@@ -341,19 +312,17 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
         parts, command="verify-convexity", ctx=ctx, omega=omega, seed=seed,
-        samples=samples, tol=tol,
+        samples=samples, tolerances={"membership_tol": tol},
         extras={"mode": mode, "p_radius": P_RADIUS if mode == "full-g" else 0.0},
         steps_hint=steps_hint,
     )
 
 
-def _fold_report(parts, *, command, ctx, omega, seed, samples, tol,
+def _fold_report(parts, *, command, ctx, omega, seed, samples, tolerances,
                  extras, steps_hint=GRID_STEPS) -> VerificationReport:
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
-        tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
-                    **grid_tolerances(steps_hint), "reconstruction_rtol": RECON_RTOL,
-                    "group_tol": GROUP_TOL},
+        tolerances={**tolerances, "pivot_floor": PIVOT_FLOOR, **grid_tolerances(steps_hint)},
         extras=extras,
     )
 
@@ -369,7 +338,6 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     nn = ctx.n
-    reps = weyl_k_representatives(ctx)
     helm = helmert(nn) if ctx.family is Family.SPECIAL_LINEAR else None
 
     def run_chunk(lo, hi):
@@ -387,10 +355,10 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
         margins = hull_margins_batch(ctx, xs, ys, tol)
         resid = batch_reconstruction_residual(ctx, gs, log_full, lower)
         vertex_err = 0.0
-        for element, kw in reps:
+        for w, kw in zip(ctx.weyl, ctx.weyl_k):
             gw = np.einsum("ij,bjk->bik", kw, a_exps)
             got = project_real_batch(gw)[0][:, :nn]
-            want = apply_weyl(xs, element)
+            want = xs @ w.T
             vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
         return chunk_part(
             margins, np.zeros(count, dtype=bool), np.zeros(count), margins < -tol,
@@ -401,9 +369,9 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tol=tol,
+        samples=samples, tolerances={"membership_tol": tol},
         extras={"box_halfwidth": KOSTANT_BOX, "vertex_tol": VERTEX_TOL,
-                "weyl_order": len(reps)},
+                "weyl_order": len(ctx.weyl)},
     )
     vertex_miss = int(report.extras["max_vertex_error"] > VERTEX_TOL)
     report.violations = min(report.violations + vertex_miss, report.samples_completed)
@@ -468,7 +436,8 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         worst_witness=witness,
         tolerance_set={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
                        "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
-                       "pivot_floor": PIVOT_FLOOR, **grid_tolerances()},
+                       "group_tol": GROUP_TOL, "pivot_floor": PIVOT_FLOOR,
+                       **grid_tolerances()},
         extras={"median_rel_err": float(np.median(rel_errs)),
                 "max_rel_err": float(np.max(rel_errs)),
                 "max_route_gap": float(np.max(pair_errs))},
@@ -563,11 +532,10 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
-        parts, command="lemma24", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tol=IM_N_FLOOR,
+        parts, command="lemma24", ctx=ctx, omega=None, seed=seed, samples=samples,
+        tolerances={"im_n_floor": IM_N_FLOOR, "normalizer_gap": NORMALIZER_GAP,
+                    "regularity_floor": REGULARITY_FLOOR},
         extras={"x": list(map(float, x))},
     )
-    report.tolerance_set.update(im_n_floor=IM_N_FLOOR, normalizer_gap=NORMALIZER_GAP,
-                                regularity_floor=REGULARITY_FLOOR)
     report.extras["min_im_n"] = report.min_margin
     return report

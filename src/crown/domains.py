@@ -20,7 +20,6 @@ from .errors import BranchBreakdown
 from .groups import GroupContext
 from .iwasawa import (
     PIVOT_FLOOR,
-    RECON_RTOL,
     grid_tolerances,
     track_batch,
 )
@@ -86,7 +85,7 @@ def _fold(parts, *, command, ctx, omega, seed, requested, tol, extras):
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
         tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
-                    **grid_tolerances(), "reconstruction_rtol": RECON_RTOL},
+                    **grid_tolerances()},
         extras=extras,
     )
 

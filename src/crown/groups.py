@@ -16,6 +16,10 @@ Conventions fixed here and relied on everywhere else:
   the gradient ascent on K, with the reciprocal square roots of the diagonal of
   its Gram matrix; a and n need no basis, because a is the diagonal and the
   projection onto it reads the diagonal off (``project_a``).
+* The Weyl group is the read-only array ``GroupContext.weyl`` of signed
+  permutation matrices acting on Cartan coordinates (w.x = weyl[i] @ x), the
+  identity first, with ``GroupContext.weyl_k`` the elements of K realizing them
+  in the same order: ``weyl_k[i] a_matrix(x) weyl_k[i]^T = a_matrix(weyl[i] @ x)``.
 * Sp(n,R) is first built in the standard block frame with symplectic form
   ``J = [[0, I], [-I, 0]]`` and then conjugated by a fixed permutation into the
   weight-sorted frame.  All public matrices live in the sorted frame; the
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from enum import Enum
 
 import numpy as np
@@ -101,6 +106,38 @@ class GroupContext:
         i, j = np.indices(diffs.shape[:2])
         return _freeze(np.unique(diffs[i != j], axis=0))
 
+    @functools.cached_property
+    def weyl(self) -> np.ndarray:
+        """The Weyl group as signed permutation matrices, shape (|W|, n, n), read-only.
+
+        All permutations for sl, all signed permutations for sp; identity first,
+        permutations outer and signs inner.  w.x is weyl[i] @ x, and rows map as
+        xs @ weyl[i].T.
+        """
+        n = self.n
+        perms = np.array(list(itertools.permutations(range(n))))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        if self.family is Family.SPECIAL_LINEAR:
+            signs = signs[:1]
+        # column j of the element (perm, signs) is signs[j] times the basis vector perm[j]
+        placed = np.swapaxes(np.eye(n)[perms], 1, 2)[:, None] > 0.0
+        return _freeze(np.where(placed, signs[None, :, None, :], 0.0).reshape(-1, n, n))
+
+    @functools.cached_property
+    def weyl_k(self) -> np.ndarray:
+        """Elements of K realizing ctx.weyl, in its order, shape (|W|, m, m), read-only.
+
+        sl: the permutation matrix, its column 0 negated where its determinant
+        is -1.  sp: the unitary embedding of the signed permutation with each
+        -1 replaced by i.
+        """
+        if self.family is Family.SPECIAL_LINEAR:
+            k = np.array(self.weyl)
+            flip = np.linalg.det(k) < 0.0
+            k[flip, :, 0] = -k[flip, :, 0]
+            return _freeze(k)
+        return _freeze(self.unitary_embed(np.where(self.weyl < 0.0, 1j, self.weyl)))
+
     @property
     def family(self) -> Family:
         return self.spec.family
@@ -152,6 +189,10 @@ class GroupContext:
             return np.asarray(m)
         p = self.perm
         return np.asarray(m)[..., p, :][..., :, p]
+
+    def unitary_embed(self, u):
+        """Realize U(n) inside the symplectic group in the sorted frame; u has shape (..., n, n)."""
+        return self.to_sorted_frame(_unitary_block(np.asarray(u)))
 
     def group_residual(self, g):
         """Scaled deviation of g from the group (0 for exact members).
@@ -205,14 +246,14 @@ def _sl_basis_k(n):
     return np.array(basis_k)
 
 
-def _sp_embed_alg(a_part, b_part):
-    """u(n)-style block embedding [[A, B], [-B, A]] (standard frame)."""
-    n = a_part.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = a_part
-    out[:n, n:] = b_part
-    out[n:, :n] = -b_part
-    out[n:, n:] = a_part
+def _unitary_block(u):
+    """Block form [[Re u, Im u], [-Im u, Re u]] of u, shape (..., n, n), in the standard frame."""
+    n = u.shape[-1]
+    out = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = u.real
+    out[..., :n, n:] = u.imag
+    out[..., n:, :n] = -u.imag
+    out[..., n:, n:] = u.real
     return out
 
 
@@ -221,11 +262,11 @@ def _sp_basis_k(n):
     basis_k = []
     for p in range(n):
         for q in range(p + 1, n):
-            basis_k.append(_sp_embed_alg(ee(p, q) - ee(q, p), np.zeros((n, n))))
+            basis_k.append(_unitary_block(ee(p, q) - ee(q, p)))
     for p in range(n):
         for q in range(p, n):
             b = ee(p, q) + ee(q, p) if q != p else ee(p, p)
-            basis_k.append(_sp_embed_alg(np.zeros((n, n)), b))
+            basis_k.append(_unitary_block(1j * b))
     return np.array(basis_k)
 
 

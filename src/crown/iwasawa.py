@@ -43,7 +43,6 @@ from .weyl import FULL_OMEGA, omega_margin
 PIVOT_FLOOR = 1e-13
 ARG_STEP_CAP = np.pi / 2.0
 MAX_SEGMENTS = 2 ** 14
-RECON_RTOL = 1e-10
 SYM_TOL = 1e-10
 # parameter-grid segments per tracked path before any retry on a finer grid
 GRID_STEPS = 16

@@ -30,19 +30,8 @@ def _k_blocks(ctx: GroupContext) -> int:
     return 1 if ctx.family is Family.SPECIAL_LINEAR else 2
 
 
-def unitary_embed(ctx: GroupContext, u: np.ndarray) -> np.ndarray:
-    """Realize U(n) inside the symplectic group, in the sorted frame; u has shape (..., n, n)."""
-    n = ctx.n
-    g = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
-    g[..., :n, :n] = u.real
-    g[..., :n, n:] = u.imag
-    g[..., n:, :n] = -u.imag
-    g[..., n:, n:] = u.real
-    return ctx.to_sorted_frame(g)
-
-
 def unitary_extract(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
-    """Inverse of unitary_embed on elements of the maximal compact subgroup, shape (..., m, m)."""
+    """Inverse of ctx.unitary_embed on elements of K, shape (..., m, m)."""
     n = ctx.n
     std = ctx.to_standard_frame(k)
     return std[..., :n, :n] + 1j * std[..., :n, n:]
@@ -62,7 +51,7 @@ def _haar(ctx: GroupContext, z: np.ndarray) -> np.ndarray:
         return q
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=1, axis2=2)
-    return unitary_embed(ctx, q * (d.conj() / np.abs(d))[:, None, :])
+    return ctx.unitary_embed(q * (d.conj() / np.abs(d))[:, None, :])
 
 
 def _exp_p(ctx: GroupContext, z: np.ndarray) -> np.ndarray:
@@ -98,7 +87,7 @@ def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
         u, _, vt = np.linalg.svd(k)
         return u @ vt
     u, _, vt = np.linalg.svd(unitary_extract(ctx, k))
-    return unitary_embed(ctx, u @ vt)
+    return ctx.unitary_embed(u @ vt)
 
 
 def sample_group_element(ctx: GroupContext, rngs, mode: str = "k") -> np.ndarray:

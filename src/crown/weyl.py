@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 
@@ -72,28 +71,9 @@ class OmegaSpec:
 FULL_OMEGA = OmegaSpec("scale", scale=1.0)
 
 
-def weyl_elements(ctx: GroupContext):
-    """All (permutation, signs) pairs of the Weyl group, identity first."""
-    n = ctx.n
-    perms = list(itertools.permutations(range(n)))
-    if ctx.family is Family.SPECIAL_LINEAR:
-        return [(p, (1,) * n) for p in perms]
-    signs = list(itertools.product((1, -1), repeat=n))
-    return [(p, s) for p in perms for s in signs]
-
-
-def apply_weyl(x, element):
-    """Coordinates of w.x for an abstract (permutation, signs) element; x has shape (..., n)."""
-    perm, signs = element
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    out[..., list(perm)] = np.asarray(signs) * x
-    return out
-
-
 def weyl_orbit(ctx: GroupContext, x) -> np.ndarray:
     """Orbit of x without duplicates, shape (orbit_size, n)."""
-    pts = np.array([apply_weyl(x, w) for w in weyl_elements(ctx)])
+    pts = ctx.weyl @ np.asarray(x)
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     keep = [0]

@@ -15,7 +15,6 @@ from crown.convexity import (
     random_k_direction,
     sample_covector,
     sample_regular_direction,
-    weyl_k_representatives,
     weyl_values,
 )
 from crown.errors import (
@@ -28,7 +27,7 @@ from crown.groups import Family, pair_ia
 from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS
 from crown.rng import substream
 from crown.sampling import haar_k
-from crown.weyl import FULL_OMEGA, OmegaSpec, apply_weyl, draw_omega_point, hull_contains
+from crown.weyl import FULL_OMEGA, OmegaSpec, draw_omega_point, hull_contains
 
 import oracles
 from conftest import context
@@ -54,9 +53,9 @@ def test_f_a_at_identity(ctx):
 def test_f_a_at_weyl_representatives(ctx):
     # k_w exp(a) = exp(w.a) k_w, so the projection permutes coordinates
     a_point = _random_a_point(ctx, substream(71, 1))
-    for element, kw in weyl_k_representatives(ctx):
+    for w, kw in zip(ctx.weyl, ctx.weyl_k):
         got = f_a(ctx, a_point, kw)
-        want = apply_weyl(a_point, element)
+        want = w @ a_point
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -95,7 +94,7 @@ def test_grad_vanishes_at_normalizer(ctx):
     rng = substream(73, 0)
     x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), rng)
     lam = sample_covector(ctx, rng)
-    for _, kw in weyl_k_representatives(ctx):
+    for kw in ctx.weyl_k:
         grad = grad_f(ctx, 1j * x, kw, lam)
         assert np.sqrt(metric_inner(ctx, grad, grad)) < 1e-10
 
@@ -138,10 +137,10 @@ def test_ascent_zero_iterations_at_normalizer(sl3):
     rng = substream(79, 0)
     x = sample_regular_direction(sl3, OmegaSpec("scale", scale=0.9), rng)
     lam = sample_covector(sl3, rng)
-    element, kw = weyl_k_representatives(sl3)[2]
+    w, kw = sl3.weyl[2], sl3.weyl_k[2]
     run = ascend_critical(sl3, 1j * x, kw, lam)
     assert run.converged and run.iterations == 0
-    own_value = pair_ia(sl3, 1j * apply_weyl(x, element), lam)
+    own_value = pair_ia(sl3, 1j * (w @ x), lam)
     assert abs(run.f_values[0] - own_value) < 1e-10
 
 

@@ -10,6 +10,7 @@ for n, a in t.CASES.items()]"
 and say in CHANGES.md which reports changed and why.
 """
 
+import json
 import pathlib
 import re
 
@@ -82,3 +83,14 @@ def test_library_call_matches_golden(name):
     else:
         report = lemma24_probe(args.group, args.samples, args.seed)
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_tolerance_sets_name_only_applied_tolerances():
+    # nothing compares against a reconstruction tolerance, and only the commands that
+    # call ctx.in_group apply GROUP_TOL
+    sets = {name: json.loads((GOLDEN / f"{name}.json").read_text())["tolerance_set"]
+            for name in CASES}
+    assert not any("reconstruction_rtol" in tols for tols in sets.values())
+    applies_group_tol = ("decompose_", "gradient_check_", "critical_points_")
+    for name, tols in sets.items():
+        assert ("group_tol" in tols) == name.startswith(applies_group_tol), name

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import crown.groups as groups
-from crown import Family, GroupSpec, build_group, cli
+from crown import Family, GroupSpec, build_group, cli, normalizer_elements
 from crown.errors import GramNotDiagonal, UnsupportedFamily
 from crown.groups import h_lambda, is_regular, pair_ia, project_a
 from crown.rng import substream
@@ -88,6 +90,62 @@ def test_root_sets_explicit(sl3, sp2):
         n = ctx.n
         count = n * (n - 1) if ctx.family is Family.SPECIAL_LINEAR else 2 * n * n
         assert len(ctx.roots) == count
+
+
+WEYL_LABELS = ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"]
+
+
+def _elements(stack):
+    """The matrices of an integer-valued stack as a set of hashable keys."""
+    return {tuple(m.ravel()) for m in np.rint(stack).astype(int)}
+
+
+@pytest.mark.parametrize("label", WEYL_LABELS)
+def test_weyl_is_a_group_of_the_right_order(label):
+    ctx = context(label)
+    weyl, n = ctx.weyl, ctx.n
+    sl = ctx.family is Family.SPECIAL_LINEAR
+    order = math.factorial(n) * (1 if sl else 2 ** n)
+    assert weyl.shape == (order, n, n) and len(_elements(weyl)) == order
+    np.testing.assert_array_equal(weyl[0], np.eye(n))
+    # signed permutations, unsigned for sl; the inverse is the transpose
+    assert set(np.unique(weyl)) <= ({0.0, 1.0} if sl else {-1.0, 0.0, 1.0})
+    np.testing.assert_array_equal(weyl @ np.swapaxes(weyl, 1, 2),
+                                  np.broadcast_to(np.eye(n), weyl.shape))
+    assert _elements((weyl[:, None] @ weyl[None]).reshape(-1, n, n)) == _elements(weyl)
+    roots = _elements(ctx.roots[:, None, :])
+    for w in weyl:
+        assert _elements((ctx.roots @ w.T)[:, None, :]) == roots
+
+
+@pytest.mark.parametrize("label", WEYL_LABELS)
+def test_weyl_k_realizes_weyl_exactly(label):
+    ctx = context(label)
+    x = substream(19, 0).standard_normal(ctx.n)
+    if ctx.family is Family.SPECIAL_LINEAR:
+        x -= x.mean()
+    assert len(ctx.weyl_k) == len(ctx.weyl)
+    assert ctx.in_group(ctx.weyl_k).all()
+    eye = np.broadcast_to(np.eye(ctx.ambient_size), ctx.weyl_k.shape)
+    np.testing.assert_array_equal(ctx.weyl_k @ np.swapaxes(ctx.weyl_k, 1, 2), eye)
+    adjoint = ctx.weyl_k @ ctx.a_matrix(x) @ np.swapaxes(ctx.weyl_k, 1, 2)
+    np.testing.assert_array_equal(adjoint, ctx.a_matrix(ctx.weyl @ x))
+    # every element of the normalizer conjugates a into a
+    nk = normalizer_elements(ctx)
+    centralizer = 2 ** (ctx.n - 1) if ctx.family is Family.SPECIAL_LINEAR else 2 ** ctx.n
+    assert len(nk) == len(ctx.weyl) * centralizer
+    conj = nk @ ctx.a_matrix(x) @ np.swapaxes(nk, 1, 2)
+    off = ~np.eye(ctx.ambient_size, dtype=bool)
+    assert np.all(conj[:, off] == 0.0)
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_weyl_arrays_are_read_only(label):
+    ctx = context(label)
+    for arr in (ctx.weyl, ctx.weyl_k):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 2.0
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -358,6 +358,21 @@ def test_track_batch_matches_scalar(ctx):
         np.testing.assert_allclose(log_full[i, :ctx.n], f.log_a, atol=1e-12)
 
 
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.sampled_from(["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_track_batch_is_weyl_equivariant(label, seed, data):
+    # k_w^T exp(i wX) = exp(iX) k_w^T, so g k_w^T exp(itwX) is g exp(itX) moved by an
+    # element of K on the right: the same tracked branch of log a
+    ctx = context(label)
+    i = data.draw(st.integers(0, len(ctx.weyl) - 1), label="weyl index")
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 16, seed)
+    base = track_batch(ctx, gs, xs)
+    moved = track_batch(ctx, gs @ ctx.weyl_k[i].T, xs @ ctx.weyl[i].T)
+    assert not base[4].any() and not moved[4].any()
+    np.testing.assert_allclose(moved[0], base[0], rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("label", ["sl:3", "sp:2"])
 def test_track_batch_row_independent_of_batch(label):
     # project_complex is track_batch on a batch of one, so it keeps the batch's bits

@@ -8,11 +8,9 @@ from crown.rng import substream
 from crown.weyl import (
     FULL_OMEGA,
     OmegaSpec,
-    apply_weyl,
     draw_omega_point,
     hull_margins_batch,
     omega_distance,
-    weyl_elements,
 )
 
 from oracles import lp_hull_membership
@@ -35,7 +33,7 @@ def test_orbit_size_divides_group_order(ctx):
         x = np.round(rng.standard_normal(ctx.n), 1)
         if ctx.family is Family.SPECIAL_LINEAR:
             x -= x.mean()
-        assert len(weyl_elements(ctx)) % weyl_orbit(ctx, x).shape[0] == 0
+        assert len(ctx.weyl) % weyl_orbit(ctx, x).shape[0] == 0
 
 
 def test_dominant_examples(sl3, sp2):
@@ -62,8 +60,8 @@ def test_hull_examples_type_a(sl3):
     assert inside and np.isclose(margin, 0.0, atol=1e-12)
     inside, margin = hull_contains(sl3, x, np.array([0.4, -0.1, -0.3]))
     assert not inside and np.isclose(margin, -0.1)
-    for w in weyl_elements(sl3):
-        assert hull_contains(sl3, x, apply_weyl(x, w))[0]
+    for w in sl3.weyl:
+        assert hull_contains(sl3, x, w @ x)[0]
 
 
 def test_hull_examples_type_c(sp2):
@@ -101,9 +99,9 @@ def test_hull_weyl_invariance(ctx):
         x -= x.mean()
         y -= y.mean()
     base = hull_contains(ctx, x, y)
-    for w in weyl_elements(ctx):
-        assert hull_contains(ctx, apply_weyl(x, w), y) == base
-        assert hull_contains(ctx, x, apply_weyl(y, w)) == base
+    for w in ctx.weyl:
+        assert hull_contains(ctx, w @ x, y) == base
+        assert hull_contains(ctx, x, w @ y) == base
 
 
 def test_hull_nesting_monotone(ctx):
@@ -149,8 +147,8 @@ def test_omega_margin_weyl_invariant_exact(ctx):
     if ctx.family is Family.SPECIAL_LINEAR:
         x -= x.mean()
     base = omega_margin(ctx, FULL_OMEGA, x)
-    for w in weyl_elements(ctx):
-        assert omega_margin(ctx, FULL_OMEGA, apply_weyl(x, w)) == base
+    for w in ctx.weyl:
+        assert omega_margin(ctx, FULL_OMEGA, w @ x) == base
 
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5"])
@@ -175,8 +173,6 @@ def test_batches_match_rows_bit_for_bit(label, spec):
                                       [margin_of_row(x) for x in batch])
         np.testing.assert_array_equal(omega_distance(ctx, spec, batch),
                                       [omega_distance(ctx, spec, x) for x in batch])
-    for w in weyl_elements(ctx):
-        np.testing.assert_array_equal(apply_weyl(xs, w), [apply_weyl(x, w) for x in xs])
 
 
 def test_omega_ball_shape(sl2):

@@ -17,7 +17,7 @@ from mpmath import mp
 from test_golden import CASES
 
 from crown import Family, GroupSpec, build_group, sample_xi
-from crown.convexity import IM_N_FLOOR, weyl_k_representatives
+from crown.convexity import IM_N_FLOOR
 from crown.iwasawa import track_batch
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
@@ -191,7 +191,7 @@ def test_kostant_vertex_error_at_50_digits(name):
     report = _golden(name)
     ctx = _group(report)
     x = [re for re, _ in report["worst_witness"]["x"]]
-    reps = weyl_k_representatives(ctx)
+    reps = ctx.weyl_k
     assert len(reps) == report["extras"]["weyl_order"]
     signs = (itertools.product([1, -1], repeat=ctx.n) if ctx.family is Family.SYMPLECTIC
              else [[1] * ctx.n])
@@ -201,7 +201,7 @@ def test_kostant_vertex_error_at_50_digits(name):
     with mp.workdps(DIGITS):
         exp_x = mp.diag([mp.exp(v) for v in ctx.full_diag(x)])
         hit, error = set(), mp.mpf(0)
-        for _, kw in reps:
+        for kw in reps:
             # z = g has z z^T = n a^2 n^T: the LDL^T pivots of g g^T are a^2
             _, pivots = _ldl(_gram(mp.matrix(kw.tolist()) * exp_x, [mp.mpf(0)] * m))
             log_a = [mp.log(p.real) / 2 for p in pivots][: ctx.n]
