@@ -1,10 +1,10 @@
 """Command-line surface: seeded verification runs with serialized reports.
 
 Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
-error, 70 numerical breakdown (a degenerate minor or pivot, a branch-tracking
-failure, a stalled rejection sampler, a functional value that is not real, a
-singular linear solve, a Siegel draw off the upper half-space, or a k basis
-with a non-diagonal Gram matrix), 73 the --out report file cannot be written.
+error (a bad argument, or a ValueError for invalid input), 70 numerical
+breakdown (a NumericalBreakdown, whose causes errors.py lists, or numpy's
+LinAlgError for a singular linear solve), 73 the --out report file cannot be
+written.  LinAlgError subclasses ValueError, so main catches breakdowns first.
 run is the one place that times a command: it stamps wall_time_ms on the
 report, so reports are byte-identical across reruns of the same argv except
 for that field.  Each subparser names the library call that runs it beside its
@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import convexity, domains, siegel
-from .errors import CrownError, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .groups import GROUP_TOL, Family, GroupContext, GroupSpec, build_group
 from .iwasawa import (
     PIVOT_FLOOR,
@@ -46,7 +46,7 @@ def parse_group(text: str) -> GroupContext:
     kind, _, value = text.partition(":")
     try:
         return build_group(GroupSpec(Family(kind), int(value)))
-    except (ValueError, KeyError):
+    except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse group spec {text!r}") from None
 
 
@@ -170,9 +170,9 @@ def _run_decompose(args) -> VerificationReport:
     ctx = args.group
     m = ctx.ambient_size
     if args.entries.size != m * m:
-        raise CrownError(f"expected {m * m} entries for {ctx.spec.label}")
+        raise ValueError(f"expected {m * m} entries for {ctx.spec.label}")
     if args.x is not None and args.x.size != ctx.n:
-        raise CrownError(f"--x needs {ctx.n} coordinates for {ctx.spec.label}")
+        raise ValueError(f"--x needs {ctx.n} coordinates for {ctx.spec.label}")
     g = args.entries.reshape(m, m)
     if args.x is None:
         factors = decompose_real(ctx, g)
@@ -196,7 +196,7 @@ def _run_decompose(args) -> VerificationReport:
 def _run_hull(args) -> VerificationReport:
     ctx = args.group
     if args.x.size != ctx.n or args.y.size != ctx.n:
-        raise CrownError(f"--x and --y need {ctx.n} coordinates for {ctx.spec.label}")
+        raise ValueError(f"--x and --y need {ctx.n} coordinates for {ctx.spec.label}")
     member, margin = hull_contains(ctx, args.x, args.y, args.tol)
     return VerificationReport(
         command="hull", group=group_wire(ctx), seed=0, samples_requested=1,
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except (NumericalBreakdown, np.linalg.LinAlgError) as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except (CrownError, ValueError) as exc:
+    except ValueError as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if out:

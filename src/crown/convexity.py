@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NonRealValue, OmegaViolation, RejectionStall
+from .errors import NumericalBreakdown
 from .groups import (
     GROUP_TOL,
     Family,
@@ -139,7 +139,7 @@ def _checked_value(ctx: GroupContext, factors, m) -> float:
     """
     value = pair_ia(ctx, factors.log_a, m)
     if not np.isfinite(value):
-        raise NonRealValue("functional evaluation is not a finite real number")
+        raise NumericalBreakdown("functional evaluation is not a finite real number")
     return float(value)
 
 
@@ -206,7 +206,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
     if not is_regular(ctx, x_im):
         raise ValueError("imaginary direction must be regular")
     if omega_margin(ctx, FULL_OMEGA, x_im) <= 0.0:
-        raise OmegaViolation("direction lies outside the admissible polytope")
+        raise ValueError("direction lies outside the admissible polytope")
     m = np.asarray(m, dtype=float)
     k = np.asarray(k0, dtype=float)
     eye = np.eye(ctx.ambient_size)
@@ -274,7 +274,7 @@ def sample_regular_direction(ctx: GroupContext, omega: OmegaSpec, rng) -> np.nda
         x = draw_omega_point(ctx, omega, rng)
         if is_regular(ctx, x, floor=REGULARITY_FLOOR):
             return x
-    raise RejectionStall(
+    raise NumericalBreakdown(
         f"acceptance rate below {REJECTION_MIN_RATE} for regular directions in {omega.label}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .convexity import sample_regular_direction
-from .errors import BranchBreakdown
+from .errors import NumericalBreakdown
 from .groups import GroupContext
 from .iwasawa import (
     PIVOT_FLOOR,
@@ -166,7 +166,7 @@ def boundary_probe(ctx: GroupContext, omega: OmegaSpec, g, x_path) -> list[tuple
     # rows whose tracking broke down are NaN and fail the margin test too
     left = np.flatnonzero(~(omega_margin(ctx, omega, ys) > 0.0))
     if left.size:
-        raise BranchBreakdown(f"projected point left omega at step {int(left[0])}")
+        raise NumericalBreakdown(f"projected point left omega at step {int(left[0])}")
     return list(enumerate(omega_distance(ctx, omega, ys).tolist()))
 
 

@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GramNotDiagonal, UnsupportedFamily
+from .errors import NumericalBreakdown
 
 GROUP_TOL = 1e-10
 
@@ -61,11 +61,7 @@ class GroupSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.family, Family):
-            try:
-                object.__setattr__(self, "family", Family(self.family))
-            except ValueError:
-                raise UnsupportedFamily(f"unknown family {self.family!r}") from None
+        object.__setattr__(self, "family", Family(self.family))
         if self.family is Family.SPECIAL_LINEAR and self.n < 2:
             raise ValueError("special-linear requires n >= 2")
         if self.family is Family.SYMPLECTIC and self.n < 1:
@@ -304,7 +300,7 @@ def build_group(spec: GroupSpec) -> GroupContext:
     # the gradient solve multiplies by 1/sqrt(diag) twice, which has the bits of a
     # Cholesky solve only when every off-diagonal entry is 0.0
     if np.any(gram != np.diag(diag)):
-        raise GramNotDiagonal(f"the Gram matrix of the k basis of {spec.label} is not diagonal")
+        raise NumericalBreakdown(f"the Gram matrix of the k basis of {spec.label} is not diagonal")
     return GroupContext(
         spec=spec,
         basis_k=_freeze(basis_k),

@@ -30,13 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BranchBreakdown,
-    NotInGroup,
-    NumericalBreakdown,
-    OmegaViolation,
-    PivotBreakdown,
-)
+from .errors import NumericalBreakdown
 from .groups import GroupContext
 from .weyl import FULL_OMEGA, omega_margin
 
@@ -113,7 +107,7 @@ def normalized_minors(mat) -> np.ndarray:
 def minor_ratios(mat) -> np.ndarray:
     """Leading-principal-minor ratios (Delta_1/Delta_0, ..., Delta_m/Delta_{m-1}).
 
-    The input must be symmetric to 1e-10.  Raises PivotBreakdown when a minor
+    The input must be symmetric to 1e-10.  Raises NumericalBreakdown when a minor
     degenerates below the normalized floor.
     """
     mat = np.asarray(mat)
@@ -127,7 +121,7 @@ def minor_ratios(mat) -> np.ndarray:
     bad = np.flatnonzero(~(norm >= PIVOT_FLOOR))
     if bad.size:
         j = int(bad[0])
-        raise PivotBreakdown(f"minor {j + 1} degenerated (normalized size {norm[j]:.3e})")
+        raise NumericalBreakdown(f"minor {j + 1} degenerated (normalized size {norm[j]:.3e})")
     return ratios
 
 
@@ -165,17 +159,17 @@ def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
     g must be a real group element and X must lie in the admissible polytope.
     The result does not depend on the path to X inside the polytope, because
     the target tube is simply connected.  This is track_batch on a batch of
-    one; a row that comes back bad raises BranchBreakdown.
+    one; a row that comes back bad raises NumericalBreakdown.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
-        raise OmegaViolation("direction lies outside the admissible polytope")
+        raise ValueError("direction lies outside the admissible polytope")
     if not ctx.in_group(g):
-        raise NotInGroup("base point fails the group membership check")
+        raise ValueError("base point fails the group membership check")
     log_full, lower, max_steps, segments, bad = track_batch(ctx, g[None], x[None])
     if bad[0]:
-        raise BranchBreakdown("a minor degenerated along the path or the segment cap was reached")
+        raise NumericalBreakdown("a minor degenerated along the path or the segment cap was reached")
     z = g @ ctx.a_exp(1j * x)
     return _assemble(ctx, z, log_full[0], lower[0], int(segments[0]), float(max_steps[0]))
 
@@ -197,7 +191,7 @@ def decompose_real(ctx: GroupContext, g) -> IwasawaFactors:
     """Real Iwasawa factorization via LDL^T of g g^T."""
     g = np.asarray(g, dtype=float)
     if not ctx.in_group(g):
-        raise NotInGroup("matrix fails the group membership check")
+        raise ValueError("matrix fails the group membership check")
     log_full, lower = project_real_batch(g[None])
     if not np.all(np.isfinite(log_full)):
         raise NumericalBreakdown("nonpositive pivot for a claimed group element")

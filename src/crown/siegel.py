@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .domains import sample_xi
-from .errors import NumericalBreakdown, PivotBreakdown
+from .errors import NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
 from .parallel import chunk_ranges
@@ -103,7 +103,7 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     for i, z in enumerate(sample_siegel(n, samples, seed)):
         try:
             ratios = minor_ratios(z)
-        except PivotBreakdown:
+        except NumericalBreakdown:
             breakdowns += 1
             violations += 1
             if breakdowns == 1:
@@ -171,7 +171,7 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
         crown_ok = bool(np.max(np.abs(y_crown)) < np.pi / 4.0 + MEMBERSHIP_TOL)
         try:
             ratios = minor_ratios(w)
-        except PivotBreakdown:
+        except NumericalBreakdown:
             indeterminate += 1
             continue
         siegel_ok = bool(np.min(ratios.imag) > 0.0)

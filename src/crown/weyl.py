@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import RejectionStall
+from .errors import NumericalBreakdown
 from .groups import Family, GroupContext
 
 MEMBERSHIP_TOL = 1e-9
@@ -185,4 +185,4 @@ def draw_omega_point(ctx: GroupContext, spec: OmegaSpec, rng) -> np.ndarray:
         x = basis @ u if basis is not None else u
         if omega_margin(ctx, spec, x) > 0.0:
             return x
-    raise RejectionStall(f"acceptance rate below {REJECTION_MIN_RATE} for {spec.label}")
+    raise NumericalBreakdown(f"acceptance rate below {REJECTION_MIN_RATE} for {spec.label}")

@@ -5,7 +5,7 @@ import pytest
 
 import crown.groups as groups
 from crown import Family, GroupSpec, build_group, cli, normalizer_elements
-from crown.errors import GramNotDiagonal, UnsupportedFamily
+from crown.errors import NumericalBreakdown
 from crown.groups import h_lambda, is_regular, pair_ia, project_a
 from crown.rng import substream
 
@@ -17,7 +17,7 @@ def test_spec_validation():
         GroupSpec(Family.SPECIAL_LINEAR, 1)
     with pytest.raises(ValueError):
         GroupSpec(Family.SYMPLECTIC, 0)
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(ValueError, match="not a valid Family"):
         GroupSpec("so", 3)
 
 
@@ -169,7 +169,7 @@ def test_non_diagonal_gram_is_refused(monkeypatch):
     basis = groups._sl_basis_k(3)
     basis[0] += basis[1]
     monkeypatch.setattr(groups, "_sl_basis_k", lambda n: basis)
-    with pytest.raises(GramNotDiagonal):
+    with pytest.raises(NumericalBreakdown, match="is not diagonal"):
         build_group(GroupSpec(Family.SPECIAL_LINEAR, 3))
     argv = ["hull", "--group", "sl:3", "--x", "0.1,0,-0.1", "--y", "0,0,0"]
     assert cli.main(argv) == cli.EXIT_BREAKDOWN

@@ -1,5 +1,6 @@
 """Module boundaries and surface: no private cross-module imports, no unused
-imports, no exception class that nothing raises, and no scipy at import time."""
+imports, no exception class that nothing raises, one exception class per exit
+code, and no scipy at import time."""
 
 import ast
 import json
@@ -49,17 +50,26 @@ def test_no_unused_module_level_imports():
     assert unused == UNUSED_IMPORT_ALLOWLIST
 
 
-def test_every_error_class_is_raised():
-    tree = ast.parse((SRC / "errors.py").read_text())
-    declared = {n.name for n in tree.body if isinstance(n, ast.ClassDef)} - {"CrownError"}
-    raised = set()
-    for _, tree in _modules():
+def _raised():
+    """(module, line, raised expression) of every raise with an exception under src/crown."""
+    for path, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
-    assert declared - raised == set()
+                yield path.name, node.lineno, ast.unparse(exc)
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    declared = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert declared - {name for _, _, name in _raised()} == set()
+
+
+def test_every_raise_follows_the_exit_code_convention():
+    # invalid input raises ValueError (exit 64), a breakdown NumericalBreakdown (exit 70),
+    # and the argument parsers ArgumentTypeError, which argparse turns into a usage error
+    allowed = {"ValueError", "NumericalBreakdown", "argparse.ArgumentTypeError"}
+    assert [r for r in _raised() if r[2] not in allowed] == []
 
 
 def _import_time_nodes(tree):

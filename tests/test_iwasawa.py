@@ -11,7 +11,7 @@ from crown import (
     sample_xi,
     verify_complex_convexity,
 )
-from crown.errors import NotInGroup, OmegaViolation, PivotBreakdown
+from crown.errors import NumericalBreakdown
 from crown.groups import Family
 from crown.iwasawa import (
     GRID_STEPS,
@@ -89,7 +89,7 @@ def test_minor_ratios_rejects_asymmetric():
 
 
 def test_minor_ratios_pivot_breakdown():
-    with pytest.raises(PivotBreakdown):
+    with pytest.raises(NumericalBreakdown, match="minor 1 degenerated"):
         minor_ratios(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -204,7 +204,7 @@ def test_decompose_factors_real_and_structured(ctx):
 
 
 def test_decompose_rejects_non_member(sl2):
-    with pytest.raises(NotInGroup):
+    with pytest.raises(ValueError, match="group membership"):
         decompose_real(sl2, np.diag([2.0, 1.0]))
 
 
@@ -240,7 +240,7 @@ def test_project_sl2_closed_form():
 
 
 def test_project_rejects_outside_omega(sl2):
-    with pytest.raises(OmegaViolation):
+    with pytest.raises(ValueError, match="admissible polytope"):
         project_complex(sl2, np.eye(2), np.array([0.8, -0.8]))
 
 

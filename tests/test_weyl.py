@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crown import dominant_rep, hull_contains, omega_margin, weyl_orbit
-from crown.errors import RejectionStall
+from crown.errors import NumericalBreakdown
 from crown.groups import Family, GroupSpec, build_group
 from crown.rng import substream
 from crown.weyl import (
@@ -226,7 +226,7 @@ def test_rejection_stall(sl2, monkeypatch):
     import crown.weyl as weyl_mod
     attempts = []
     monkeypatch.setattr(weyl_mod, "omega_margin", lambda *a: attempts.append(1) or -1.0)
-    with pytest.raises(RejectionStall):
+    with pytest.raises(NumericalBreakdown, match="acceptance rate below"):
         draw_omega_point(sl2, FULL_OMEGA, substream(1, 0))
     # the acceptance-rate floor REJECTION_MIN_RATE = 1e-4 gives up after 10,001 misses
     assert len(attempts) == 10_001
