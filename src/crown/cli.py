@@ -24,9 +24,9 @@ from . import convexity, domains, siegel
 from .errors import NumericalBreakdown
 from .groups import GROUP_TOL, Family, GroupContext, GroupSpec, build_group
 from .iwasawa import (
-    PIVOT_FLOOR,
     batch_reconstruction_residual,
     decompose_real,
+    grid_tolerances,
     project_complex,
 )
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
@@ -174,15 +174,17 @@ def _run_decompose(args) -> VerificationReport:
     if args.x is not None and args.x.size != ctx.n:
         raise ValueError(f"--x needs {ctx.n} coordinates for {ctx.spec.label}")
     g = args.entries.reshape(m, m)
+    tolerances = {"group_tol": GROUP_TOL}
     if args.x is None:
         factors = decompose_real(ctx, g)
         z = g
     else:
         factors = project_complex(ctx, g, args.x)
         z = g @ ctx.a_exp(1j * args.x)
+        tolerances.update(grid_tolerances())
     return VerificationReport(
         command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
-        tolerance_set={"pivot_floor": PIVOT_FLOOR, "group_tol": GROUP_TOL},
+        tolerance_set=tolerances,
         extras={"n_part": matrix_wire(factors.n_part),
                 "log_a": vector_wire(factors.log_a),
                 "k_part": matrix_wire(factors.k_part),

@@ -39,7 +39,6 @@ from .iwasawa import (
     track_batch,
     triangular_part,
     GRID_STEPS,
-    PIVOT_FLOOR,
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
@@ -312,18 +311,16 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
         parts, command="verify-convexity", ctx=ctx, omega=omega, seed=seed,
-        samples=samples, tolerances={"membership_tol": tol},
+        samples=samples, tolerances={"membership_tol": tol, **grid_tolerances(steps_hint)},
         extras={"mode": mode, "p_radius": P_RADIUS if mode == "full-g" else 0.0},
-        steps_hint=steps_hint,
     )
 
 
 def _fold_report(parts, *, command, ctx, omega, seed, samples, tolerances,
-                 extras, steps_hint=GRID_STEPS) -> VerificationReport:
+                 extras) -> VerificationReport:
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=samples,
-        tolerances={**tolerances, "pivot_floor": PIVOT_FLOOR, **grid_tolerances(steps_hint)},
-        extras=extras,
+        tolerances=tolerances, extras=extras,
     )
 
 
@@ -436,8 +433,7 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         worst_witness=witness,
         tolerance_set={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
                        "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
-                       "group_tol": GROUP_TOL, "pivot_floor": PIVOT_FLOOR,
-                       **grid_tolerances()},
+                       "group_tol": GROUP_TOL, **grid_tolerances()},
         extras={"median_rel_err": float(np.median(rel_errs)),
                 "max_rel_err": float(np.max(rel_errs)),
                 "max_route_gap": float(np.max(pair_errs))},
@@ -490,7 +486,8 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         worst_witness=witness,
         tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
                        "regularity_floor": REGULARITY_FLOOR,
-                       "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK},
+                       "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
+                       **grid_tolerances()},
         extras={"convergence_rate": converged / runs,
                 "max_gap_converged": max_gap,
                 "mean_iterations": total_iter / runs},
@@ -534,7 +531,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
     report = _fold_report(
         parts, command="lemma24", ctx=ctx, omega=None, seed=seed, samples=samples,
         tolerances={"im_n_floor": IM_N_FLOOR, "normalizer_gap": NORMALIZER_GAP,
-                    "regularity_floor": REGULARITY_FLOOR},
+                    "regularity_floor": REGULARITY_FLOOR, **grid_tolerances()},
         extras={"x": list(map(float, x))},
     )
     report.extras["min_im_n"] = report.min_margin

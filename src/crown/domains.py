@@ -18,11 +18,7 @@ import numpy as np
 from .convexity import sample_regular_direction
 from .errors import NumericalBreakdown
 from .groups import GroupContext
-from .iwasawa import (
-    PIVOT_FLOOR,
-    grid_tolerances,
-    track_batch,
-)
+from .iwasawa import grid_tolerances, track_batch
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import NS_AUX, NS_TUBE, substream
@@ -84,8 +80,7 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
 def _fold(parts, *, command, ctx, omega, seed, requested, tol, extras):
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
-        tolerances={"membership_tol": tol, "pivot_floor": PIVOT_FLOOR,
-                    **grid_tolerances()},
+        tolerances={"membership_tol": tol, **grid_tolerances()},
         extras=extras,
     )
 
@@ -189,7 +184,7 @@ def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
     rho = float(scipy.stats.spearmanr(input_dists, out_dists).statistic)
     return VerificationReport(
         command="boundary", group=group_wire(ctx), seed=seed, samples_requested=1,
-        omega=omega.as_dict(), tolerance_set={"final_distance_cap": 1e-3},
+        omega=omega.as_dict(), tolerance_set={"final_distance_cap": 1e-3, **grid_tolerances()},
         extras={"input_distances": input_dists,
                 "output_distances": out_dists,
                 "spearman": rho,

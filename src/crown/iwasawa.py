@@ -205,9 +205,10 @@ def triangular_part(ctx: GroupContext, factors: IwasawaFactors) -> np.ndarray:
 
 
 def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
-    """The tracking rule a report ran under: argument-step cap, starting grid, segment cap."""
+    """The tracking rule a report ran under: argument-step cap, starting grid,
+    segment cap, and the pivot floor applied to every grid matrix."""
     return {"arg_step_cap": ARG_STEP_CAP, "grid_steps": max(int(steps_hint), 1),
-            "max_segments": MAX_SEGMENTS}
+            "max_segments": MAX_SEGMENTS, "pivot_floor": PIVOT_FLOOR}
 
 
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):

@@ -16,7 +16,7 @@ import numpy as np
 from .domains import sample_xi
 from .errors import NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
-from .iwasawa import minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
+from .iwasawa import grid_tolerances, minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
 from .parallel import chunk_ranges
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
 from .rng import substream
@@ -195,6 +195,6 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
         violations=disagreements,
         min_margin=float(min_margin) if np.isfinite(min_margin) else None,
         worst_witness=witness,
-        tolerance_set={"membership_tol": MEMBERSHIP_TOL, "pivot_floor": PIVOT_FLOOR},
+        tolerance_set={"membership_tol": MEMBERSHIP_TOL, **grid_tolerances()},
         extras={"max_value_gap_monitored": max_value_gap},
     )

@@ -85,12 +85,30 @@ def test_library_call_matches_golden(name):
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text()
 
 
+def _tolerance_sets():
+    return {name: json.loads((GOLDEN / f"{name}.json").read_text())["tolerance_set"]
+            for name in CASES}
+
+
 def test_tolerance_sets_name_only_applied_tolerances():
     # nothing compares against a reconstruction tolerance, and only the commands that
     # call ctx.in_group apply GROUP_TOL
-    sets = {name: json.loads((GOLDEN / f"{name}.json").read_text())["tolerance_set"]
-            for name in CASES}
+    sets = _tolerance_sets()
     assert not any("reconstruction_rtol" in tols for tols in sets.values())
     applies_group_tol = ("decompose_", "gradient_check_", "critical_points_")
     for name, tols in sets.items():
         assert ("group_tol" in tols) == name.startswith(applies_group_tol), name
+
+
+def test_tracking_tolerances_appear_exactly_where_a_branch_is_tracked():
+    # track_batch applies the tracking rule and the pivot floor; verify-kostant and
+    # decompose without --x project real points, and siegel applies the floor alone
+    tracking = {"verify-convexity", "tubes", "image", "lemma24", "gradient-check",
+                "critical-points", "boundary"}
+    for name, tols in _tolerance_sets().items():
+        argv = CASES[name]
+        tracks = (argv[0] in tracking or (argv[0] == "decompose" and "--x" in argv)
+                  or "--cross-check" in argv)
+        for key in ("arg_step_cap", "grid_steps", "max_segments"):
+            assert (key in tols) == tracks, (name, key)
+        assert ("pivot_floor" in tols) == (tracks or argv[0] == "siegel"), name
