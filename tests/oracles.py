@@ -1,7 +1,8 @@
 """Independent slow-path oracles used to cross-check the production code.
 
 Kept free of the implementation routes they validate: hull membership is
-decided by LP feasibility over the explicit orbit, SL(2) projections by the
+decided by LP feasibility over the explicit orbit (or, for a batch, by the
+least L1 slack of one block-diagonal LP), SL(2) projections by the
 closed form of the top minor, gradient ascents by one scalar projection per
 value and one more per gradient, Siegel points by one draw and one fractional
 action per index, branch-tracking ratios by one product and one strided
@@ -13,6 +14,7 @@ leading minors.
 import itertools
 
 import numpy as np
+import scipy.sparse
 from scipy.optimize import linprog
 
 from crown import Family, GroupSpec, build_group, f_a_lambda, grad_f, substream, weyl_orbit
@@ -46,6 +48,28 @@ def lp_hull_membership(ctx, x, y, tol=1e-9):
                   b_ub=np.concatenate([b_eq + tol, tol - b_eq]),
                   bounds=[(0.0, None)] * count, method="highs")
     return res.status == 0
+
+
+def lp_hull_slacks(ctx, xs, ys):
+    """Least L1 distance of each y_i to conv(W.x_i) over the explicit orbits, in one LP.
+
+    Block i holds the weights c >= 0 of the orbit of x_i with sum c = 1 and the
+    slacks u+, u- >= 0 of y_i = sum_w c_w (w.x_i) + u+ - u-.  The total slack
+    separates by block, so each block's optimal slack is its own point's distance.
+    """
+    eye = np.eye(ctx.n)
+    blocks, costs, rhs = [], [], []
+    for x, y in zip(xs, ys):
+        orbit = weyl_orbit(ctx, x)
+        count = orbit.shape[0]
+        blocks.append(np.block([[orbit.T, eye, -eye], [np.ones(count), np.zeros(2 * ctx.n)]]))
+        costs.append(np.concatenate([np.zeros(count), np.ones(2 * ctx.n)]))
+        rhs.append(np.append(y, 1.0))
+    res = linprog(np.concatenate(costs), A_eq=scipy.sparse.block_diag(blocks, format="csr"),
+                  b_eq=np.concatenate(rhs), bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    ends = np.cumsum([len(c) for c in costs])
+    return np.array([res.x[end - 2 * ctx.n:end].sum() for end in ends])
 
 
 def sl2_rotation(theta):

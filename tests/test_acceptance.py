@@ -19,7 +19,7 @@ from crown.sampling import sample_group_element
 from crown.weyl import FULL_OMEGA, draw_omega_point, hull_contains
 
 from conftest import context
-from oracles import lp_hull_membership, reference_polyline_log_a
+from oracles import lp_hull_slacks, reference_polyline_log_a
 
 GROUPS = ["sl:2", "sl:3", "sp:2"]
 MARGIN_TOL = 1e-9
@@ -117,7 +117,7 @@ def test_a06_hull_oracle_equivalence():
     for label in GROUPS + ["sl:4", "sp:3"]:
         ctx = context(label)
         rng = substream(29, 0)
-        disagreements = 0
+        xs, ys, inside = [], [], []
         band = 0
         for _ in range(1000):
             x = rng.uniform(-1, 1, ctx.n)
@@ -131,12 +131,16 @@ def test_a06_hull_oracle_equivalence():
                 y = rng.uniform(-1.2, 1.2, ctx.n)
             if ctx.family is Family.SPECIAL_LINEAR:
                 y -= y.mean()
-            inside, margin = hull_contains(ctx, x, y, tol=MARGIN_TOL)
+            member, margin = hull_contains(ctx, x, y, tol=MARGIN_TOL)
             if abs(margin) <= 1e-7:
                 band += 1
                 continue
-            if inside != lp_hull_membership(ctx, x, y):
-                disagreements += 1
+            xs.append(x)
+            ys.append(y)
+            inside.append(member)
+        # one LP for the group's points: inside when the least L1 slack is at most 1e-9
+        lp_inside = lp_hull_slacks(ctx, xs, ys) <= 1e-9
+        disagreements = int(np.sum(lp_inside != np.array(inside)))
         _check(f"A06 {label}", disagreements == 0,
                f"disagreements={disagreements} tolerance_band_hits={band}")
 
