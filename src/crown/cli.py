@@ -4,7 +4,7 @@ Exit codes: 0 clean, 2 violations, 3 indeterminate samples only, 64 usage
 error (a bad argument, or a ValueError for invalid input), 70 numerical
 breakdown (a NumericalBreakdown, whose causes errors.py lists, or numpy's
 LinAlgError for a singular linear solve), 73 the --out report file cannot be
-written.  LinAlgError subclasses ValueError, so main catches breakdowns first.
+written.
 run is the one place that times a command: it stamps wall_time_ms on the
 report, so reports are byte-identical across reruns of the same argv except
 for that field.  Each subparser names the library call that runs it beside its
@@ -232,6 +232,7 @@ def main(argv=None) -> int:
         code, rendered, out = run(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # LinAlgError subclasses ValueError, so breakdowns are caught first
     except (NumericalBreakdown, np.linalg.LinAlgError) as exc:
         print(f"crown: error: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
