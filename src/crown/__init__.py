@@ -21,7 +21,6 @@ from .convexity import (
 )
 from .domains import (
     boundary_path,
-    boundary_probe,
     sample_xi,
     verify_boundary,
     verify_image,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import crown
-from crown import boundary_path, boundary_probe, sample_xi
+from crown import boundary_path, sample_xi
 from crown.domains import _tube_margins
-from crown.iwasawa import minor_ratios
+from crown.iwasawa import minor_ratios, track_batch
 from crown.rng import NS_TUBE, substream
 from crown.sampling import haar_k
 from crown.weyl import OmegaSpec, draw_omega_point, omega_distance, omega_margin
@@ -125,13 +125,20 @@ def test_boundary_path_construction(sl3):
     assert dists[-1] < 1e-3
 
 
+def projected_distances(ctx, omega, g, path):
+    """Distances to the boundary of omega of Im log a(g exp(iX)) along the path."""
+    log_full, _, _, _, bad = track_batch(ctx, np.repeat(g[None], len(path), axis=0), path)
+    assert not bad.any()
+    return omega_distance(ctx, omega, log_full[:, : ctx.n].imag)
+
+
 def test_boundary_probe_identity_base_exact(sl3):
     from crown.convexity import sample_regular_direction
     rng = substream(17, 1)
     u = sample_regular_direction(sl3, OM8, rng)
     path = boundary_path(sl3, OM8, u, steps=12)
-    pairs = boundary_probe(sl3, OM8, np.eye(3), path)
-    for (step, dist), x in zip(pairs, path):
+    dists = projected_distances(sl3, OM8, np.eye(3), path)
+    for dist, x in zip(dists, path):
         assert np.isclose(dist, omega_distance(sl3, OM8, x), atol=1e-12)
 
 
@@ -142,14 +149,7 @@ def test_boundary_probe_rotation_monotone(sl2):
     u = sample_regular_direction(sl2, OM8, rng)
     path = boundary_path(sl2, OM8, u, steps=12)
     g = haar_k(sl2, [rng])[0]
-    pairs = boundary_probe(sl2, OM8, g, path)
-    out = [d for _, d in pairs]
+    out = projected_distances(sl2, OM8, g, path)
     inp = [omega_distance(sl2, OM8, x) for x in path]
     rho = scipy.stats.spearmanr(inp, out).statistic
     assert rho > 0.9
-
-
-def test_boundary_probe_validates_path(sl3):
-    with pytest.raises(ValueError):
-        boundary_probe(sl3, OM8, np.eye(3),
-                       [np.array([0.1, 0.0, -0.1]), np.array([0.2, 0.0, -0.2])])

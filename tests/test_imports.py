@@ -114,8 +114,8 @@ BLOCKED_SCIPY_RUN = """
 import json, sys
 sys.modules["scipy"] = None
 import crown, crown.cli
-from crown import (Family, GroupSpec, build_group, critical_point_scan,
-                   verify_complex_convexity, verify_image, verify_siegel,
+from crown import (Family, GroupSpec, OmegaSpec, build_group, critical_point_scan,
+                   verify_boundary, verify_complex_convexity, verify_image, verify_siegel,
                    verify_tube_intersection)
 from crown.weyl import FULL_OMEGA
 ctxs = {label: build_group(GroupSpec(Family(label[:2]), int(label[3:])))
@@ -125,13 +125,14 @@ reports = [verify_complex_convexity(ctxs["sl:3"], FULL_OMEGA, 40, seed=1),
            verify_image(ctxs["sl:3"], FULL_OMEGA, 40, seed=2),
            verify_tube_intersection(ctxs["sp:2"], FULL_OMEGA, 8, 5, seed=3),
            verify_siegel(3, 40, seed=4),
-           critical_point_scan(ctxs["sl:3"], 3, seed=5)]
+           critical_point_scan(ctxs["sl:3"], 3, seed=5),
+           verify_boundary(ctxs["sp:2"], OmegaSpec("scale", scale=0.8), 12, seed=3)]
 print(json.dumps([[r.samples_requested, r.samples_completed, r.violations] for r in reports]))
 """
 
 
 def test_crown_runs_with_scipy_blocked():
     runs = json.loads(_python(BLOCKED_SCIPY_RUN))
-    assert len(runs) == 6
+    assert len(runs) == 7
     assert all(completed == requested > 0 and violations == 0
                for requested, completed, violations in runs)
