@@ -284,3 +284,41 @@ def test_cli_boundary_report():
     assert code == 0
     dists = rep["extras"]["output_distances"]
     assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def test_cli_boundary_verdict_needs_no_monotone_approach():
+    # the projected distance stays above the input distance, yet it need not fall:
+    # here it rises at every step after the second point
+    code, out, _ = run(["boundary", "--group", "sp:2", "--omega", "scale:0.8",
+                        "--seed", "38"])
+    rep = json.loads(out)
+    assert code == 0 and rep["violations"] == 0 and rep["min_margin"] > 0
+    dists = rep["extras"]["output_distances"]
+    assert all(b > a for a, b in zip(dists[1:], dists[2:]))
+
+
+def test_cli_boundary_flags_a_projection_nearer_the_edge(monkeypatch):
+    original = crown.domains.track_batch
+
+    def stretched(*args):
+        log_full, *rest = original(*args)
+        return (log_full.real + 1.5j * log_full.imag, *rest)
+
+    monkeypatch.setattr(crown.domains, "track_batch", stretched)
+    code, out, _ = run(["boundary", "--group", "sl:3", "--seed", "3"])
+    rep = json.loads(out)
+    assert code == 2 and rep["violations"] == 1
+    assert rep["min_margin"] < -rep["tolerance_set"]["membership_tol"]
+
+
+def test_cli_boundary_breakdown_row_exits_breakdown(monkeypatch, capsys):
+    original = crown.domains.track_batch
+
+    def broken(*args):
+        log_full, lower, max_steps, segments, bad = original(*args)
+        log_full[3], bad[3] = np.nan, True
+        return log_full, lower, max_steps, segments, bad
+
+    monkeypatch.setattr(crown.domains, "track_batch", broken)
+    assert main(["boundary", "--group", "sl:3", "--seed", "3"]) == EXIT_BREAKDOWN
+    assert "tracking broke down at step 3" in capsys.readouterr().err
