@@ -175,6 +175,7 @@ def _run_decompose(args) -> VerificationReport:
         raise ValueError(f"--x needs {ctx.n} coordinates for {ctx.spec.label}")
     g = args.entries.reshape(m, m)
     tolerances = {"group_tol": GROUP_TOL}
+    tracking = {}
     if args.x is None:
         factors = decompose_real(ctx, g)
         z = g
@@ -182,16 +183,16 @@ def _run_decompose(args) -> VerificationReport:
         factors = project_complex(ctx, g, args.x)
         z = g @ ctx.a_exp(1j * args.x)
         tolerances.update(grid_tolerances())
+        tracking = {"path_steps": factors.path_steps, "max_arg_step": factors.max_arg_step}
     return VerificationReport(
         command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
         tolerance_set=tolerances,
         extras={"n_part": matrix_wire(factors.n_part),
                 "log_a": vector_wire(factors.log_a),
                 "k_part": matrix_wire(factors.k_part),
-                "path_steps": factors.path_steps,
-                "max_arg_step": factors.max_arg_step,
                 "reconstruction_residual": batch_reconstruction_residual(
-                    ctx, z[None], factors.log_full[None], factors.n_part[None])[0]},
+                    ctx, z[None], factors.log_full[None], factors.n_part[None])[0],
+                **tracking},
     )
 
 

@@ -358,7 +358,7 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
             want = xs @ w.T
             vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
         return chunk_part(
-            margins, np.zeros(count, dtype=bool), np.zeros(count), margins < -tol,
+            margins, np.zeros(count, dtype=bool), None, margins < -tol,
             lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
                        "x": vector_wire(xs[i]), "y": vector_wire(ys[i])},
             max_reconstruction_residual=float(resid.max()), max_vertex_error=vertex_err)
@@ -366,9 +366,8 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
         parts, command="verify-kostant", ctx=ctx, omega=None, seed=seed,
-        samples=samples, tolerances={"membership_tol": tol},
-        extras={"box_halfwidth": KOSTANT_BOX, "vertex_tol": VERTEX_TOL,
-                "weyl_order": len(ctx.weyl)},
+        samples=samples, tolerances={"membership_tol": tol, "vertex_tol": VERTEX_TOL},
+        extras={"box_halfwidth": KOSTANT_BOX, "weyl_order": len(ctx.weyl)},
     )
     vertex_miss = int(report.extras["max_vertex_error"] > VERTEX_TOL)
     report.violations = min(report.violations + vertex_miss, report.samples_completed)

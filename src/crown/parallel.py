@@ -8,7 +8,8 @@ before it.
 A verifier's chunk draws its samples, scores them and hands the per-sample
 arrays to chunk_part, which returns the chunk's part: indeterminate and
 violation counts, the smallest margin over the good rows with the witness
-attaining it, and named chunk maxima (max_arg_step always among them).
+attaining it, and named chunk maxima (max_arg_step among them when the
+sweep tracks a branch).
 fold_report folds the parts of a sweep into one report.
 """
 
@@ -37,18 +38,22 @@ def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
     margins read inf, and they never violate, witness or set max_arg_step.
     witness(i) builds the witness dict of chunk row i; it is called once, for
     the first good row reaching the smallest margin, and not at all when no
-    row is good.  The keyword maxima are carried to the fold under their names.
+    row is good.  The keyword maxima are carried to the fold under their names,
+    with max_arg_step beside them unless max_steps is None: a sweep that tracks
+    no branch passes None.
     """
     ok = ~bad
     margins = np.where(ok, margins, np.inf)
     i_min = int(np.argmin(margins))
     found = bool(ok.any())
+    if max_steps is not None:
+        maxima["max_arg_step"] = float(max_steps[ok].max()) if found else 0.0
     return {
         "indeterminate": int(bad.sum()),
         "violations": int(np.sum(violated & ok)),
         "min_margin": float(margins[i_min]) if found else np.inf,
         "witness": witness(i_min) if found else None,
-        "maxima": {"max_arg_step": float(max_steps[ok].max()) if found else 0.0, **maxima},
+        "maxima": maxima,
     }
 
 

@@ -100,15 +100,25 @@ def test_tolerance_sets_name_only_applied_tolerances():
         assert ("group_tol" in tols) == name.startswith(applies_group_tol), name
 
 
-def test_tracking_tolerances_appear_exactly_where_a_branch_is_tracked():
+def _tracks(argv):
     # track_batch applies the tracking rule and the pivot floor; verify-kostant and
     # decompose without --x project real points, and siegel applies the floor alone
     tracking = {"verify-convexity", "tubes", "image", "lemma24", "gradient-check",
                 "critical-points", "boundary"}
+    return (argv[0] in tracking or (argv[0] == "decompose" and "--x" in argv)
+            or "--cross-check" in argv)
+
+
+def test_tracking_tolerances_appear_exactly_where_a_branch_is_tracked():
     for name, tols in _tolerance_sets().items():
         argv = CASES[name]
-        tracks = (argv[0] in tracking or (argv[0] == "decompose" and "--x" in argv)
-                  or "--cross-check" in argv)
         for key in ("arg_step_cap", "grid_steps", "max_segments"):
-            assert (key in tols) == tracks, (name, key)
-        assert ("pivot_floor" in tols) == (tracks or argv[0] == "siegel"), name
+            assert (key in tols) == _tracks(argv), (name, key)
+        assert ("pivot_floor" in tols) == (_tracks(argv) or argv[0] == "siegel"), name
+
+
+def test_tracking_statistics_appear_only_where_a_branch_is_tracked():
+    for name, argv in CASES.items():
+        extras = json.loads((GOLDEN / f"{name}.json").read_text())["extras"]
+        for key in ("max_arg_step", "path_steps"):
+            assert key not in extras or _tracks(argv), (name, key)
