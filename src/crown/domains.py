@@ -27,6 +27,8 @@ from .weyl import MEMBERSHIP_TOL, OmegaSpec, draw_omega_point, omega_distance, o
 
 # the boundary path must end closer than this to the edge of omega
 FINAL_DISTANCE_CAP = 1e-3
+# largest error of a projected abelian slice point exp(iY) against iY
+SLICE_WITNESS_TOL = 1e-10
 
 
 def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int):
@@ -76,15 +78,15 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
 
     parts = map_chunks(run_chunk, chunk_ranges(z_count * k_count))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
-                 requested=z_count * k_count, tol=tol,
+                 requested=z_count * k_count,
+                 tolerances={"membership_tol": tol, **grid_tolerances()},
                  extras={"z_count": z_count, "k_count": k_count})
 
 
-def _fold(parts, *, command, ctx, omega, seed, requested, tol, extras):
+def _fold(parts, *, command, ctx, omega, seed, requested, tolerances, extras):
     return fold_report(
         parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
-        tolerances={"membership_tol": tol, **grid_tolerances()},
-        extras=extras,
+        tolerances=tolerances, extras=extras,
     )
 
 
@@ -119,12 +121,15 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
             max_slice_witness_error=witness_err)
         # the abelian slice samples count beside the crown points
         part["indeterminate"] += int(slice_bad.sum())
-        part["violations"] += int(witness_err > 1e-10)
+        part["violations"] += int(witness_err > SLICE_WITNESS_TOL)
         return part
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
-                 requested=2 * samples, tol=tol, extras={})
+                 requested=2 * samples,
+                 tolerances={"membership_tol": tol, "slice_witness_tol": SLICE_WITNESS_TOL,
+                             **grid_tolerances()},
+                 extras={})
 
 
 def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int) -> np.ndarray:
