@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crown import dominant_rep, hull_contains, omega_margin, weyl_orbit
 from crown.errors import NumericalBreakdown
@@ -13,7 +15,8 @@ from crown.weyl import (
     omega_distance,
 )
 
-from oracles import lp_hull_membership
+from conftest import context
+from oracles import lp_hull_membership, lp_hull_slacks
 
 
 def test_orbit_of_zero(ctx):
@@ -89,6 +92,33 @@ def test_hull_against_lp_oracle(ctx):
         inside, margin = hull_contains(ctx, x, y)
         if abs(margin) > 1e-7:
             assert inside == lp_hull_membership(ctx, x, y)
+
+
+@st.composite
+def hull_query(draw):
+    """(ctx, x, y) on sl:2-5 or sp:1-4, coordinates on a 0.01 grid in [-1, 1].
+
+    For sl the last coordinate is minus the sum of the others, so x and y stay
+    trace-zero on the grid.
+    """
+    ctx = context(draw(st.sampled_from(["sl:2", "sl:3", "sl:4", "sl:5",
+                                        "sp:1", "sp:2", "sp:3", "sp:4"])))
+    free = ctx.n - 1 if ctx.family is Family.SPECIAL_LINEAR else ctx.n
+    coords = st.lists(st.integers(-100, 100), min_size=free, max_size=free)
+    x, y = np.array(draw(coords)) / 100.0, np.array(draw(coords)) / 100.0
+    if ctx.family is Family.SPECIAL_LINEAR:
+        x, y = np.append(x, -x.sum()), np.append(y, -y.sum())
+    return ctx, x, y
+
+
+# derandomized and without an example database, so every run draws the same queries
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(hull_query())
+def test_majorization_agrees_with_the_lp_up_to_rank_4(query):
+    ctx, x, y = query
+    inside, margin = hull_contains(ctx, x, y)
+    assume(abs(margin) > 1e-7)
+    assert inside == (lp_hull_slacks(ctx, [x], [y])[0] <= 1e-9)
 
 
 def test_hull_weyl_invariance(ctx):
