@@ -25,10 +25,8 @@ from .rng import NS_AUX, NS_TUBE, substream
 from .sampling import haar_k, sample_group_element
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, draw_omega_point, omega_distance, omega_margin
 
-# the boundary path must end closer than this to the edge of omega
-FINAL_DISTANCE_CAP = 1e-3
-# largest error of a projected abelian slice point exp(iY) against iY
-SLICE_WITNESS_TOL = 1e-10
+FINAL_DISTANCE_CAP = 1e-3  # the boundary path ends nearer the edge of omega than this
+SLICE_WITNESS_TOL = 1e-10  # largest error of Im log a(exp(iY)) against Y on the slice
 
 
 def sample_xi(ctx: GroupContext, omega: OmegaSpec, count: int, seed: int):
@@ -125,11 +123,9 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
         return part
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
-    return _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed,
-                 requested=2 * samples,
+    return _fold(parts, command="image", ctx=ctx, omega=omega, seed=seed, requested=2 * samples,
                  tolerances={"membership_tol": tol, "slice_witness_tol": SLICE_WITNESS_TOL,
-                             **grid_tolerances()},
-                 extras={})
+                             **grid_tolerances()}, extras={})
 
 
 def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int) -> np.ndarray:
@@ -148,15 +144,12 @@ def boundary_path(ctx: GroupContext, omega: OmegaSpec, direction, steps: int) ->
 
 def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
                     seed: int) -> VerificationReport:
-    """Im log a(g exp(iX)) as X runs toward the edge of omega, for a Haar g in K.
+    """Distances to the edge of omega of X and of Im log a(g exp(iX)) along a boundary path.
 
-    Draws a regular direction and then g from the auxiliary stream of seed.
-    The boundary path of steps points along the direction must stay in omega
-    with strictly decreasing Euclidean distance to the boundary, ending below
-    FINAL_DISTANCE_CAP.  Reports the distances of the path and of its tracked
-    projections; min_margin is the smallest projected distance less the input
-    distance, and a run whose min_margin drops below -MEMBERSHIP_TOL has one
-    violation.
+    Draws a regular direction, then a Haar g in K, from the auxiliary stream of
+    seed; the path must approach the edge strictly, to below FINAL_DISTANCE_CAP.
+    min_margin is the smallest projected distance less the input one; below
+    -MEMBERSHIP_TOL it makes the run's one violation.
     """
     rng = substream(seed, NS_AUX)
     direction = sample_regular_direction(ctx, omega, rng)

@@ -8,8 +8,7 @@ before it.
 A verifier's chunk draws its samples, scores them and hands the per-sample
 arrays to chunk_part, which returns the chunk's part: indeterminate and
 violation counts, the smallest margin over the good rows with the witness
-attaining it, and named chunk maxima (max_arg_step among them when the
-sweep tracks a branch).
+attaining it, and named chunk maxima (max_arg_step among them if it tracks).
 fold_report folds the parts of a sweep into one report.
 """
 
@@ -39,8 +38,7 @@ def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
     witness(i) builds the witness dict of chunk row i; it is called once, for
     the first good row reaching the smallest margin, and not at all when no
     row is good.  The keyword maxima are carried to the fold under their names,
-    with max_arg_step beside them unless max_steps is None: a sweep that tracks
-    no branch passes None.
+    beside max_arg_step unless max_steps is None (a sweep that tracks nothing).
     """
     ok = ~bad
     margins = np.where(ok, margins, np.inf)

@@ -172,7 +172,7 @@ def test_cli_usage_error_exit_code(capsys):
     assert "samples must be >= 1" in capsys.readouterr().err
     assert main(["boundary", "--group", "sl:3", "--steps", "0"]) == EXIT_USAGE
     assert "non-empty" in capsys.readouterr().err
-    # the 54th point of a 60-step path rounds onto the edge of omega
+    # in rounding, the 53rd point of a 60-step path lies on the edge of omega
     assert main(["boundary", "--group", "sl:3", "--steps", "60"]) == EXIT_USAGE
     assert "path must stay inside omega" in capsys.readouterr().err
     # a negative iteration cap
