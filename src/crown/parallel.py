@@ -8,7 +8,7 @@ before it.
 A verifier's chunk draws its samples, scores them and hands the per-sample
 arrays to chunk_part, which returns the chunk's part: indeterminate and
 violation counts, the smallest margin over the good rows with the witness
-attaining it, and named chunk maxima (max_arg_step among them if it tracks).
+attaining it, and named chunk maxima (max_arg_step too for a tracking sweep).
 fold_report folds the parts of a sweep into one report.
 """
 
