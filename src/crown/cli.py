@@ -146,7 +146,8 @@ def build_parser() -> _Parser:
 
     p = add_parser("boundary", help="boundary approach of the projection")
     p.add_argument("--omega", type=parse_omega, default=parse_omega("scale:0.8"))
-    p.add_argument("--steps", type=int, default=12)
+    p.add_argument("--steps", type=int, default=12,
+                   help=f"path points, at most {domains.MAX_PATH_STEPS}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=lambda a: domains.verify_boundary(a.group, a.omega, a.steps, a.seed))
 

@@ -26,6 +26,9 @@ from .sampling import haar_k, sample_group_element
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, draw_omega_point, omega_distance, omega_margin
 
 FINAL_DISTANCE_CAP = 1e-3  # the boundary path ends nearer the edge of omega than this
+# most points on a boundary path: the last one's distance to the edge, about 2^-steps
+# of the first, stays far above rounding; (1 - 2^-j) X0 stops approaching at j = 52
+MAX_PATH_STEPS = 40
 SLICE_WITNESS_TOL = 1e-10  # largest error of Im log a(exp(iY)) against Y on the slice
 
 
@@ -147,16 +150,17 @@ def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
     """Distances to the edge of omega of X and of Im log a(g exp(iX)) along a boundary path.
 
     Draws a regular direction, then a Haar g in K, from the auxiliary stream of
-    seed; the path must approach the edge strictly, to below FINAL_DISTANCE_CAP.
+    seed; the path of 1..MAX_PATH_STEPS steps must approach the edge strictly,
+    to below FINAL_DISTANCE_CAP.
     min_margin is the smallest projected distance less the input one; below
     -MEMBERSHIP_TOL it makes the run's one violation.
     """
+    if not 1 <= steps <= MAX_PATH_STEPS:
+        raise ValueError(f"steps must lie in [1, {MAX_PATH_STEPS}], got {steps}")
     rng = substream(seed, NS_AUX)
     direction = sample_regular_direction(ctx, omega, rng)
     g = haar_k(ctx, [rng])[0]
     path = boundary_path(ctx, omega, direction, steps)
-    if not len(path):
-        raise ValueError("path must be a non-empty sequence of points")
     input_dists = omega_distance(ctx, omega, path)
     if np.any(input_dists <= 0.0):
         raise ValueError("path must stay inside omega")

@@ -26,6 +26,7 @@ the stacked product keeps the bits of one product per grid matrix
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -93,9 +94,10 @@ def _ldl(mat):
                 lower[j + 1:, j] = col
                 work[j + 1:, j + 1:] -= col[:, None, :] * work[j:j + 1, j + 1:]
         ratios = ratios.reshape(lead + (m,))
-        row_norms = np.sqrt(np.sum(np.abs(mat) ** 2, axis=-1))
-        hadamard = np.maximum(np.cumprod(row_norms, axis=-1), _TINY)
-        minors = np.abs(np.cumprod(ratios, axis=-1)) / hadamard
+        # ndarray methods skip numpy's Python-level dispatch, which shows on one matrix
+        row_norms = np.sqrt((np.abs(mat) ** 2).sum(axis=-1))
+        hadamard = np.maximum(row_norms.cumprod(axis=-1), _TINY)
+        minors = np.abs(ratios.cumprod(axis=-1)) / hadamard
     return ratios, lower.transpose(2, 0, 1).reshape(lead + (m, m)), minors
 
 
@@ -211,6 +213,14 @@ def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
             "max_segments": MAX_SEGMENTS, "pivot_floor": PIVOT_FLOOR}
 
 
+@functools.lru_cache(maxsize=32)
+def _grid(steps: int) -> np.ndarray:
+    """The uniform parameter grid 0 = t_0 < ... < t_steps = 1; cached and read-only."""
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    ts.flags.writeable = False
+    return ts
+
+
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Continuous branch of log a(g_i exp(iX_i)) for a batch of (g_i, X_i) pairs.
 
@@ -227,8 +237,7 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     g = np.asarray(g, dtype=float)
     xs = np.asarray(xs, dtype=float)
     steps = max(int(steps_hint), 1)
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    coords = ts[None, :, None] * xs[:, None, :]
+    coords = _grid(steps)[None, :, None] * xs[:, None, :]
     ratios, lower, floor = _path_ratios(ctx, g, coords)
     with np.errstate(invalid="ignore"):
         dphi = np.angle(ratios[:, 1:, :] / ratios[:, :-1, :])

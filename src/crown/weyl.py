@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .groups import Family, GroupContext
+from .groups import Family, GroupContext, GroupSpec
 
 MEMBERSHIP_TOL = 1e-9
 DEDUP_TOL = 1e-12
@@ -132,7 +132,8 @@ def omega_margin(ctx: GroupContext, spec: OmegaSpec, x):
     np.linalg.norm(x, axis=-1) and strided rows do not.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    margin = spec.cutoff - np.max(np.abs(x @ ctx.roots.T), axis=-1)
+    # the ndarray method skips numpy's Python-level dispatch, which shows on one row
+    margin = spec.cutoff - np.abs(x @ ctx.roots.T).max(axis=-1)
     if spec.shape == "ball":
         margin = np.minimum(margin, spec.radius - np.sqrt(np.vecdot(x, x)))
     return margin
@@ -163,22 +164,29 @@ def helmert(n: int) -> np.ndarray:
     return basis
 
 
-def _omega_box(ctx: GroupContext, spec: OmegaSpec):
-    """Half-width of the coordinate box bounding omega (in sampling coordinates)."""
-    if ctx.family is Family.SPECIAL_LINEAR:
-        n = ctx.n
+@functools.lru_cache(maxsize=256)
+def _omega_box(group: GroupSpec, spec: OmegaSpec):
+    """(half, basis) of the coordinate box bounding omega; cached.
+
+    half is the box's half-width in sampling coordinates; basis maps them to
+    Cartan coordinates (the Helmert basis for sl, None for sp, which samples
+    Cartan coordinates directly).
+    """
+    if group.family is Family.SPECIAL_LINEAR:
+        n = group.n
         half = spec.cutoff * (n - 1) / n * np.sqrt(n)
+        basis = helmert(n)
     else:
         half = spec.cutoff / 2.0
+        basis = None
     if spec.shape == "ball":
         half = min(half, spec.radius)
-    return half
+    return half, basis
 
 
 def draw_omega_point(ctx: GroupContext, spec: OmegaSpec, rng) -> np.ndarray:
     """One uniform draw from omega by rejection from its bounding box."""
-    half = _omega_box(ctx, spec)
-    basis = helmert(ctx.n) if ctx.family is Family.SPECIAL_LINEAR else None
+    half, basis = _omega_box(ctx.spec, spec)
     dim = ctx.n - 1 if basis is not None else ctx.n
     for _ in range(int(1.0 / REJECTION_MIN_RATE) + 1):
         u = rng.uniform(-half, half, size=dim)

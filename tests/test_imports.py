@@ -1,6 +1,6 @@
 """Module boundaries and surface: no private cross-module imports, no unused
 imports, no exception class that nothing raises, one exception class per exit
-code, and no scipy at import time."""
+code, no scipy at import time, and no OS entropy read by a seeded command."""
 
 import ast
 import json
@@ -9,7 +9,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy.random.bit_generator
+
 import crown
+from crown.weyl import FULL_OMEGA
 
 SRC = pathlib.Path(crown.__file__).resolve().parent
 # bench/tracer.py wraps crown.siegel.draw_omega_point by name; siegel never calls it
@@ -110,6 +113,11 @@ def test_import_crown_leaves_scipy_unloaded():
     assert _python("import sys, crown; print('scipy' in sys.modules)") == "False\n"
 
 
+def test_import_crown_leaves_numpy_random_unloaded():
+    # numpy.random takes 10-15 ms to import; the first substream loads it
+    assert _python("import sys, crown; print('numpy.random' in sys.modules)") == "False\n"
+
+
 BLOCKED_SCIPY_RUN = """
 import json, sys
 sys.modules["scipy"] = None
@@ -136,3 +144,23 @@ def test_crown_runs_with_scipy_blocked():
     assert len(runs) == 7
     assert all(completed == requested > 0 and violations == 0
                for requested, completed, violations in runs)
+
+
+def test_sampling_commands_read_no_os_entropy(monkeypatch):
+    # a substream hands Philox its key alone, so no seed sequence draws OS entropy
+    def refuse(bits):
+        raise AssertionError(f"{bits} bits of OS entropy requested")
+
+    monkeypatch.setattr(numpy.random.bit_generator, "randbits", refuse)
+    sl3 = crown.build_group(crown.GroupSpec(crown.Family("sl"), 3))
+    sp2 = crown.build_group(crown.GroupSpec(crown.Family("sp"), 2))
+    reports = [crown.verify_complex_convexity(sl3, FULL_OMEGA, 8, seed=1),
+               crown.verify_complex_convexity(sp2, FULL_OMEGA, 8, seed=1, mode="full-g"),
+               crown.verify_kostant_real(sp2, 8, seed=2),
+               crown.verify_image(sl3, FULL_OMEGA, 8, seed=3),
+               crown.verify_tube_intersection(sl3, FULL_OMEGA, 4, 3, seed=4),
+               crown.critical_point_scan(sl3, 2, seed=5),
+               crown.gradient_check(sp2, 2, seed=6),
+               crown.verify_siegel(3, 8, seed=7),
+               crown.cross_check_crown(sp2, 4, seed=8)]
+    assert all(rep.samples_requested > 0 and rep.violations == 0 for rep in reports)

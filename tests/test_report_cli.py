@@ -171,10 +171,10 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["lemma24", "--group", "sl:3", "--samples", "0"]) == EXIT_USAGE
     assert "samples must be >= 1" in capsys.readouterr().err
     assert main(["boundary", "--group", "sl:3", "--steps", "0"]) == EXIT_USAGE
-    assert "non-empty" in capsys.readouterr().err
-    # in rounding, the 53rd point of a 60-step path lies on the edge of omega
+    assert "steps must lie in [1, 40], got 0" in capsys.readouterr().err
+    # in rounding, the 53rd point of a 60-step path would lie on the edge of omega
     assert main(["boundary", "--group", "sl:3", "--steps", "60"]) == EXIT_USAGE
-    assert "path must stay inside omega" in capsys.readouterr().err
+    assert "steps must lie in [1, 40], got 60" in capsys.readouterr().err
     # a negative iteration cap
     assert main(["critical-points", "--group", "sl:2", "--runs", "2",
                  "--max-iter", "-1"]) == EXIT_USAGE
@@ -282,8 +282,10 @@ def test_cli_boundary_report():
                         "--steps", "12", "--seed", "3"])
     rep = json.loads(out)
     assert code == 0
-    dists = rep["extras"]["output_distances"]
-    assert all(b < a for a, b in zip(dists, dists[1:]))
+    # complex convexity: no projected point lies nearer the edge than its input point
+    tol = rep["tolerance_set"]["membership_tol"]
+    pairs = zip(rep["extras"]["input_distances"], rep["extras"]["output_distances"])
+    assert all(dist_out >= dist_in - tol for dist_in, dist_out in pairs)
 
 
 def test_cli_boundary_verdict_needs_no_monotone_approach():

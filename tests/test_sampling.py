@@ -2,14 +2,15 @@
 
 A batch must equal its samples drawn one by one, bit for bit, and leave every
 generator at the same point of its stream.  The stacked K projection and
-group-membership check must agree with their single-matrix calls.
+group-membership check must agree with their single-matrix calls.  Every
+stream is Philox keyed by (seed, index).
 """
 
 import numpy as np
 import pytest
 
 from conftest import context
-from crown.rng import substream
+from crown.rng import NS_AUX, NS_TUBE, substream
 from crown.sampling import P_RADIUS, haar_k, k_project, sample_group_element
 from oracles import reference_group_element, reference_haar_k
 
@@ -78,3 +79,23 @@ def test_stacked_group_residual_matches_single_calls(label):
     decisions = ctx.in_group(drifted)
     assert decisions.tolist() == [ctx.in_group(g) for g in drifted]
     assert 0 < decisions.sum() < len(drifted)
+
+
+@pytest.mark.parametrize("index", [0, NS_TUBE + 3, NS_AUX])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_substream_is_philox_keyed_by_seed_and_index(seed, index):
+    got = substream(seed, index)
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+    assert np.array_equal(got.random(9), want.random(9))
+    assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+    np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint32), (1, np.uint64),
+                                            (4, np.uint64)])
+def test_substream_key_serves_only_two_uint64_words(n_words, dtype):
+    seed_seq = substream(7, 3).bit_generator.seed_seq
+    assert np.array_equal(seed_seq.generate_state(2, np.uint64), [7, 3])
+    with pytest.raises(ValueError, match="two uint64 words"):
+        seed_seq.generate_state(n_words, dtype)
