@@ -38,6 +38,7 @@ from .groups import (
 from .iwasawa import (
     IwasawaFactors,
     decompose_real,
+    k_factor,
     minor_ratios,
     project_complex,
     triangular_part,

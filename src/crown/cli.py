@@ -27,6 +27,7 @@ from .iwasawa import (
     batch_reconstruction_residual,
     decompose_real,
     grid_tolerances,
+    k_factor,
     project_complex,
 )
 from .report import VerificationReport, group_wire, matrix_wire, vector_wire
@@ -147,7 +148,7 @@ def build_parser() -> _Parser:
     p = add_parser("boundary", help="boundary approach of the projection")
     p.add_argument("--omega", type=parse_omega, default=parse_omega("scale:0.8"))
     p.add_argument("--steps", type=int, default=12,
-                   help=f"path points, at most {domains.MAX_PATH_STEPS}")
+                   help=f"path points, at most {domains.MAX_PATH_STEPS}; too few are rejected")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=lambda a: domains.verify_boundary(a.group, a.omega, a.steps, a.seed))
 
@@ -185,14 +186,14 @@ def _run_decompose(args) -> VerificationReport:
         z = g @ ctx.a_exp(1j * args.x)
         tolerances.update(grid_tolerances())
         tracking = {"path_steps": factors.path_steps, "max_arg_step": factors.max_arg_step}
+    batch = z[None], factors.log_full[None], factors.n_part[None]
     return VerificationReport(
         command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
         tolerance_set=tolerances,
         extras={"n_part": matrix_wire(factors.n_part),
                 "log_a": vector_wire(factors.log_a),
-                "k_part": matrix_wire(factors.k_part),
-                "reconstruction_residual": batch_reconstruction_residual(
-                    ctx, z[None], factors.log_full[None], factors.n_part[None])[0],
+                "k_part": matrix_wire(k_factor(*batch)[0]),
+                "reconstruction_residual": batch_reconstruction_residual(ctx, *batch)[0],
                 **tracking},
     )
 

@@ -150,8 +150,10 @@ def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
     """Distances to the edge of omega of X and of Im log a(g exp(iX)) along a boundary path.
 
     Draws a regular direction, then a Haar g in K, from the auxiliary stream of
-    seed; the path of 1..MAX_PATH_STEPS steps must approach the edge strictly,
-    to below FINAL_DISTANCE_CAP.
+    seed; the path of 1..MAX_PATH_STEPS steps must end nearer the edge than
+    FINAL_DISTANCE_CAP.  For a regular direction the distance to the edge along
+    t X0 is concave, falls strictly and is 0 only at t = 1, so every path point
+    lies inside omega and nearer the edge than the one before.
     min_margin is the smallest projected distance less the input one; below
     -MEMBERSHIP_TOL it makes the run's one violation.
     """
@@ -162,12 +164,9 @@ def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
     g = haar_k(ctx, [rng])[0]
     path = boundary_path(ctx, omega, direction, steps)
     input_dists = omega_distance(ctx, omega, path)
-    if np.any(input_dists <= 0.0):
-        raise ValueError("path must stay inside omega")
-    if np.any(input_dists[1:] >= input_dists[:-1]):
-        raise ValueError("path distances must be strictly decreasing")
     if input_dists[-1] >= FINAL_DISTANCE_CAP:
-        raise ValueError("path must approach the boundary below 1e-3")
+        raise ValueError(f"{steps} steps end {input_dists[-1]:.3g} from the edge of omega, "
+                         f"not below {FINAL_DISTANCE_CAP:g}; more steps are needed")
     log_full, _, _, _, bad = track_batch(ctx, np.repeat(g[None], len(path), axis=0), path)
     if bad.any():
         raise NumericalBreakdown(f"tracking broke down at step {int(np.argmax(bad))}")

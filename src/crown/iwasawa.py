@@ -46,16 +46,15 @@ _TINY = np.finfo(float).tiny
 
 @dataclasses.dataclass
 class IwasawaFactors:
-    """Factor triple (n, log a, k) with branch-tracking metadata.
+    """The factors n and log a of z = n a k, one row of the tracker, with its statistics.
 
-    log_a holds Cartan coordinates (complex); the diagonal matrix is recovered
-    through the context.  log_full is the tracked diagonal of log a, all m
-    entries as the elimination gives them; log_a is its leading n.
+    log_a holds Cartan coordinates (complex); log_full is the tracked diagonal
+    of log a, all m entries as the elimination gives them, and log_a is its
+    leading n.  k is not kept: k_factor solves for it where it is read.
     """
 
     n_part: np.ndarray
     log_a: np.ndarray
-    k_part: np.ndarray
     path_steps: int
     max_arg_step: float
     log_full: np.ndarray
@@ -145,23 +144,14 @@ def _path_ratios(ctx: GroupContext, g, coords):
     return ratios, lower, minors.min(axis=-1)
 
 
-def _assemble(ctx: GroupContext, z, log_full, lower, steps, max_step):
-    """Factors of z from its log diagonal and unit lower factor."""
-    a_diag = np.exp(log_full)
-    k = np.linalg.solve(lower, z) / a_diag[:, None]
-    return IwasawaFactors(
-        n_part=lower, log_a=log_full[: ctx.n], k_part=k,
-        path_steps=steps, max_arg_step=max_step, log_full=log_full,
-    )
-
-
 def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
     """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
 
     g must be a real group element and X must lie in the admissible polytope.
     The result does not depend on the path to X inside the polytope, because
     the target tube is simply connected.  This is track_batch on a batch of
-    one; a row that comes back bad raises NumericalBreakdown.
+    one; a row that comes back bad raises NumericalBreakdown.  No k is
+    solved for: k_factor gives it from z = g exp(iX) and these factors.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -172,8 +162,9 @@ def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
     log_full, lower, max_steps, segments, bad = track_batch(ctx, g[None], x[None])
     if bad[0]:
         raise NumericalBreakdown("a minor degenerated along the path or the segment cap was reached")
-    z = g @ ctx.a_exp(1j * x)
-    return _assemble(ctx, z, log_full[0], lower[0], int(segments[0]), float(max_steps[0]))
+    return IwasawaFactors(n_part=lower[0], log_a=log_full[0, : ctx.n],
+                          path_steps=int(segments[0]), max_arg_step=float(max_steps[0]),
+                          log_full=log_full[0])
 
 
 def project_real_batch(g):
@@ -197,7 +188,8 @@ def decompose_real(ctx: GroupContext, g) -> IwasawaFactors:
     log_full, lower = project_real_batch(g[None])
     if not np.all(np.isfinite(log_full)):
         raise NumericalBreakdown("nonpositive pivot for a claimed group element")
-    return _assemble(ctx, g, log_full[0], lower[0], 0, 0.0)
+    return IwasawaFactors(n_part=lower[0], log_a=log_full[0, : ctx.n], path_steps=0,
+                          max_arg_step=0.0, log_full=log_full[0])
 
 
 def triangular_part(ctx: GroupContext, factors: IwasawaFactors) -> np.ndarray:
@@ -263,11 +255,15 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
 _track = track_batch
 
 
+def k_factor(z, log_full, lower) -> np.ndarray:
+    """k = a^{-1} n^{-1} z for a batch z = n a k, from the log_full and lower rows of z."""
+    return np.linalg.solve(lower, z) / np.exp(log_full)[:, :, None]
+
+
 def batch_reconstruction_residual(ctx: GroupContext, z, log_full, lower) -> np.ndarray:
     """Relative residuals of the factor products n exp(log a) k against a batch z."""
     z = np.asarray(z)
-    a_diag = np.exp(log_full)
-    k = np.linalg.solve(lower, z) / a_diag[:, :, None]
+    k = k_factor(z, log_full, lower)
     diag_sym = np.exp(ctx.full_diag(log_full[:, : ctx.n]))
     recon = (lower * diag_sym[:, None, :]) @ k
     num = np.linalg.norm(recon - z, axis=(1, 2))

@@ -90,7 +90,7 @@ def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
     return ctx.unitary_embed(u @ vt)
 
 
-def sample_group_element(ctx: GroupContext, rngs, mode: str = "k") -> np.ndarray:
+def sample_group_element(ctx: GroupContext, rngs, mode: str) -> np.ndarray:
     """Haar k ("k" mode) or k exp(S) with a bounded p-part ("full-g" mode), one per generator.
 
     Each generator gives the Gaussians of k, then those of S.

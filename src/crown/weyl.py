@@ -105,7 +105,7 @@ def hull_contains(ctx: GroupContext, x, y, tol: float = MEMBERSHIP_TOL):
     return margin >= -tol, margin
 
 
-def hull_margins_batch(ctx: GroupContext, xs, ys, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def hull_margins_batch(ctx: GroupContext, xs, ys, tol: float) -> np.ndarray:
     """Hull margins of rows ys against conv(W.x) of rows xs (shape (B, n)).
 
     The margin is the minimum slack of the majorization constraints: positive

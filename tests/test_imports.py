@@ -1,8 +1,11 @@
 """Module boundaries and surface: no private cross-module imports, no unused
 imports, no exception class that nothing raises, one exception class per exit
-code, no scipy at import time, and no OS entropy read by a seeded command."""
+code, no scipy at import time, no OS entropy read by a seeded command, and
+every library name the benchmark tracer wraps still defined."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -164,3 +167,30 @@ def test_sampling_commands_read_no_os_entropy(monkeypatch):
                crown.verify_siegel(3, 8, seed=7),
                crown.cross_check_crown(sp2, 4, seed=8)]
     assert all(rep.samples_requested > 0 and rep.violations == 0 for rep in reports)
+
+
+def _tracer_tables():
+    """SPANS and COUNTERS of bench/tracer.py, loaded from its file."""
+    path = SRC.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("crown_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {**tracer.SPANS, **tracer.COUNTERS}
+
+
+def test_every_traced_library_name_exists():
+    # the tracer swaps wrappers in by owner.__dict__[name]; a name a refactor drops
+    # fails here, not only in the benchmark's own tests
+    missing = []
+    for paths in _tracer_tables().values():
+        for path in paths:
+            if not path.startswith("crown."):
+                continue
+            # crown.<module>.<name> or crown.<module>.<Class>.<name>
+            parts = path.split(".")
+            owner = importlib.import_module(".".join(parts[:2]))
+            for name in parts[2:-1]:
+                owner = getattr(owner, name)
+            if parts[-1] not in owner.__dict__:
+                missing.append(path)
+    assert missing == []

@@ -18,6 +18,7 @@ from crown.iwasawa import (
     _ldl,
     _path_ratios,
     batch_reconstruction_residual,
+    k_factor,
     normalized_minors,
     project_real_batch,
     track_batch,
@@ -43,6 +44,11 @@ def residual(ctx, f, z):
     """The reconstruction residual of one factor triple, a batch of one."""
     return batch_reconstruction_residual(
         ctx, np.asarray(z)[None], f.log_full[None], f.n_part[None])[0]
+
+
+def k_of(f, z):
+    """The k of z = n a k from the factors of z, a batch of one."""
+    return k_factor(np.asarray(z)[None], f.log_full[None], f.n_part[None])[0]
 
 
 def assert_same_bits(got, want):
@@ -157,7 +163,7 @@ def test_decompose_identity(ctx):
     f = decompose_real(ctx, np.eye(ctx.ambient_size))
     np.testing.assert_array_equal(f.n_part, np.eye(ctx.ambient_size))
     np.testing.assert_array_equal(f.log_a, np.zeros(ctx.n))
-    np.testing.assert_array_equal(f.k_part, np.eye(ctx.ambient_size))
+    np.testing.assert_array_equal(k_of(f, np.eye(ctx.ambient_size)), np.eye(ctx.ambient_size))
 
 
 def test_decompose_abelian_element(ctx):
@@ -174,7 +180,7 @@ def test_decompose_rotation(sl2):
     f = decompose_real(sl2, g)
     np.testing.assert_allclose(f.log_a, 0.0, atol=1e-15)
     np.testing.assert_allclose(f.n_part, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(f.k_part, g, atol=1e-15)
+    np.testing.assert_allclose(k_of(f, g), g, atol=1e-15)
 
 
 def test_decompose_real_closed_form(sl2):
@@ -197,10 +203,25 @@ def test_decompose_factors_real_and_structured(ctx):
         assert f.n_part.dtype.kind == "f" and f.log_a.dtype.kind == "f"
         assert np.max(np.abs(np.triu(f.n_part, 1))) == 0.0
         np.testing.assert_allclose(np.diagonal(f.n_part), 1.0, atol=0)
-        np.testing.assert_allclose(
-            f.k_part @ f.k_part.T, np.eye(ctx.ambient_size), atol=1e-10)
+        k = k_of(f, g)
+        np.testing.assert_allclose(k @ k.T, np.eye(ctx.ambient_size), atol=1e-10)
         assert residual(ctx, f, g) < 1e-10
         assert np.max(np.abs(f.log_full - ctx.full_diag(f.log_a))) < 1e-10
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_scalar_factors_solve_for_no_k(label, monkeypatch):
+    # the record holds the tracker's row alone; k is solved only where it is read
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    ctx = context(label)
+    rng = substream(53, 1)
+    x = draw_omega_point(ctx, FULL_OMEGA, rng)
+    g = sample_group_element(ctx, [rng], "full-g")[0]
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    assert np.all(np.isfinite(project_complex(ctx, g, x).log_a))
+    assert np.all(np.isfinite(decompose_real(ctx, g).log_a))
 
 
 def test_decompose_rejects_non_member(sl2):
@@ -261,8 +282,8 @@ def test_reconstruction_and_k_orthogonality(ctx):
         f = project_complex(ctx, g, x)
         z = g @ ctx.a_exp(1j * x)
         assert residual(ctx, f, z) < 1e-10
-        np.testing.assert_allclose(
-            f.k_part @ f.k_part.T, np.eye(ctx.ambient_size), atol=1e-10)
+        k = k_of(f, z)
+        np.testing.assert_allclose(k @ k.T, np.eye(ctx.ambient_size), atol=1e-10)
         assert np.max(np.abs(np.triu(f.n_part, 1))) == 0.0
 
 
@@ -340,7 +361,7 @@ def test_triangular_part(ctx):
     assert np.max(np.abs(np.triu(b, 1))) == 0.0
     np.testing.assert_allclose(np.diagonal(b), np.exp(ctx.full_diag(f.log_a)), atol=1e-14)
     z = g @ ctx.a_exp(1j * x)
-    np.testing.assert_allclose(b @ f.k_part, z, atol=1e-10 * np.linalg.norm(z))
+    np.testing.assert_allclose(b @ k_of(f, z), z, atol=1e-10 * np.linalg.norm(z))
     ident = decompose_real(ctx, np.eye(ctx.ambient_size))
     np.testing.assert_array_equal(
         triangular_part(ctx, ident), np.eye(ctx.ambient_size))

@@ -146,6 +146,10 @@ def test_cli_usage_error_exit_code(capsys):
     # wrong entry count and a path too short to reach the boundary
     assert main(["decompose", "--group", "sl:2", "--entries", "1,0,1"]) == EXIT_USAGE
     assert main(["boundary", "--group", "sl:2", "--steps", "3"]) == EXIT_USAGE
+    assert main(["boundary", "--group", "sl:3", "--steps", "5"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "5 steps end 0.0278 from the edge of omega, not below 0.001" in err
+    assert "more steps are needed" in err
     # hull vectors whose length is not the rank
     assert main(["hull", "--group", "sl:3", "--x", "0.1,-0.1", "--y", "0,0"]) == EXIT_USAGE
     assert main(["hull", "--group", "sp:3", "--x", "0.3", "--y", "0.9"]) == EXIT_USAGE

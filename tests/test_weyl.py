@@ -9,6 +9,7 @@ from crown.groups import Family, GroupSpec, build_group
 from crown.rng import substream
 from crown.weyl import (
     FULL_OMEGA,
+    MEMBERSHIP_TOL,
     OmegaSpec,
     draw_omega_point,
     hull_margins_batch,
@@ -156,7 +157,7 @@ def test_hull_margins_batch_matches_scalar(ctx):
     if ctx.family is Family.SPECIAL_LINEAR:
         xs -= xs.mean(axis=1, keepdims=True)
         ys -= ys.mean(axis=1, keepdims=True)
-    batch = hull_margins_batch(ctx, xs, ys)
+    batch = hull_margins_batch(ctx, xs, ys, MEMBERSHIP_TOL)
     singles = [hull_contains(ctx, x, y)[1] for x, y in zip(xs, ys)]
     np.testing.assert_allclose(batch, singles, atol=1e-14)
 
