@@ -15,6 +15,14 @@ grid must move every ratio argument by less than pi/2, a path with an offending
 step is tracked again on a grid twice as fine, and the number of segments is
 capped.  track_batch is the one tracker; project_complex is a batch of one.
 
+track_batch runs a batch in blocks of rows whose complex grid takes about
+TRACK_BLOCK_BYTES (64 KiB).  A block's temporaries stay in cache, and the heap
+hands the same pages to the next block.  A grid of a few hundred rows is
+megabytes a temporary, and larger blocks leave enough free memory at the heap
+top for the allocator to return it to the kernel after each block and fault it
+in again at the next.  Every operation is per row, so a row's bits do not
+depend on the block it lands in.
+
 Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
 path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
 with the batch axis last, so each numpy call works on contiguous data across
@@ -41,6 +49,8 @@ MAX_SEGMENTS = 2 ** 14
 SYM_TOL = 1e-10
 # parameter-grid segments per tracked path before any retry on a finer grid
 GRID_STEPS = 16
+# bytes of complex grid, (rows, steps + 1, m, m), per block of rows track_batch tracks at once
+TRACK_BLOCK_BYTES = 2 ** 16
 _TINY = np.finfo(float).tiny
 
 
@@ -130,18 +140,18 @@ def _path_ratios(ctx: GroupContext, g, coords):
     """Ratios of M(t) = g exp(2i diag(x_t)) g^T for a batch of diagonal paths.
 
     g has shape (..., m, m); coords has shape (..., T, n).  Returns (ratios,
-    unit_lower, floor) with floor the smallest normalized minor of each M(t).
-    The T scaled copies of each g are stacked into one (T m) x m block, so
-    each path takes one matrix product.
+    unit_lower, minors) of the T grid matrices of each path, as _ldl gives
+    them.  The T scaled copies of each g are stacked into one (T m) x m block,
+    so each path takes one matrix product.
     """
     g = np.asarray(g)
     lead, m = g.shape[:-2], g.shape[-1]
     steps = coords.shape[-2]
     diag = np.exp(2j * ctx.full_diag(coords))        # (..., T, m)
-    tmp = g[..., None, :, :] * diag[..., None, :]
-    block = tmp.reshape(lead + (steps * m, m)) @ np.swapaxes(g, -1, -2)
-    ratios, lower, minors = _ldl(block.reshape(lead + (steps, m, m)))
-    return ratios, lower, minors.min(axis=-1)
+    # the scaled copies are a temporary, freed before the elimination starts
+    block = (g[..., None, :, :] * diag[..., None, :]).reshape(lead + (steps * m, m)) \
+        @ np.swapaxes(g, -1, -2)
+    return _ldl(block.reshape(lead + (steps, m, m)))
 
 
 def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
@@ -213,6 +223,20 @@ def _grid(steps: int) -> np.ndarray:
     return ts
 
 
+def _track_block(ctx: GroupContext, g, xs, ts):
+    """(log_full, lower, max_steps, bad) of one block of rows on the grid ts, shape (1, T, 1)."""
+    ratios, lower, minors = _path_ratios(ctx, g, ts * xs[:, None, :])
+    quot = ratios[:, 1:, :] / ratios[:, :-1, :]
+    dphi = np.arctan2(quot.imag, quot.real)          # np.angle without its Python layer
+    rows, steps, m = dphi.shape
+    # max and all are exact in any order, so each row reads flat; the sum keeps its
+    # order over the grid axis, because its bits reach log a
+    max_steps = np.abs(dphi).reshape(rows, steps * m).max(axis=1)
+    bad = ~(minors >= PIVOT_FLOOR).reshape(rows, (steps + 1) * m).all(axis=1)
+    log_full = 0.5 * (np.log(np.abs(ratios[:, -1, :])) + 1j * dphi.sum(axis=1))
+    return log_full, lower[:, -1], max_steps, bad
+
+
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Continuous branch of log a(g_i exp(iX_i)) for a batch of (g_i, X_i) pairs.
 
@@ -220,6 +244,15 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     grid of steps_hint segments.  A row with a grid step that moves some ratio
     argument by pi/2 or more is tracked again, alone, on a grid twice as fine,
     up to MAX_SEGMENTS segments, so no row depends on the batch it came in.
+
+    Rows are tracked in blocks of max(1, TRACK_BLOCK_BYTES // (16 (steps + 1)
+    m^2)) rows, so a block's complex grid takes about TRACK_BLOCK_BYTES.  Its
+    temporaries then stay in cache and in heap pages the next block reuses; a
+    grid of several hundred rows is megabytes that the allocator returns to the
+    kernel when freed and faults in again on the next call.  The working set of
+    a call is therefore bounded, whatever the batch.  Every operation is per
+    row, so a row's bits do not depend on its block, and a batch of one block
+    (a single row, say) is returned as that block computed it, with no copy.
 
     Returns (log_full, lower, max_steps, segments, bad): the full diagonal of
     log a and the unit lower factor at t = 1, each row's largest argument step
@@ -229,19 +262,24 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     g = np.asarray(g, dtype=float)
     xs = np.asarray(xs, dtype=float)
     steps = max(int(steps_hint), 1)
-    coords = _grid(steps)[None, :, None] * xs[:, None, :]
-    ratios, lower, floor = _path_ratios(ctx, g, coords)
-    with np.errstate(invalid="ignore"):
-        dphi = np.angle(ratios[:, 1:, :] / ratios[:, :-1, :])
-    # ndarray methods skip numpy's Python-level dispatch, which shows on one-row batches
-    max_steps = np.abs(dphi).max(axis=(1, 2))
-    bad = ~(floor >= PIVOT_FLOOR).all(axis=1)
-    log_full = 0.5 * (np.log(np.abs(ratios[:, -1, :])) + 1j * dphi.sum(axis=1))
-    lower_last = lower[:, -1, :, :].copy()
-    segments = np.full(g.shape[0], steps)
-    # a retry holds no grid of its callers, so peak memory is one row's finest grid
-    del coords, ratios, lower, floor, dphi
-    for i in np.flatnonzero(bad | (max_steps >= ARG_STEP_CAP)):
+    ts = _grid(steps)[None, :, None]
+    rows, m = len(xs), g.shape[-1]
+    block = max(1, TRACK_BLOCK_BYTES // (16 * (steps + 1) * m * m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rows <= block:
+            log_full, lower_last, max_steps, bad = _track_block(ctx, g, xs, ts)
+        else:
+            log_full = np.empty((rows, m), dtype=complex)
+            lower_last = np.empty((rows, m, m), dtype=complex)
+            max_steps = np.empty(rows)
+            bad = np.empty(rows, dtype=bool)
+            for lo in range(0, rows, block):
+                hi = lo + block
+                (log_full[lo:hi], lower_last[lo:hi], max_steps[lo:hi],
+                 bad[lo:hi]) = _track_block(ctx, g[lo:hi], xs[lo:hi], ts)
+    segments = np.empty(rows, dtype=int)
+    segments.fill(steps)                              # np.full costs twice as much on one row
+    for i in (bad | (max_steps >= ARG_STEP_CAP)).nonzero()[0]:
         if bad[i] or 2 * steps > MAX_SEGMENTS:
             bad[i] = True
             log_full[i] = np.nan

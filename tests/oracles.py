@@ -268,13 +268,12 @@ def reference_ldl(mat):
 
 
 def reference_path_ratios(ctx, g, coords):
-    """(ratios, unit_lower, floor) of g exp(2i diag(x_t)) g^T, one product per t."""
+    """(ratios, unit_lower, normalized minors) of g exp(2i diag(x_t)) g^T, one product per t."""
     g = np.asarray(g)
     diag = np.exp(2j * ctx.full_diag(coords))
     tmp = g[..., None, :, :] * diag[..., None, :]
     mats = tmp @ np.swapaxes(g, -1, -2)[..., None, :, :]
-    ratios, lower, minors = reference_ldl(mats)
-    return ratios, lower, np.min(minors, axis=-1)
+    return reference_ldl(mats)
 
 
 def reference_polyline_log_a(ctx, g, waypoints, steps=256):
@@ -289,8 +288,8 @@ def reference_polyline_log_a(ctx, g, waypoints, steps=256):
     arg = np.zeros(ctx.ambient_size)
     ts = np.linspace(0.0, 1.0, steps + 1)[:, None]
     for end in np.asarray(waypoints, dtype=float):
-        ratios, _, floor = reference_path_ratios(ctx, g, prev + ts * (end - prev))
-        assert np.all(floor >= PIVOT_FLOOR)
+        ratios, _, minors = reference_path_ratios(ctx, g, prev + ts * (end - prev))
+        assert np.all(minors >= PIVOT_FLOOR)
         dphi = np.angle(ratios[1:] / ratios[:-1])
         assert np.max(np.abs(dphi)) < np.pi / 2
         arg += dphi.sum(axis=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -412,6 +414,41 @@ def test_track_batch_row_independent_of_batch(label):
         f = project_complex(ctx, gs[i], xs[i])
         assert f.log_a.tobytes() == batch[0][i, :ctx.n].tobytes()
         assert f.n_part.tobytes() == batch[1][i].tobytes()
+
+
+@pytest.mark.parametrize("steps_hint", [GRID_STEPS, 1])
+@pytest.mark.parametrize("label, count", [("sl:3", 300), ("sp:4", 200)])
+def test_track_batch_row_bits_do_not_depend_on_its_block(label, count, steps_hint):
+    # the batch spans several blocks (sp:4 holds 3 rows a block at the default grid);
+    # at steps_hint=1 some sl:3 rows are tracked again from inside a block
+    ctx = context(label)
+    m = ctx.ambient_size
+    block = max(1, iwasawa.TRACK_BLOCK_BYTES // (16 * (steps_hint + 1) * m * m))
+    assert count > block
+    gs, xs = sample_xi(ctx, FULL_OMEGA, count, 13)
+    batch = track_batch(ctx, gs, xs, steps_hint)
+    assert not batch[4].any()
+    if label == "sl:3" and steps_hint == 1:
+        assert np.sum(batch[3] > 1) == 39
+    for i in range(count):
+        alone = track_batch(ctx, gs[i:i + 1], xs[i:i + 1], steps_hint)
+        for got, want in zip(alone, batch):
+            assert_same_bits(got, want[i:i + 1])
+
+
+def test_track_batch_working_set_is_bounded():
+    # 2,048 sp:4 rows on one grid would hold 35 MiB a complex temporary; blocks keep
+    # the peak to the outputs (2.3 MiB) and a few blocks' temporaries
+    ctx = context("sp:4")
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 2048, 17)
+    tracemalloc.start()
+    try:
+        out = track_batch(ctx, gs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out[4].any()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5"])
