@@ -9,7 +9,7 @@ f_{a,lam} along exp(tX)k is ``kappa_R(X, Ad(n(ka)) H_lam)``, equivalently
 implemented and cross-checked.  Critical points of f_{a,lam} for regular data
 lie in the normalizer of the Cartan subspace, so seeded gradient ascents must
 terminate at one of the finitely many values lam(i wX).  The ascent takes
-Barzilai-Borwein steps on the Cayley retraction, which keeps K without a
+short Barzilai-Borwein steps on the Cayley retraction, which keeps K without a
 matrix exponential; in this module only the finite differences of
 gradient_check load scipy, for expm.
 """
@@ -65,7 +65,7 @@ REGULARITY_FLOOR = 1e-3
 ARMIJO_SLOPE = 0.1
 ARMIJO_SHRINK = 0.5
 STEP_FLOOR = 1e-12
-STEP_CAP = 2.0 ** 20
+STEP_CAP = 2.0 ** 12
 IM_N_FLOOR = 1e-10
 NORMALIZER_GAP = 0.1
 GRAD_TOL = 1e-6
@@ -191,10 +191,11 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
 
     The trial point for step eta is the Cayley transform
     (I - eta X/2)^{-1} (I + eta X/2) k of the gradient X, which stays in K.
-    Each step starts from the Barzilai-Borwein size <s,s>/<s,y> of the last
-    accepted step (s = eta X, y = X - X_next), or STEP_CAP when <s,y> <= 0,
-    and halves it until the monotone Armijo test holds; below STEP_FLOOR the
-    run stalls.  The accepted trial's projection supplies the next gradient.
+    Each step starts from the short Barzilai-Borwein size <s,y>/<y,y> of the
+    last accepted step (s = eta X, y = X - X_next), clamped at STEP_CAP, or
+    from STEP_CAP when <s,y> <= 0, and halves it until the monotone Armijo
+    test holds; below STEP_FLOOR the run stalls.  The accepted trial's
+    projection supplies the next gradient.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
@@ -235,9 +236,9 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
             # no step size down to STEP_FLOOR passed the Armijo test: the run stalls
             break
         grad_next = _grad_from_n(ctx, factors.n_part, m)
-        s = eta * grad
-        sy = metric_inner(ctx, s, grad - grad_next)
-        eta = min(metric_inner(ctx, s, s) / sy, STEP_CAP) if sy > 0.0 else STEP_CAP
+        s, y = eta * grad, grad - grad_next
+        sy = metric_inner(ctx, s, y)
+        eta = min(sy / metric_inner(ctx, y, y), STEP_CAP) if sy > 0.0 else STEP_CAP
         k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, m)))
@@ -486,6 +487,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
                        "regularity_floor": REGULARITY_FLOOR,
                        "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
+                       "step_cap": STEP_CAP, "step_floor": STEP_FLOOR,
                        **grid_tolerances()},
         extras={"convergence_rate": converged / runs,
                 "max_gap_converged": max_gap,

@@ -194,10 +194,13 @@ def reference_sample_siegel(n, count, seed):
 # each accepted trial once for both, must keep bit for bit.
 
 def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL,
-                              trials=None):
-    """Scalar Barzilai-Borwein ascent of f_{a,lam} on the Cayley retraction.
+                              trials=None, starts=None):
+    """Scalar short Barzilai-Borwein ascent of f_{a,lam} on the Cayley retraction.
 
-    Appends every step size tried to trials.
+    Appends every step size tried to trials, and to starts, for each step, the
+    pair (rule, eta) of its first trial: rule is "initial" for the first step,
+    "bb" for a short Barzilai-Borwein size <s,y>/<y,y>, "clamped" for one cut
+    to STEP_CAP, and "restart" for STEP_CAP after <s,y> <= 0.
     """
     a_point = np.asarray(a_point, dtype=complex)
     k = np.asarray(k0, dtype=float)
@@ -205,7 +208,7 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
     f_cur = f_a_lambda(ctx, a_point, k, lam)
     grad = grad_f(ctx, a_point, k, lam)
     f_values = [f_cur]
-    eta = 1.0
+    eta, rule = 1.0, "initial"
     converged = False
     for iterations in range(max_iter + 1):
         sq_norm = metric_inner(ctx, grad, grad)
@@ -215,6 +218,8 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
             break
         if iterations == max_iter:
             break
+        if starts is not None:
+            starts.append((rule, eta))
         accepted = False
         while not accepted and eta >= STEP_FLOOR:
             if trials is not None:
@@ -228,9 +233,14 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
         if not accepted:
             break
         grad_next = grad_f(ctx, a_point, k_trial, lam)
-        s = eta * grad
-        s_y = metric_inner(ctx, s, grad - grad_next)
-        eta = min(metric_inner(ctx, s, s) / s_y, STEP_CAP) if s_y > 0.0 else STEP_CAP
+        s, y = eta * grad, grad - grad_next
+        s_y = metric_inner(ctx, s, y)
+        if s_y > 0.0:
+            eta = s_y / metric_inner(ctx, y, y)
+            rule = "bb" if eta <= STEP_CAP else "clamped"
+            eta = min(eta, STEP_CAP)
+        else:
+            eta, rule = STEP_CAP, "restart"
         k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, a_point.imag, lam)))

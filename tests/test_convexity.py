@@ -184,7 +184,8 @@ def _assert_same_run(got, want):
 
 
 # label -> (case name, substream, index, covector scale, max_iter, tol); in
-# "expand" a Barzilai-Borwein step goes above 8, a stretched covector makes the
+# "expand" a Barzilai-Borwein step (not a restart at STEP_CAP) goes above 8
+# (8.35 on sl:2, 9.71 on sl:3, 76.0 on sp:2), a stretched covector makes the
 # first steps overshoot, so the shrink passes 1/16, and with tol 0 the sl:3
 # "stall" run halves below STEP_FLOOR before max_iter
 ORACLE_CASES = {
@@ -206,12 +207,13 @@ def test_ascent_matches_scalar_oracle_bit_for_bit(label):
         a_point, k0, lam = _ascent_case(ctx, stream, index, scale)
         if name == "real-part":
             a_point = a_point + _random_a_point(ctx, substream(stream, index)).real
-        trials = []
-        want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials)
+        trials, starts = [], []
+        want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials, starts)
         got = ascend_critical(ctx, a_point, k0, lam, max_iter=max_iter, tol=tol)
         _assert_same_run(got, want)
         if name == "expand":
             assert max(trials) > 8.0
+            assert max(eta for rule, eta in starts if rule == "bb") > 8.0
         elif name.endswith("shrink"):
             assert min(trials) < 1.0 / 16.0
         elif name == "stall":
@@ -223,19 +225,21 @@ def test_ascent_matches_scalar_oracle_bit_for_bit(label):
 
 @pytest.mark.parametrize("label", list(ORACLE_CASES))
 def test_ascent_clamps_barzilai_borwein_steps_at_step_cap(label, monkeypatch):
-    # a cap below the "expand" case's largest step binds on a positive <s,y>, so a
-    # step that skipped the clamp would leave the oracle's run
+    # a cap below the "expand" case's largest step binds on a positive <s,y>
+    # (1, 36 and 39 steps on sl:2, sl:3 and sp:2), so a step that skipped the
+    # clamp would leave the oracle's run
     cap = 2.0
     monkeypatch.setattr(convexity, "STEP_CAP", cap)
     monkeypatch.setattr(oracles, "STEP_CAP", cap)
     ctx = context(label)
     _, stream, index, scale, max_iter, tol = ORACLE_CASES[label][0]
     a_point, k0, lam = _ascent_case(ctx, stream, index, scale)
-    trials = []
-    want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials)
+    trials, starts = [], []
+    want = reference_ascend_critical(ctx, a_point, k0, lam, max_iter, tol, trials, starts)
     got = ascend_critical(ctx, a_point, k0, lam, max_iter=max_iter, tol=tol)
     _assert_same_run(got, want)
     assert max(trials) == cap
+    assert ("clamped", cap) in starts
 
 
 def _fault_trials(monkeypatch, fault):
@@ -311,6 +315,20 @@ def test_critical_point_scan_converges_up_the_rank_ladder(label):
     assert rep.extras["convergence_rate"] == 1.0
     assert rep.violations == 0
     assert rep.extras["max_gap_converged"] < 1e-8
+
+
+def test_critical_point_scan_projection_budget(sl3, monkeypatch):
+    # the benchmark's ascent scan: the short Barzilai-Borwein step with a
+    # reachable restart cap projects 591 times, <s,s>/<s,y> under a 2^20 cap 1,358
+    original, calls = convexity.project_complex, []
+
+    def project_complex(ctx, g, x):
+        calls.append(None)
+        return original(ctx, g, x)
+    monkeypatch.setattr(convexity, "project_complex", project_complex)
+    rep = crown.critical_point_scan(sl3, 20, seed=5, max_iter=1500)
+    assert rep.extras["convergence_rate"] == 1.0
+    assert len(calls) <= 650
 
 
 # ------------------------------------------------------------------- verifiers
