@@ -26,9 +26,12 @@ depend on the block it lands in.
 Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
 path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
 with the batch axis last, so each numpy call works on contiguous data across
-the stack.  Each matrix of a stack gets the bits of its own single call, and
-the stacked product keeps the bits of one product per grid matrix
-(tests/oracles.py holds the per-matrix reference).
+the stack.  It forms the Hadamard bound of its normalized minors in the same
+layout, adding each row in numpy's pairwise order and taking the running
+products with np.multiply.accumulate, so the bits stay those of a sum and a
+cumprod along each matrix's rows.  Each matrix of a stack gets the bits of its
+own single call, and the stacked product keeps the bits of one product per
+grid matrix (tests/oracles.py holds the per-matrix reference).
 """
 
 from __future__ import annotations
@@ -70,6 +73,31 @@ class IwasawaFactors:
     log_full: np.ndarray
 
 
+def _row_sums(sq):
+    """sq summed over axis 1, in the order numpy's pairwise sum adds a contiguous row.
+
+    Below 8 terms numpy adds in order; up to 128 it keeps eight interleaved
+    partial sums, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
+    rest in order; above 128 it sums two halves, the first a multiple of 8 long.
+    """
+    n = sq.shape[1]
+    if n < 8:
+        return sq.sum(axis=1)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(sq[:, :half]) + _row_sums(sq[:, half:])
+    stop = n - n % 8
+    part = sq[:, :8]
+    for i in range(8, stop, 8):
+        part = part + sq[:, i:i + 8]
+    part = part[:, 0::2] + part[:, 1::2]
+    part = part[:, 0::2] + part[:, 1::2]
+    total = part[:, 0] + part[:, 1]
+    for i in range(stop, n):
+        total += sq[:, i]
+    return total
+
+
 def _ldl(mat):
     """Batched one-pass LDL^T elimination without pivoting.
 
@@ -79,10 +107,20 @@ def _ldl(mat):
     normalized minor flags a degenerate one.
 
     The elimination runs on one C-contiguous (m, m, N) copy with the batch
-    axis last, so each numpy call sweeps all N matrices at once.  Every step is
+    axis last, so each numpy call sweeps all N matrices at once.  The Hadamard
+    bound is formed from the same copy before the elimination overwrites it:
+    on a batch-first stack, the sum and the running products along rows of
+    length m cost more than the elimination itself.  Every step is
     elementwise, so each matrix of a stack gets the bits of its own call; a
-    zero pivot leaves inf or NaN in its own matrix only.  ratios and minors are
-    C-contiguous; unit_lower is a transposed view of the batch-last buffer.
+    zero pivot leaves inf or NaN in its own matrix only.  The bits are those
+    of a batch-first sum and cumprod along each matrix's rows
+    (tests/oracles.py).  _row_sums adds in numpy's pairwise order; a plain
+    in-order sum differs from m = 8 on.  np.multiply.accumulate runs the
+    scalar loop cumprod runs; a product of two whole rows goes to numpy's
+    SIMD complex multiply instead, which rounds differently on some CPUs.
+    ratios and minors are C-contiguous, because later numpy calls on strided
+    operands can round differently; unit_lower is a transposed view of the
+    batch-last buffer.
     """
     mat = np.asarray(mat)
     lead, m = mat.shape[:-2], mat.shape[-1]
@@ -91,23 +129,20 @@ def _ldl(mat):
     work = mat.reshape((count, m, m)).transpose(1, 2, 0).astype(dtype, order="C")
     lower = np.zeros((m, m, count), dtype=dtype)
     lower.reshape((m * m, count))[:: m + 1] = 1.0
-    ratios = np.empty((count, m), dtype=dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(m):
+        row_norms = np.sqrt(_row_sums(np.abs(work) ** 2))
+        hadamard = np.maximum(np.multiply.accumulate(row_norms, axis=0), _TINY)
+        for j in range(m - 1):
             # operands keep all three axes: for N = 1 a broadcast that adds an
             # axis sends numpy's complex multiply to a loop with other rounding
-            piv = work[j:j + 1, j]
-            ratios[:, j] = piv[0]
-            if j + 1 < m:
-                col = work[j + 1:, j] / piv
-                lower[j + 1:, j] = col
-                work[j + 1:, j + 1:] -= col[:, None, :] * work[j:j + 1, j + 1:]
-        ratios = ratios.reshape(lead + (m,))
-        # ndarray methods skip numpy's Python-level dispatch, which shows on one matrix
-        row_norms = np.sqrt((np.abs(mat) ** 2).sum(axis=-1))
-        hadamard = np.maximum(row_norms.cumprod(axis=-1), _TINY)
-        minors = np.abs(ratios.cumprod(axis=-1)) / hadamard
-    return ratios, lower.transpose(2, 0, 1).reshape(lead + (m, m)), minors
+            col = work[j + 1:, j] / work[j:j + 1, j]
+            lower[j + 1:, j] = col
+            work[j + 1:, j + 1:] -= col[:, None, :] * work[j:j + 1, j + 1:]
+        # each pivot is final once its column is eliminated: the diagonal holds them all
+        pivots = work.reshape((m * m, count))[:: m + 1]
+        minors = np.abs(np.multiply.accumulate(pivots, axis=0)) / hadamard
+    return (pivots.T.copy().reshape(lead + (m,)), lower.transpose(2, 0, 1).reshape(lead + (m, m)),
+            minors.T.copy().reshape(lead + (m,)))
 
 
 def normalized_minors(mat) -> np.ndarray:
@@ -124,12 +159,13 @@ def minor_ratios(mat) -> np.ndarray:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = 1.0 + float(np.max(np.abs(mat)))
-    if np.max(np.abs(mat - mat.T)) > SYM_TOL * scale:
+    # ndarray methods skip numpy's Python-level dispatch, which shows on one matrix
+    scale = 1.0 + float(np.abs(mat).max())
+    if np.abs(mat - mat.T).max() > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric to working precision")
     ratios, _, _ = _ldl(mat)
     norm = normalized_minors(mat)
-    bad = np.flatnonzero(~(norm >= PIVOT_FLOOR))
+    bad = (~(norm >= PIVOT_FLOOR)).nonzero()[0]
     if bad.size:
         j = int(bad[0])
         raise NumericalBreakdown(f"minor {j + 1} degenerated (normalized size {norm[j]:.3e})")

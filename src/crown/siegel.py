@@ -109,8 +109,8 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
             if breakdowns == 1:
                 witness = {"sample_index": i, "z": matrix_wire(z), "pivot_breakdown": True}
             continue
-        sample_im = float(np.min(ratios.imag))
-        sample_minor = float(np.min(normalized_minors(z)))
+        sample_im = float(ratios.imag.min())
+        sample_minor = float(normalized_minors(z).min())
         if sample_im < min_im:
             min_im = sample_im
             if not breakdowns:
@@ -134,8 +134,8 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
         extras={"min_im_chi": float(min_im) if np.isfinite(min_im) else None,
                 "min_normalized_minor": float(min_minor) if np.isfinite(min_minor) else None,
                 "pivot_breakdowns": breakdowns,
-                "fixture_min_im_chi": float(np.min(fixture.imag)),
-                "fixture_error": float(np.max(np.abs(fixture - np.array([1j, 1.25j]))))},
+                "fixture_min_im_chi": float(fixture.imag.min()),
+                "fixture_error": float(np.abs(fixture - np.array([1j, 1.25j])).max())},
     )
 
 
@@ -168,18 +168,18 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
             indeterminate += 1
             continue
         y_crown = log_full[0, :n].imag
-        crown_ok = bool(np.max(np.abs(y_crown)) < np.pi / 4.0 + MEMBERSHIP_TOL)
+        crown_ok = bool(np.abs(y_crown).max() < np.pi / 4.0 + MEMBERSHIP_TOL)
         try:
             ratios = minor_ratios(w)
         except NumericalBreakdown:
             indeterminate += 1
             continue
-        siegel_ok = bool(np.min(ratios.imag) > 0.0)
+        siegel_ok = bool(ratios.imag.min() > 0.0)
         y_siegel = 0.5 * np.angle(ratios / 1j)
         max_value_gap = max(
-            max_value_gap, float(np.max(np.abs(np.sort(y_siegel) - np.sort(y_crown)))))
+            max_value_gap, float(np.abs(np.sort(y_siegel) - np.sort(y_crown)).max()))
         # exact value agreement is only expected on the abelian slice
-        margin = float(np.pi / 4.0 - np.max(np.abs(y_siegel)))
+        margin = float(np.pi / 4.0 - np.abs(y_siegel).max())
         if margin < min_margin:
             min_margin = margin
             witness = {"sample_index": i, "x": vector_wire(x),

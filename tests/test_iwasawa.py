@@ -117,12 +117,20 @@ def symmetric_stack(rng, shape, m, cplx):
     return a + np.swapaxes(a, -1, -2)
 
 
+# m = 8 is the first size whose row sums numpy adds in blocks of eight, not in
+# order, and m = 150 is added as two halves, of 72 and 78 terms
+LDL_SIZES = list(range(1, 11)) + [150]
+
+
 @pytest.mark.parametrize("shape", [(9,), (3, 5)], ids=["B", "BxT"])
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", LDL_SIZES)
 def test_ldl_stack_gives_each_matrix_its_own_bits(m, cplx, shape):
     rng = np.random.default_rng(10 * m + cplx)
-    mats = symmetric_stack(rng, shape, m, cplx)
+    # entries spread over six orders of magnitude, so the order in which a row's
+    # squares are added shows in the bits of its Hadamard bound
+    spread = rng.uniform(-3.0, 0.0, shape + (m, m))
+    mats = symmetric_stack(rng, shape, m, cplx) * 10.0 ** (spread + np.swapaxes(spread, -1, -2))
     stacked = _ldl(mats)
     for got, want in zip(stacked, reference_ldl(mats)):
         assert_same_bits(got, want)
@@ -131,10 +139,12 @@ def test_ldl_stack_gives_each_matrix_its_own_bits(m, cplx, shape):
             assert_same_bits(got, want[idx])
 
 
-@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_ldl_zero_pivot_stays_in_its_own_matrix(cplx):
+@pytest.mark.parametrize("m, cplx", [
+    pytest.param(4, False, id="real"), pytest.param(4, True, id="complex"),
+    pytest.param(9, False, id="9-real"), pytest.param(9, True, id="9-complex")])
+def test_ldl_zero_pivot_stays_in_its_own_matrix(m, cplx):
     rng = np.random.default_rng(17)
-    mats = symmetric_stack(rng, (5,), 4, cplx)
+    mats = symmetric_stack(rng, (5,), m, cplx)
     mats[2, 0, 0] = 0.0
     ratios, lower, minors = _ldl(mats)
     assert not np.all(np.isfinite(lower[2])) and not np.all(np.isfinite(ratios[2]))
@@ -145,6 +155,16 @@ def test_ldl_zero_pivot_stays_in_its_own_matrix(cplx):
     for i in range(5):
         for got, want in zip(_ldl(mats[i]), (ratios, lower, minors)):
             assert_same_bits(got, want[i])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (9,), (3, 5)], ids=["one", "B1", "B", "BxT"])
+def test_ldl_ratios_and_minors_are_c_contiguous(shape):
+    # the outputs feed the reports through further numpy calls, and a strided
+    # operand can send those to loops that round otherwise
+    rng = np.random.default_rng(23)
+    ratios, _, minors = _ldl(symmetric_stack(rng, shape, 3, True))
+    for out in (ratios, minors):
+        assert out.shape == shape + (3,) and out.flags.c_contiguous
 
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2"])
