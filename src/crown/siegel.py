@@ -5,6 +5,8 @@ part, drawn batch-first as the rows of one (count, n, n) array.  Their minor
 ratios chi_j share the elimination kernel of the Iwasawa module, so the two
 statements checked here, that no leading principal minor vanishes and that
 every ratio has positive imaginary part, use the code path of the crown projection.
+Both verifiers fill per-row arrays from one loop of per-matrix calls and fold
+them, as one part, through parallel.chunk_part and fold_report.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .domains import sample_xi
 from .errors import NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import grid_tolerances, minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
-from .parallel import chunk_ranges
-from .report import VerificationReport, group_wire, matrix_wire, vector_wire
+from .parallel import chunk_part, chunk_ranges, fold_report
+from .report import VerificationReport, matrix_wire, vector_wire
 from .rng import substream
 from .sampling import sample_group_element
 # draw_omega_point stays imported: bench/tracer.py wraps crown.siegel.draw_omega_point by name
@@ -95,48 +97,41 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     """
     if n < 1 or samples < 1:
         raise ValueError("n and samples must be >= 1")
-    violations = 0
-    min_im = np.inf
-    min_minor = np.inf
-    witness = None
-    breakdowns = 0
-    for i, z in enumerate(sample_siegel(n, samples, seed)):
+    zs = sample_siegel(n, samples, seed)
+    ratios = np.zeros((samples, n), dtype=complex)
+    minors = np.full(samples, np.inf)
+    broke = np.zeros(samples, dtype=bool)
+    for i, z in enumerate(zs):
         try:
-            ratios = minor_ratios(z)
+            ratios[i] = minor_ratios(z)
         except NumericalBreakdown:
-            breakdowns += 1
-            violations += 1
-            if breakdowns == 1:
-                witness = {"sample_index": i, "z": matrix_wire(z), "pivot_breakdown": True}
+            broke[i] = True
             continue
-        sample_im = float(ratios.imag.min())
-        sample_minor = float(normalized_minors(z).min())
-        if sample_im < min_im:
-            min_im = sample_im
-            if not breakdowns:
-                witness = {"sample_index": i, "min_im_chi": sample_im,
-                           "chi": vector_wire(ratios), "z": matrix_wire(z)}
-        min_minor = min(min_minor, sample_minor)
-        if sample_im <= 0.0 or sample_minor < NORMALIZED_MINOR_FLOOR:
-            violations += 1
+        minors[i] = normalized_minors(z).min()
+    # a breakdown is a violation, not an indeterminate row; its margin never wins
+    im = np.where(broke, np.inf, ratios.imag.min(axis=1))
     # fixed kernel fixture: chi([[i, 1/2], [1/2, i]]) = (i, 5i/4)
     fixture = minor_ratios(np.array([[1j, 0.5], [0.5, 1j]]))
-    return VerificationReport(
-        command="siegel",
-        group=group_wire(_sp_context(n)),
-        seed=seed,
-        samples_requested=samples,
-        violations=violations,
-        min_margin=float(min_im) if np.isfinite(min_im) else None,
-        worst_witness=witness,
-        tolerance_set={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
-                       "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
-        extras={"min_im_chi": float(min_im) if np.isfinite(min_im) else None,
-                "min_normalized_minor": float(min_minor) if np.isfinite(min_minor) else None,
-                "pivot_breakdowns": breakdowns,
+    report = fold_report(
+        [chunk_part(im, np.zeros(samples, dtype=bool), None,
+                    broke | (im <= 0.0) | (minors < NORMALIZED_MINOR_FLOOR),
+                    lambda i: {"sample_index": i, "min_im_chi": float(im[i]),
+                               "chi": vector_wire(ratios[i]), "z": matrix_wire(zs[i])})],
+        command="siegel", ctx=_sp_context(n), omega=None, seed=seed, requested=samples,
+        tolerances={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
+                    "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
+        extras={"min_normalized_minor": None if broke.all() else float(minors.min()),
+                "pivot_breakdowns": int(broke.sum()),
                 "fixture_min_im_chi": float(fixture.imag.min()),
                 "fixture_error": float(np.abs(fixture - np.array([1j, 1.25j])).max())},
     )
+    # after the fold: a part whose rows all broke down carries no witness
+    if broke.any():
+        i = int(broke.argmax())
+        report.worst_witness = {"sample_index": i, "z": matrix_wire(zs[i]),
+                                "pivot_breakdown": True}
+    report.extras["min_im_chi"] = report.min_margin
+    return report
 
 
 def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> VerificationReport:
@@ -157,44 +152,30 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
     gs, xs = sample_xi(ctx, FULL_OMEGA, samples, seed)
     ws = fractional_action(ctx.to_standard_frame(gs), fractional_action(
         ctx.to_standard_frame(ctx.a_exp(1j * xs)), 1j * np.eye(n)))
-    disagreements = 0
-    indeterminate = 0
-    min_margin = np.inf
-    max_value_gap = 0.0
-    witness = None
+    y_crown = np.zeros((samples, n))
+    ratios = np.zeros((samples, n), dtype=complex)
+    bad = np.zeros(samples, dtype=bool)
     for i, (g, x, w) in enumerate(zip(gs, xs, ws)):
-        log_full, _, _, _, bad = track_batch(ctx, g[None], x[None])
-        if bad[0]:
-            indeterminate += 1
+        log_full, _, _, _, track_bad = track_batch(ctx, g[None], x[None])
+        bad[i] = track_bad[0]
+        if bad[i]:
             continue
-        y_crown = log_full[0, :n].imag
-        crown_ok = bool(np.abs(y_crown).max() < np.pi / 4.0 + MEMBERSHIP_TOL)
+        y_crown[i] = log_full[0, :n].imag
         try:
-            ratios = minor_ratios(w)
+            ratios[i] = minor_ratios(w)
         except NumericalBreakdown:
-            indeterminate += 1
-            continue
-        siegel_ok = bool(ratios.imag.min() > 0.0)
-        y_siegel = 0.5 * np.angle(ratios / 1j)
-        max_value_gap = max(
-            max_value_gap, float(np.abs(np.sort(y_siegel) - np.sort(y_crown)).max()))
-        # exact value agreement is only expected on the abelian slice
-        margin = float(np.pi / 4.0 - np.abs(y_siegel).max())
-        if margin < min_margin:
-            min_margin = margin
-            witness = {"sample_index": i, "x": vector_wire(x),
-                       "y_crown": vector_wire(y_crown), "y_siegel": vector_wire(y_siegel)}
-        if crown_ok != siegel_ok:
-            disagreements += 1
-    return VerificationReport(
-        command="siegel-crown",
-        group=group_wire(ctx),
-        seed=seed,
-        samples_requested=samples,
-        samples_indeterminate=indeterminate,
-        violations=disagreements,
-        min_margin=float(min_margin) if np.isfinite(min_margin) else None,
-        worst_witness=witness,
-        tolerance_set={"membership_tol": MEMBERSHIP_TOL, **grid_tolerances()},
-        extras={"max_value_gap_monitored": max_value_gap},
-    )
+            bad[i] = True
+    crown_ok = np.abs(y_crown).max(axis=1) < np.pi / 4.0 + MEMBERSHIP_TOL
+    siegel_ok = ratios.imag.min(axis=1) > 0.0
+    y_siegel = 0.5 * np.angle(ratios / 1j)
+    # exact value agreement is only expected on the abelian slice
+    gaps = np.abs(np.sort(y_siegel, axis=1) - np.sort(y_crown, axis=1)).max(axis=1)
+    margins = np.pi / 4.0 - np.abs(y_siegel).max(axis=1)
+    return fold_report(
+        [chunk_part(margins, bad, None, crown_ok != siegel_ok,
+                    lambda i: {"sample_index": i, "x": vector_wire(xs[i]),
+                               "y_crown": vector_wire(y_crown[i]),
+                               "y_siegel": vector_wire(y_siegel[i])},
+                    max_value_gap_monitored=float(np.max(gaps, where=~bad, initial=0.0)))],
+        command="siegel-crown", ctx=ctx, omega=None, seed=seed, requested=samples,
+        tolerances={"membership_tol": MEMBERSHIP_TOL, **grid_tolerances()}, extras={})

@@ -10,6 +10,7 @@ import pytest
 import crown
 import crown.convexity
 import crown.domains
+from crown.errors import NumericalBreakdown
 from crown.parallel import CHUNK
 from crown.weyl import FULL_OMEGA, MEMBERSHIP_TOL, OmegaSpec, hull_margins_batch, omega_margin
 
@@ -97,3 +98,66 @@ def test_tied_chunks_keep_the_first_witness(monkeypatch, sl3, mode):
     assert rep.min_margin == first.min_margin
     assert rep.worst_witness == first.worst_witness
     assert rep.worst_witness["sample_index"] < CHUNK
+
+
+def test_broken_rows_in_siegel_cross_check(monkeypatch, sp2):
+    # the row of the smallest margin breaks in minor_ratios and the row of the largest
+    # value gap comes back bad from track_batch; both are tracked 10 too high, so
+    # either would set the value gap if it were read
+    import crown.siegel as siegel_mod
+    real_track, real_ratios = siegel_mod.track_batch, siegel_mod.minor_ratios
+    samples, n = 120, sp2.n
+    rows = {"y_crown": [], "w": [], "ratios": []}
+
+    def recording_track(ctx, gs, xs):
+        out = real_track(ctx, gs, xs)
+        rows["y_crown"].append(out[0][0, :n].imag)
+        return out
+
+    def recording_ratios(w):
+        rows["w"].append(w)
+        rows["ratios"].append(real_ratios(w))
+        return rows["ratios"][-1]
+
+    monkeypatch.setattr(siegel_mod, "track_batch", recording_track)
+    monkeypatch.setattr(siegel_mod, "minor_ratios", recording_ratios)
+    clean = crown.cross_check_crown(sp2, samples, seed=31)
+    y_siegel = [0.5 * np.angle(r / 1j) for r in rows["ratios"]]
+    margins = np.array([np.pi / 4.0 - np.abs(y).max() for y in y_siegel])
+    gaps = np.array([np.abs(np.sort(ys) - np.sort(yc)).max()
+                     for ys, yc in zip(y_siegel, rows["y_crown"])])
+    r_minor, r_track = int(np.argmin(margins)), int(np.argmax(gaps))
+    assert r_minor != r_track and clean.samples_indeterminate == 0 == clean.violations
+    assert clean.worst_witness["sample_index"] == r_minor
+    assert (clean.min_margin, clean.extras["max_value_gap_monitored"]) == (
+        margins[r_minor], gaps[r_track])
+
+    track_calls, ratio_calls = [], []
+
+    def broken_track(ctx, gs, xs):
+        log_full, lower, max_steps, segments, bad = real_track(ctx, gs, xs)
+        if len(track_calls) in (r_minor, r_track):
+            log_full = log_full + 10j
+        if len(track_calls) == r_track:
+            bad = np.ones_like(bad)
+        track_calls.append(bad[0])
+        return log_full, lower, max_steps, segments, bad
+
+    def broken_ratios(w):
+        ratio_calls.append(w)
+        if np.array_equal(w, rows["w"][r_minor]):
+            raise NumericalBreakdown("forced")
+        return real_ratios(w)
+
+    monkeypatch.setattr(siegel_mod, "track_batch", broken_track)
+    monkeypatch.setattr(siegel_mod, "minor_ratios", broken_ratios)
+    rep = crown.cross_check_crown(sp2, samples, seed=31)
+    good = np.ones(samples, dtype=bool)
+    good[[r_minor, r_track]] = False
+    assert len(track_calls) == samples and len(ratio_calls) == samples - 1
+    assert (rep.samples_completed, rep.samples_indeterminate) == (samples - 2, 2)
+    assert rep.violations == 0
+    i_min = int(np.argmin(np.where(good, margins, np.inf)))
+    assert rep.min_margin == margins[i_min] > clean.min_margin
+    assert rep.worst_witness["sample_index"] == i_min
+    assert rep.extras["max_value_gap_monitored"] == gaps[good].max() < gaps[r_track]

@@ -134,6 +134,51 @@ def test_verify_siegel_keeps_the_breakdown_witness(monkeypatch):
     assert rep.extras["min_im_chi"] > 0
 
 
+def test_verify_siegel_late_breakdown_is_the_witness(monkeypatch):
+    # the smallest Im chi is at row 4; a breakdown at row 9 still takes the witness
+    import crown.siegel as siegel_mod
+    clean = verify_siegel(3, 40, seed=9)
+    assert clean.worst_witness["sample_index"] == 4 and clean.violations == 0
+    real = siegel_mod.minor_ratios
+    calls = []
+
+    def breaks_row_9(z):
+        calls.append(z)
+        if len(calls) == 10:
+            raise NumericalBreakdown("forced")
+        return real(z)
+
+    monkeypatch.setattr(siegel_mod, "minor_ratios", breaks_row_9)
+    rep = verify_siegel(3, 40, seed=9)
+    assert rep.extras["pivot_breakdowns"] == 1 and rep.violations == 1
+    assert rep.worst_witness["sample_index"] == 9
+    assert rep.worst_witness["pivot_breakdown"] is True
+    assert rep.min_margin == clean.min_margin
+    assert rep.extras["min_im_chi"] == clean.extras["min_im_chi"] == clean.min_margin
+
+
+def test_verify_siegel_every_row_breaks_down(monkeypatch):
+    # only the n x n samples break; the 2 x 2 kernel fixture still runs
+    import crown.siegel as siegel_mod
+    real = siegel_mod.minor_ratios
+
+    def breaks_samples(z):
+        if z.shape == (3, 3):
+            raise NumericalBreakdown("forced")
+        return real(z)
+
+    monkeypatch.setattr(siegel_mod, "minor_ratios", breaks_samples)
+    rep = verify_siegel(3, 16, seed=9)
+    assert rep.violations == rep.samples_completed == 16
+    assert rep.extras["pivot_breakdowns"] == 16
+    assert rep.min_margin is None
+    assert rep.extras["min_im_chi"] is None
+    assert rep.extras["min_normalized_minor"] is None
+    assert rep.extras["fixture_error"] == 0.0
+    assert rep.worst_witness["sample_index"] == 0
+    assert rep.worst_witness["pivot_breakdown"] is True
+
+
 def test_cross_check_crown_verdicts_agree(sp2):
     rep = cross_check_crown(sp2, 150, seed=9)
     assert rep.violations == 0
