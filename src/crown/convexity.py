@@ -41,7 +41,7 @@ from .iwasawa import (
     GRID_STEPS,
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
-from .report import VerificationReport, group_wire, matrix_wire, vector_wire
+from .report import VerificationReport, matrix_wire, vector_wire
 from .rng import NS_AUX, substream
 from .sampling import (
     P_RADIUS,
@@ -388,17 +388,15 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     Per configuration: random tube point, Haar k, random covector and tangent
     direction.  The pairing of the gradient with the direction is compared
     against a central difference of f_{a,lam} and against the independent
-    evaluation through the triangular part.  A median relative error above
-    MEDIAN_REL_TOL adds one violation.
+    evaluation through the triangular part.  The margin of a configuration is
+    MAX_REL_TOL minus its relative error, so min_margin is the slack of the
+    worst one.  A median relative error above MEDIAN_REL_TOL adds one violation.
     """
     import scipy.linalg
 
     if configs < 1:
         raise ValueError("configs must be >= 1")
-    rel_errs = np.empty(configs)
-    pair_errs = np.empty(configs)
-    witness = None
-    worst = -np.inf
+    rel_errs, route_gaps, exacts, fds = np.empty((4, configs))
     for i in range(configs):
         rng = substream(seed, i)
         x = draw_omega_point(ctx, OmegaSpec("scale", scale=0.9), rng)
@@ -411,33 +409,28 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         direction = random_k_direction(ctx, rng)
         factors = _project(ctx, a_point, k)
         grad = grad_f(ctx, a_point, k, m, factors)
-        exact = metric_inner(ctx, direction, grad)
+        exacts[i] = exact = metric_inner(ctx, direction, grad)
         f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, m)
         f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, m)
-        fd = (f_plus - f_minus) / (2.0 * FD_STEP)
+        fds[i] = fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         rel_errs[i] = abs(exact - fd) / (1.0 + abs(exact))
-        other = directional_derivative_triangular(ctx, factors, m, direction)
-        pair_errs[i] = abs(exact - other)
-        if rel_errs[i] > worst:
-            worst = rel_errs[i]
-            witness = {"sample_index": i, "rel_err": float(rel_errs[i]),
-                       "exact": float(exact), "fd": float(fd)}
-    violations = int(np.sum((rel_errs > MAX_REL_TOL) | (pair_errs > ROUTE_TOL)))
-    median_miss = int(np.median(rel_errs) > MEDIAN_REL_TOL)
-    return VerificationReport(
-        command="gradient-check",
-        group=group_wire(ctx),
-        seed=seed,
-        samples_requested=configs,
-        violations=min(violations + median_miss, configs),
-        worst_witness=witness,
-        tolerance_set={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
-                       "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
-                       "group_tol": GROUP_TOL, **grid_tolerances()},
-        extras={"median_rel_err": float(np.median(rel_errs)),
-                "max_rel_err": float(np.max(rel_errs)),
-                "max_route_gap": float(np.max(pair_errs))},
+        route_gaps[i] = abs(exact - directional_derivative_triangular(ctx, factors, m, direction))
+    part = chunk_part(
+        MAX_REL_TOL - rel_errs, np.zeros(configs, dtype=bool), None,
+        (rel_errs > MAX_REL_TOL) | (route_gaps > ROUTE_TOL),
+        lambda i: {"sample_index": i, "rel_err": float(rel_errs[i]),
+                   "exact": float(exacts[i]), "fd": float(fds[i])},
+        max_rel_err=float(np.max(rel_errs)), max_route_gap=float(np.max(route_gaps)))
+    report = _fold_report(
+        [part], command="gradient-check", ctx=ctx, omega=None, seed=seed, samples=configs,
+        tolerances={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
+                    "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
+                    "group_tol": GROUP_TOL, **grid_tolerances()},
+        extras={"median_rel_err": float(np.median(rel_errs))},
     )
+    median_miss = int(report.extras["median_rel_err"] > MEDIAN_REL_TOL)
+    report.violations = min(report.violations + median_miss, report.samples_completed)
+    return report
 
 
 def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
@@ -446,52 +439,37 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
 
     Converged runs whose final value misses max_w lam(i wX) by more than
     gap_tol are violations; non-converged runs are flagged as indeterminate,
-    not failed.
+    not failed.  The margin of a run is gap_tol minus its gap, so min_margin
+    is the slack of the converged run with the largest gap.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     omega = OmegaSpec("scale", scale=0.9)
-    converged = 0
-    violations = 0
-    indeterminate = 0
-    max_gap = 0.0
-    total_iter = 0
-    witness = None
+    gaps, f_finals, matched = np.empty((3, runs))
+    iterations = np.empty(runs, dtype=int)
+    converged = np.empty(runs, dtype=bool)
     for i in range(runs):
         rng = substream(seed, i)
         x = sample_regular_direction(ctx, omega, rng)
         m = sample_covector(ctx, rng)
         k0 = haar_k(ctx, [rng])[0]
         run = ascend_critical(ctx, 1j * x, k0, m, max_iter=max_iter)
-        total_iter += run.iterations
-        if not run.converged:
-            indeterminate += 1
-            continue
-        converged += 1
-        if run.gap > max_gap:
-            max_gap = run.gap
-            witness = {"sample_index": i, "gap": float(run.gap),
-                       "f_final": float(run.f_values[-1]),
-                       "matched_weyl_value": float(run.matched_weyl_value)}
-        if run.gap > gap_tol:
-            violations += 1
-    return VerificationReport(
-        command="critical-points",
-        group=group_wire(ctx),
-        omega=omega.as_dict(),
-        seed=seed,
-        samples_requested=runs,
-        samples_indeterminate=indeterminate,
-        violations=violations,
-        worst_witness=witness,
-        tolerance_set={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
-                       "regularity_floor": REGULARITY_FLOOR,
-                       "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
-                       "step_cap": STEP_CAP, "step_floor": STEP_FLOOR,
-                       **grid_tolerances()},
-        extras={"convergence_rate": converged / runs,
-                "max_gap_converged": max_gap,
-                "mean_iterations": total_iter / runs},
+        gaps[i], f_finals[i], matched[i] = run.gap, run.f_values[-1], run.matched_weyl_value
+        iterations[i], converged[i] = run.iterations, run.converged
+    part = chunk_part(
+        gap_tol - gaps, ~converged, None, gaps > gap_tol,
+        lambda i: {"sample_index": i, "gap": float(gaps[i]), "f_final": float(f_finals[i]),
+                   "matched_weyl_value": float(matched[i])},
+        max_gap_converged=float(np.max(gaps, where=converged, initial=0.0)))
+    return _fold_report(
+        [part], command="critical-points", ctx=ctx, omega=omega, seed=seed, samples=runs,
+        tolerances={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
+                    "regularity_floor": REGULARITY_FLOOR,
+                    "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
+                    "step_cap": STEP_CAP, "step_floor": STEP_FLOOR,
+                    **grid_tolerances()},
+        extras={"convergence_rate": float(converged.sum() / runs),
+                "mean_iterations": float(iterations.sum() / runs)},
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -411,7 +413,58 @@ def test_gradient_check_applies_median_tol(monkeypatch, sp2):
     assert main(["gradient-check", "--group", "sp:2", "--configs", "4", "--seed", "3"]) == 2
 
 
+def test_gradient_check_counts_a_route_gap(monkeypatch, sp2):
+    # a triangular route off by 1e-9 on one config violates although its
+    # relative error passes; the worst relative error keeps the witness
+    clean = crown.gradient_check(sp2, 6, seed=3)
+    original, calls = convexity.directional_derivative_triangular, []
+
+    def triangular(*args):
+        calls.append(None)
+        return original(*args) + (1e-9 if len(calls) == 3 else 0.0)
+    monkeypatch.setattr(convexity, "directional_derivative_triangular", triangular)
+    rep = crown.gradient_check(sp2, 6, seed=3)
+    assert clean.violations == 0
+    assert rep.violations == 1
+    assert rep.extras["max_route_gap"] > convexity.ROUTE_TOL
+    assert rep.extras["max_rel_err"] <= convexity.MAX_REL_TOL
+    assert rep.worst_witness == clean.worst_witness
+
+
 def test_critical_point_scan_report(sl2):
     rep = crown.critical_point_scan(sl2, 10, seed=5)
     assert rep.violations == 0
     assert rep.extras["convergence_rate"] >= 0.9
+
+
+def _patch_runs(monkeypatch, edit):
+    # rewrite run i of the scan as edit(i, run) returns it
+    original, calls = convexity.ascend_critical, []
+
+    def ascend(*args, **kwargs):
+        calls.append(None)
+        return edit(len(calls) - 1, original(*args, **kwargs))
+    monkeypatch.setattr(convexity, "ascend_critical", ascend)
+
+
+def test_critical_point_scan_folds_stalled_and_missed_runs(monkeypatch, sl2):
+    # a stalled run is indeterminate whatever its gap; a converged miss violates and witnesses
+    edits = {1: {"converged": False, "gap": 1.0}, 3: {"gap": 1e-3}}
+    _patch_runs(monkeypatch, lambda i, run: dataclasses.replace(run, **edits.get(i, {})))
+    rep = crown.critical_point_scan(sl2, 6, seed=5)
+    assert rep.samples_indeterminate == 1
+    assert rep.violations == 1
+    assert rep.worst_witness["sample_index"] == 3
+    assert rep.extras["max_gap_converged"] == 1e-3
+    assert rep.min_margin == 1e-6 - 1e-3
+    assert rep.exit_code == 2
+
+
+def test_critical_point_scan_with_no_converged_run(monkeypatch, sl2):
+    _patch_runs(monkeypatch, lambda i, run: dataclasses.replace(run, converged=False))
+    rep = crown.critical_point_scan(sl2, 6, seed=5)
+    assert rep.samples_indeterminate == 6
+    assert rep.min_margin is None
+    assert rep.worst_witness is None
+    assert rep.extras["max_gap_converged"] == 0.0
+    assert rep.exit_code == 3
