@@ -84,11 +84,8 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
                  extras={"z_count": z_count, "k_count": k_count})
 
 
-def _fold(parts, *, command, ctx, omega, seed, requested, tolerances, extras):
-    return fold_report(
-        parts, command=command, ctx=ctx, omega=omega, seed=seed, requested=requested,
-        tolerances=tolerances, extras=extras,
-    )
+# bench/tracer.py wraps this name to time the fold of the tube and image sweeps
+_fold = fold_report
 
 
 def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,

@@ -27,11 +27,11 @@ Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
 path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
 with the batch axis last, so each numpy call works on contiguous data across
 the stack.  It forms the Hadamard bound of its normalized minors in the same
-layout, adding each row in numpy's pairwise order and taking the running
-products with np.multiply.accumulate, so the bits stay those of a sum and a
-cumprod along each matrix's rows.  Each matrix of a stack gets the bits of its
-own single call, and the stacked product keeps the bits of one product per
-grid matrix (tests/oracles.py holds the per-matrix reference).
+layout: numpy sums each row (over axis 1 below 8 terms, on a contiguous copy
+from 8 on) and np.multiply.accumulate takes the running products, so the bits
+stay those of a sum and a cumprod along each matrix's rows.  Each matrix of a
+stack gets the bits of its own single call, and the stacked product keeps the
+bits of one product per grid matrix (tests/oracles.py is the reference).
 """
 
 from __future__ import annotations
@@ -74,28 +74,14 @@ class IwasawaFactors:
 
 
 def _row_sums(sq):
-    """sq summed over axis 1, in the order numpy's pairwise sum adds a contiguous row.
+    """sq summed over axis 1 with the bits numpy's sum gives each contiguous row.
 
-    Below 8 terms numpy adds in order; up to 128 it keeps eight interleaved
-    partial sums, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
-    rest in order; above 128 it sums two halves, the first a multiple of 8 long.
+    Below 8 terms numpy's pairwise sum adds in order, as a sum over axis 1
+    does; from 8 terms on numpy sums a contiguous copy of the rows itself.
     """
-    n = sq.shape[1]
-    if n < 8:
+    if sq.shape[1] < 8:
         return sq.sum(axis=1)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(sq[:, :half]) + _row_sums(sq[:, half:])
-    stop = n - n % 8
-    part = sq[:, :8]
-    for i in range(8, stop, 8):
-        part = part + sq[:, i:i + 8]
-    part = part[:, 0::2] + part[:, 1::2]
-    part = part[:, 0::2] + part[:, 1::2]
-    total = part[:, 0] + part[:, 1]
-    for i in range(stop, n):
-        total += sq[:, i]
-    return total
+    return np.ascontiguousarray(np.swapaxes(sq, 1, 2)).sum(axis=-1)
 
 
 def _ldl(mat):
@@ -114,9 +100,9 @@ def _ldl(mat):
     elementwise, so each matrix of a stack gets the bits of its own call; a
     zero pivot leaves inf or NaN in its own matrix only.  The bits are those
     of a batch-first sum and cumprod along each matrix's rows
-    (tests/oracles.py).  _row_sums adds in numpy's pairwise order; a plain
-    in-order sum differs from m = 8 on.  np.multiply.accumulate runs the
-    scalar loop cumprod runs; a product of two whole rows goes to numpy's
+    (tests/oracles.py).  Below 8 terms the axis-1 sum has numpy's pairwise
+    bits; from 8 on numpy sums a contiguous copy.  np.multiply.accumulate runs
+    the scalar loop cumprod runs; a product of two whole rows goes to numpy's
     SIMD complex multiply instead, which rounds differently on some CPUs.
     ratios and minors are C-contiguous, because later numpy calls on strided
     operands can round differently; unit_lower is a transposed view of the

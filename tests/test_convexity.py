@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,47 @@ def test_lemma24_probe_report(sl2):
     rep = crown.lemma24_probe(sl2, 100, seed=2)
     assert rep.violations == 0
     assert rep.extras["min_im_n"] > 1e-10
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sp:1"])
+def test_lemma24_probe_keeps_its_stream_contract(label, monkeypatch):
+    # row i's k is the first draw of substream(2, i) farther than the gap from
+    # every normalizer element, however the probe batches its draws
+    ctx = context(label)
+    chunks = []
+    track_batch = convexity.track_batch
+
+    def record(ctx, gs, *args):
+        chunks.append(gs.copy())
+        return track_batch(ctx, gs, *args)
+
+    monkeypatch.setattr(convexity, "track_batch", record)
+    crown.lemma24_probe(ctx, 200, seed=2)
+    normalizers = normalizer_elements(ctx)
+    want, redrawn = [], 0
+    for i in range(200):
+        rng = substream(2, i)
+        k = haar_k(ctx, [rng])[0]
+        while np.min(np.linalg.norm(normalizers - k, axis=(1, 2))) <= convexity.NORMALIZER_GAP:
+            redrawn += 1
+            k = haar_k(ctx, [rng])[0]
+        want.append(k)
+    assert redrawn > 0
+    assert np.concatenate(chunks).tobytes() == np.array(want).tobytes()
+
+
+def test_lemma24_probe_working_set_is_bounded():
+    # sl:5 has 1,920 normalizer elements: the distances of 128 rows at once would
+    # hold a 47 MiB temporary; one row at a time holds 0.4 MiB
+    ctx = context("sl:5")
+    tracemalloc.start()
+    try:
+        rep = crown.lemma24_probe(ctx, 128, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.samples_completed == 128
+    assert peak < 8 * 2 ** 20
 
 
 def test_gradient_check_report(sl2):

@@ -471,7 +471,7 @@ def test_track_batch_working_set_is_bounded():
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5"])
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5", "sp:4"])
 def test_path_ratios_match_per_matrix_products(label):
     # one stacked product per path must keep the bits of one product per grid matrix
     ctx = context(label)
