@@ -30,7 +30,7 @@ from .iwasawa import (
     k_factor,
     project_complex,
 )
-from .report import VerificationReport, group_wire, matrix_wire, vector_wire
+from .report import VerificationReport, group_wire
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, hull_contains
 
 EXIT_USAGE = 64
@@ -190,9 +190,7 @@ def _run_decompose(args) -> VerificationReport:
     return VerificationReport(
         command="decompose", group=group_wire(ctx), seed=0, samples_requested=1,
         tolerance_set=tolerances,
-        extras={"n_part": matrix_wire(factors.n_part),
-                "log_a": vector_wire(factors.log_a),
-                "k_part": matrix_wire(k_factor(*batch)[0]),
+        extras={"n_part": factors.n_part, "log_a": factors.log_a, "k_part": k_factor(*batch)[0],
                 "reconstruction_residual": batch_reconstruction_residual(ctx, *batch)[0],
                 **tracking},
     )
@@ -205,8 +203,8 @@ def _run_hull(args) -> VerificationReport:
     member, margin = hull_contains(ctx, args.x, args.y, args.tol)
     return VerificationReport(
         command="hull", group=group_wire(ctx), seed=0, samples_requested=1,
-        min_margin=float(margin), tolerance_set={"membership_tol": args.tol},
-        extras={"inside": bool(member), "verdict": "inside" if member else "outside"},
+        min_margin=margin, tolerance_set={"membership_tol": args.tol},
+        extras={"inside": member, "verdict": "inside" if member else "outside"},
     )
 
 

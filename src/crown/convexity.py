@@ -41,7 +41,7 @@ from .iwasawa import (
     GRID_STEPS,
 )
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
-from .report import VerificationReport, matrix_wire, vector_wire
+from .report import VerificationReport
 from .rng import NS_AUX, substream
 from .sampling import (
     P_RADIUS,
@@ -300,14 +300,12 @@ def verify_complex_convexity(ctx: GroupContext, omega: OmegaSpec, samples: int,
         ys = log_full[:, :nn].imag
         margins = hull_margins_batch(ctx, xs, ys, tol)
         zs = gs[ok] * np.exp(1j * ctx.full_diag(xs[ok]))[:, None, :]
-        resid = batch_reconstruction_residual(
-            ctx, zs, log_full[ok], lower[ok]) if ok.any() else np.zeros(0)
+        resid = batch_reconstruction_residual(ctx, zs, log_full[ok], lower[ok])
         return chunk_part(
             margins, bad, max_steps, margins < -tol,
-            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
-                       "x": vector_wire(xs[i]), "y": vector_wire(ys[i]),
-                       "g": matrix_wire(gs[i])},
-            max_reconstruction_residual=float(resid.max()) if resid.size else 0.0)
+            lambda i: {"sample_index": lo + i, "margin": margins[i],
+                       "x": xs[i], "y": ys[i], "g": gs[i]},
+            max_reconstruction_residual=np.max(resid, initial=0.0))
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     return _fold_report(
@@ -353,12 +351,11 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
             gw = np.einsum("ij,bjk->bik", kw, a_exps)
             got = project_real_batch(gw)[0][:, :nn]
             want = xs @ w.T
-            vertex_err = max(vertex_err, float(np.max(np.abs(got - want))))
+            vertex_err = max(vertex_err, np.max(np.abs(got - want)))
         return chunk_part(
             margins, np.zeros(count, dtype=bool), None, margins < -tol,
-            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
-                       "x": vector_wire(xs[i]), "y": vector_wire(ys[i])},
-            max_reconstruction_residual=float(resid.max()), max_vertex_error=vertex_err)
+            lambda i: {"sample_index": lo + i, "margin": margins[i], "x": xs[i], "y": ys[i]},
+            max_reconstruction_residual=resid.max(), max_vertex_error=vertex_err)
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
@@ -414,15 +411,14 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     part = chunk_part(
         MAX_REL_TOL - rel_errs, np.zeros(configs, dtype=bool), None,
         (rel_errs > MAX_REL_TOL) | (route_gaps > ROUTE_TOL),
-        lambda i: {"sample_index": i, "rel_err": float(rel_errs[i]),
-                   "exact": float(exacts[i]), "fd": float(fds[i])},
-        max_rel_err=float(np.max(rel_errs)), max_route_gap=float(np.max(route_gaps)))
+        lambda i: {"sample_index": i, "rel_err": rel_errs[i], "exact": exacts[i], "fd": fds[i]},
+        max_rel_err=np.max(rel_errs), max_route_gap=np.max(route_gaps))
     report = _fold_report(
         [part], command="gradient-check", ctx=ctx, omega=None, seed=seed, requested=configs,
         tolerances={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
                     "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
                     "group_tol": GROUP_TOL, **grid_tolerances()},
-        extras={"median_rel_err": float(np.median(rel_errs))},
+        extras={"median_rel_err": np.median(rel_errs)},
     )
     median_miss = int(report.extras["median_rel_err"] > MEDIAN_REL_TOL)
     report.violations = min(report.violations + median_miss, report.samples_completed)
@@ -454,9 +450,9 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         iterations[i], converged[i] = run.iterations, run.converged
     part = chunk_part(
         gap_tol - gaps, ~converged, None, gaps > gap_tol,
-        lambda i: {"sample_index": i, "gap": float(gaps[i]), "f_final": float(f_finals[i]),
-                   "matched_weyl_value": float(matched[i])},
-        max_gap_converged=float(np.max(gaps, where=converged, initial=0.0)))
+        lambda i: {"sample_index": i, "gap": gaps[i], "f_final": f_finals[i],
+                   "matched_weyl_value": matched[i]},
+        max_gap_converged=np.max(gaps, where=converged, initial=0.0))
     return _fold_report(
         [part], command="critical-points", ctx=ctx, omega=omega, seed=seed, requested=runs,
         tolerances={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
@@ -464,8 +460,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
                     "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
                     "step_cap": STEP_CAP, "step_floor": STEP_FLOOR,
                     **grid_tolerances()},
-        extras={"convergence_rate": float(converged.sum() / runs),
-                "mean_iterations": float(iterations.sum() / runs)},
+        extras={"convergence_rate": converged.mean(), "mean_iterations": iterations.mean()},
     )
 
 
@@ -500,8 +495,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
         im_n = np.max(np.abs(lower.imag), axis=(1, 2))
         return chunk_part(
             im_n, bad, max_steps, im_n <= IM_N_FLOOR,
-            lambda i: {"sample_index": lo + i, "im_n": float(im_n[i]),
-                       "k": matrix_wire(gs[i])})
+            lambda i: {"sample_index": lo + i, "im_n": im_n[i], "k": gs[i]})
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(

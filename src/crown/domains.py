@@ -20,7 +20,7 @@ from .errors import NumericalBreakdown
 from .groups import GroupContext
 from .iwasawa import grid_tolerances, track_batch
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
-from .report import VerificationReport, group_wire, matrix_wire, vector_wire
+from .report import VerificationReport, group_wire
 from .rng import NS_AUX, NS_TUBE, substream
 from .sampling import haar_k, sample_group_element
 from .weyl import MEMBERSHIP_TOL, OmegaSpec, draw_omega_point, omega_distance, omega_margin
@@ -74,8 +74,8 @@ def verify_tube_intersection(ctx: GroupContext, omega: OmegaSpec, z_count: int,
         margins, max_steps, bad = _tube_margins(ctx, omega, tubes[k_idx], gs[z_idx], xs[z_idx])
         return chunk_part(
             margins, bad, max_steps, margins < -tol,
-            lambda i: {"z_index": int(z_idx[i]), "k_index": int(k_idx[i]),
-                       "margin": float(margins[i]), "x": vector_wire(xs[z_idx[i]])})
+            lambda i: {"z_index": z_idx[i], "k_index": k_idx[i],
+                       "margin": margins[i], "x": xs[z_idx[i]]})
 
     parts = map_chunks(run_chunk, chunk_ranges(z_count * k_count))
     return _fold(parts, command="tubes", ctx=ctx, omega=omega, seed=seed,
@@ -110,12 +110,11 @@ def verify_image(ctx: GroupContext, omega: OmegaSpec, samples: int, seed: int,
         margins = omega_margin(ctx, omega, log_full[:, :nn].imag)
         slice_eye = np.tile(np.eye(ctx.ambient_size), (count, 1, 1))
         slice_log, _, _, _, slice_bad = track_batch(ctx, slice_eye, ws)
-        witness_err = float(np.max(np.abs(slice_log[~slice_bad][:, :nn] - 1j * ws[~slice_bad]))) \
-            if (~slice_bad).any() else np.inf
+        witness_err = np.max(np.abs(slice_log[:, :nn] - 1j * ws),
+                             where=~slice_bad[:, None], initial=0.0)
         part = chunk_part(
             margins, bad, max_steps, margins < -tol,
-            lambda i: {"sample_index": lo + i, "margin": float(margins[i]),
-                       "x": vector_wire(xs[i]), "g": matrix_wire(gs[i])},
+            lambda i: {"sample_index": lo + i, "margin": margins[i], "x": xs[i], "g": gs[i]},
             max_slice_witness_error=witness_err)
         # the abelian slice samples count beside the crown points
         part["indeterminate"] += int(slice_bad.sum())
@@ -173,7 +172,7 @@ def verify_boundary(ctx: GroupContext, omega: OmegaSpec, steps: int,
     gap = float(np.min(output_dists - input_dists))
     return VerificationReport(
         command="boundary", group=group_wire(ctx), seed=seed, samples_requested=1,
-        omega=omega.as_dict(), violations=int(gap < -MEMBERSHIP_TOL), min_margin=gap,
+        omega=omega, violations=int(gap < -MEMBERSHIP_TOL), min_margin=gap,
         tolerance_set={"final_distance_cap": FINAL_DISTANCE_CAP,
                        "membership_tol": MEMBERSHIP_TOL, **grid_tolerances()},
         extras={"input_distances": input_dists.tolist(),

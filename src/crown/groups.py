@@ -173,18 +173,15 @@ class GroupContext:
         """exp of the Cartan elements with (possibly complex) coordinates x, shape (..., n)."""
         return _diag_embed(np.exp(self.full_diag(x)))
 
-    def to_standard_frame(self, m):
-        """Undo the weight-sorting permutation (identity for sl)."""
-        if self.family is Family.SPECIAL_LINEAR:
-            return np.asarray(m)
-        inv = np.argsort(self.perm)
-        return np.asarray(m)[..., inv, :][..., :, inv]
-
     def to_sorted_frame(self, m):
+        """Conjugate by the weight-sorting permutation (identity for sl)."""
         if self.family is Family.SPECIAL_LINEAR:
             return np.asarray(m)
         p = self.perm
         return np.asarray(m)[..., p, :][..., :, p]
+
+    # perm only reverses the trailing n slots, so it is its own inverse
+    to_standard_frame = to_sorted_frame
 
     def unitary_embed(self, u):
         """Realize U(n) inside the symplectic group in the sorted frame; u has shape (..., n, n)."""

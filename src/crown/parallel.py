@@ -9,14 +9,15 @@ A verifier's chunk draws its samples, scores them and hands the per-sample
 arrays to chunk_part, which returns the chunk's part: indeterminate and
 violation counts, the smallest margin over the good rows with the witness
 attaining it, and named chunk maxima (max_arg_step too for a tracking sweep).
-fold_report folds the parts of a sweep into one report.
+The witness is converted by report.wire as the part is built, so no part keeps
+a view of its chunk.  fold_report folds the parts into one wired report.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .report import VerificationReport, group_wire
+from .report import VerificationReport, group_wire, wire
 
 CHUNK = 512
 
@@ -45,12 +46,12 @@ def chunk_part(margins, bad, max_steps, violated, witness, **maxima) -> dict:
     i_min = int(np.argmin(margins))
     found = bool(ok.any())
     if max_steps is not None:
-        maxima["max_arg_step"] = float(max_steps[ok].max()) if found else 0.0
+        maxima["max_arg_step"] = np.max(max_steps, where=ok, initial=0.0)
     return {
         "indeterminate": int(bad.sum()),
         "violations": int(np.sum(violated & ok)),
         "min_margin": float(margins[i_min]) if found else np.inf,
-        "witness": witness(i_min) if found else None,
+        "witness": wire(witness(i_min)) if found else None,
         "maxima": maxima,
     }
 
@@ -72,7 +73,7 @@ def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances,
     return VerificationReport(
         command=command,
         group=group_wire(ctx),
-        omega=omega.as_dict() if omega is not None else None,
+        omega=omega,
         seed=seed,
         samples_requested=requested,
         samples_indeterminate=sum(p["indeterminate"] for p in parts),
@@ -80,6 +81,6 @@ def fold_report(parts, *, command, ctx, omega, seed, requested, tolerances,
         min_margin=None if not np.isfinite(min_margin) else float(min_margin),
         worst_witness=witness,
         tolerance_set=tolerances,
-        extras={**{name: max(p["maxima"][name] for p in parts) for name in parts[0]["maxima"]},
-                **extras},
+        extras=wire({**{name: max(p["maxima"][name] for p in parts) for name in parts[0]["maxima"]},
+                     **extras}),
     )

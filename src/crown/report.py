@@ -1,6 +1,8 @@
 """Verification reports: seeded Monte-Carlo outcomes with stable serialization.
 
-Reports are plain data.  JSON output is key-sorted and CSV output is a flat
+wire is the one converter of library values to report data: the sweep driver
+wires witnesses and extras, so a verifier's report holds plain data, and
+as_dict wires the rest.  JSON output is key-sorted and CSV output is a flat
 two-line summary of the scalar fields.  samples_completed is derived: requested
 minus indeterminate.  The library leaves wall_time_ms at 0, so library reports
 are byte-identical across reruns; the command line stamps the run's time.
@@ -12,8 +14,12 @@ import dataclasses
 import io
 import json
 import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .weyl import OmegaSpec
 
 
 def vector_wire(v) -> list:
@@ -25,11 +31,7 @@ def vector_wire(v) -> list:
 def matrix_wire(m) -> dict:
     """Matrix as row-major [re, im] pairs with explicit shape."""
     m = np.asarray(m)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[float(np.real(x)), float(np.imag(x))] for x in m.ravel()],
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": vector_wire(m.ravel())}
 
 
 def group_wire(ctx) -> dict:
@@ -37,15 +39,16 @@ def group_wire(ctx) -> dict:
     return {"family": ctx.family.value, "n": ctx.n, "killing_scale": ctx.killing_scale}
 
 
-def _plain(value):
+def wire(value):
+    """Report data of a library value, converted through nested dicts, lists and tuples."""
     if isinstance(value, np.ndarray):
         return vector_wire(value) if value.ndim == 1 else matrix_wire(value)
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k: wire(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [wire(v) for v in value]
     return value
 
 
@@ -56,7 +59,7 @@ class VerificationReport:
     seed: int
     samples_requested: int
     tolerance_set: dict
-    omega: dict | None = None
+    omega: OmegaSpec | None = None
     samples_completed: int = dataclasses.field(init=False)
     samples_indeterminate: int = 0
     violations: int = 0
@@ -81,8 +84,7 @@ class VerificationReport:
         return 0
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return _plain(out)
+        return wire(dataclasses.asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -91,8 +93,7 @@ class VerificationReport:
         row = {
             "command": self.command,
             "group": "" if self.group is None else f"{self.group['family']}:{self.group['n']}",
-            "omega": "" if self.omega is None else
-                     f"{self.omega['shape']}:{self.omega['scale'] if self.omega['shape'] == 'scale' else self.omega['radius']}",
+            "omega": "" if self.omega is None else self.omega.label,
             "seed": self.seed,
             "samples_requested": self.samples_requested,
             "samples_completed": self.samples_completed,
@@ -112,7 +113,7 @@ class VerificationReport:
         buf.write(",".join(str(v) for v in row.values()) + "\n")
         return buf.getvalue()
 
-    def render(self, fmt: str = "json") -> str:
+    def render(self, fmt: str) -> str:
         if fmt == "json":
             return self.to_json()
         if fmt == "csv":

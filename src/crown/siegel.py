@@ -20,7 +20,7 @@ from .errors import NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec, build_group
 from .iwasawa import grid_tolerances, minor_ratios, normalized_minors, track_batch, PIVOT_FLOOR
 from .parallel import chunk_part, chunk_ranges, fold_report
-from .report import VerificationReport, matrix_wire, vector_wire
+from .report import VerificationReport, wire
 from .rng import substream
 from .sampling import sample_group_element
 # draw_omega_point stays imported: bench/tracer.py wraps crown.siegel.draw_omega_point by name
@@ -115,21 +115,19 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
     report = fold_report(
         [chunk_part(im, np.zeros(samples, dtype=bool), None,
                     broke | (im <= 0.0) | (minors < NORMALIZED_MINOR_FLOOR),
-                    lambda i: {"sample_index": i, "min_im_chi": float(im[i]),
-                               "chi": vector_wire(ratios[i]), "z": matrix_wire(zs[i])})],
+                    lambda i: {"sample_index": i, "min_im_chi": im[i],
+                               "chi": ratios[i], "z": zs[i]})],
         command="siegel", ctx=_sp_context(n), omega=None, seed=seed, requested=samples,
         tolerances={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
                     "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
-        extras={"min_normalized_minor": None if broke.all() else float(minors.min()),
-                "pivot_breakdowns": int(broke.sum()),
-                "fixture_min_im_chi": float(fixture.imag.min()),
-                "fixture_error": float(np.abs(fixture - np.array([1j, 1.25j])).max())},
+        extras={"min_normalized_minor": None if broke.all() else minors.min(),
+                "pivot_breakdowns": broke.sum(), "fixture_min_im_chi": fixture.imag.min(),
+                "fixture_error": np.abs(fixture - np.array([1j, 1.25j])).max()},
     )
     # after the fold: a part whose rows all broke down carries no witness
     if broke.any():
-        i = int(broke.argmax())
-        report.worst_witness = {"sample_index": i, "z": matrix_wire(zs[i]),
-                                "pivot_breakdown": True}
+        i = broke.argmax()
+        report.worst_witness = wire({"sample_index": i, "z": zs[i], "pivot_breakdown": True})
     report.extras["min_im_chi"] = report.min_margin
     return report
 
@@ -173,9 +171,8 @@ def cross_check_crown(ctx: GroupContext, samples: int, seed: int) -> Verificatio
     margins = np.pi / 4.0 - np.abs(y_siegel).max(axis=1)
     return fold_report(
         [chunk_part(margins, bad, None, crown_ok != siegel_ok,
-                    lambda i: {"sample_index": i, "x": vector_wire(xs[i]),
-                               "y_crown": vector_wire(y_crown[i]),
-                               "y_siegel": vector_wire(y_siegel[i])},
-                    max_value_gap_monitored=float(np.max(gaps, where=~bad, initial=0.0)))],
+                    lambda i: {"sample_index": i, "x": xs[i], "y_crown": y_crown[i],
+                               "y_siegel": y_siegel[i]},
+                    max_value_gap_monitored=np.max(gaps, where=~bad, initial=0.0))],
         command="siegel-crown", ctx=ctx, omega=None, seed=seed, requested=samples,
         tolerances={"membership_tol": MEMBERSHIP_TOL, **grid_tolerances()}, extras={})

@@ -59,9 +59,6 @@ class OmegaSpec:
             return f"scale:{self.scale}"
         return f"ball:{self.radius}"
 
-    def as_dict(self) -> dict:
-        return {"shape": self.shape, "scale": self.scale, "radius": self.radius}
-
     @property
     def cutoff(self) -> float:
         """Bound on every |alpha(X)| over omega: c * pi/2 for scale c, pi/2 for a ball."""

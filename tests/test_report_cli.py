@@ -11,14 +11,14 @@ from crown import cli
 from crown.cli import EXIT_BREAKDOWN, EXIT_CANTCREAT, EXIT_USAGE, main, run
 from crown.errors import NumericalBreakdown
 from crown.report import VerificationReport, matrix_wire, vector_wire
-from crown.weyl import FULL_OMEGA
+from crown.weyl import FULL_OMEGA, OmegaSpec
 
 
 def _report(**overrides):
     base = dict(
         command="verify-convexity",
         group={"family": "sl", "n": 2},
-        omega={"shape": "scale", "scale": 1.0, "radius": None},
+        omega=FULL_OMEGA,
         seed=7,
         samples_requested=10,
         samples_indeterminate=1,
@@ -58,14 +58,64 @@ def test_wire_formats():
 
 
 def test_report_json_roundtrip_and_csv():
-    rep = _report()
-    parsed = json.loads(rep.to_json())
-    assert parsed["violations"] == 0
-    assert parsed["tolerance_set"]["membership_tol"] == 1e-9
-    csv = rep.to_csv()
-    lines = csv.strip().split("\n")
-    assert len(lines) == 2
-    assert "tol.membership_tol" in lines[0]
+    for omega, label in ((FULL_OMEGA, "scale:1.0"), (OmegaSpec.parse("ball:0.5"), "ball:0.5")):
+        rep = _report(omega=omega)
+        parsed = json.loads(rep.to_json())
+        assert parsed["violations"] == 0
+        assert parsed["tolerance_set"]["membership_tol"] == 1e-9
+        assert parsed["omega"] == {"shape": omega.shape, "scale": omega.scale,
+                                   "radius": omega.radius}
+        csv = rep.to_csv()
+        lines = csv.strip().split("\n")
+        assert len(lines) == 2
+        assert "tol.membership_tol" in lines[0]
+        header, row = (line.split(",") for line in lines)
+        assert dict(zip(header, row))["omega"] == label
+
+
+def _plain_leaves(value):
+    """True when value is built from dicts and lists of int, float, str, bool and None only."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain_leaves(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain_leaves(v) for v in value)
+    return value is None or type(value) in (int, float, str, bool)
+
+
+def _library_reports(sl2, sl3, sp2, monkeypatch):
+    yield crown.verify_complex_convexity(sl3, OmegaSpec.parse("ball:0.5"), 40, seed=1)
+    yield crown.verify_complex_convexity(sp2, FULL_OMEGA, 40, seed=1, mode="full-g")
+    yield crown.verify_kostant_real(sp2, 40, seed=1)
+    yield crown.verify_image(sl3, OmegaSpec.parse("scale:0.8"), 40, seed=1)
+    yield crown.verify_tube_intersection(sp2, OmegaSpec.parse("ball:0.6"), 8, 4, seed=1)
+    yield crown.lemma24_probe(sl2, 16, seed=1)
+    yield crown.gradient_check(sp2, 3, seed=1)
+    yield crown.critical_point_scan(sl3, 2, seed=1)
+    yield crown.verify_siegel(3, 16, seed=1)
+    yield crown.cross_check_crown(sp2, 16, seed=1)
+    yield crown.verify_boundary(sl3, OmegaSpec.parse("ball:0.7"), 12, seed=1)
+    # a forced pivot breakdown sets the witness after the fold
+    import crown.siegel as siegel_mod
+    real = siegel_mod.minor_ratios
+
+    def breaks_samples(z):
+        if z.shape == (3, 3):
+            raise NumericalBreakdown("forced")
+        return real(z)
+
+    monkeypatch.setattr(siegel_mod, "minor_ratios", breaks_samples)
+    yield crown.verify_siegel(3, 4, seed=1)
+
+
+def test_library_reports_hold_plain_data(sl2, sl3, sp2, monkeypatch):
+    # numpy values are wired where the sweep driver builds a part, not at render time
+    reports = list(_library_reports(sl2, sl3, sp2, monkeypatch))
+    assert len(reports) == 12
+    for rep in reports:
+        # the boundary verifier reports its path in extras and has no witness
+        assert (rep.worst_witness is None) == (rep.command == "boundary")
+        assert _plain_leaves(rep.worst_witness), (rep.command, rep.worst_witness)
+        assert _plain_leaves(rep.extras), (rep.command, rep.extras)
 
 
 def _strip_timing(text):
