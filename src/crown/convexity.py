@@ -114,32 +114,32 @@ def metric_inner(ctx: GroupContext, x, y) -> float:
 
 
 def _project(ctx: GroupContext, a_point, k):
-    """Factors of k exp(a_point), with the imaginary part of a_point tracked."""
+    """Factors of k exp(a_point), with the imaginary part of a_point tracked, for rows."""
     a_point = np.asarray(a_point, dtype=complex)
     g = np.asarray(k) @ ctx.a_exp(a_point.real)
     return project_complex(ctx, g, a_point.imag)
 
 
 def f_a(ctx: GroupContext, a_point, k) -> np.ndarray:
-    """log a(k exp(a_point)) on the branch tracked from k, as Cartan coordinates."""
+    """log a(k exp(a_point)) on the branch tracked from k, as Cartan coordinates, for rows."""
     return _project(ctx, a_point, k).log_a
 
 
-def f_a_lambda(ctx: GroupContext, a_point, k, m) -> float:
-    """lam(f_a(k)) through the kappa_R pairing."""
+def f_a_lambda(ctx: GroupContext, a_point, k, m):
+    """lam(f_a(k)) through the kappa_R pairing, one value per row; a float for one row."""
     return _checked_value(ctx, _project(ctx, a_point, k), m)
 
 
-def _checked_value(ctx: GroupContext, factors, m) -> float:
-    """lam(log a) of the factors of k exp(a_point).
+def _checked_value(ctx: GroupContext, factors, m):
+    """lam(log a) of the factors of k exp(a_point), one value per row; a float for one row.
 
     The pairing of a Cartan-space value with i*M is real by construction; a
-    broken branch surfaces as a non-finite value and is rejected.
+    broken branch surfaces as a non-finite value, and any one is rejected.
     """
     value = pair_ia(ctx, factors.log_a, m)
-    if not np.isfinite(value):
+    if not np.isfinite(value).all():
         raise NumericalBreakdown("functional evaluation is not a finite real number")
-    return float(value)
+    return value if value.ndim else float(value)
 
 
 def grad_f(ctx: GroupContext, a_point, k, m, factors=None) -> np.ndarray:
@@ -379,35 +379,45 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     """Finite-difference and triangular-route validation of grad_f.
 
     Per configuration: random tube point, Haar k, random covector and tangent
-    direction.  The pairing of the gradient with the direction is compared
-    against a central difference of f_{a,lam} and against the independent
-    evaluation through the triangular part.  The margin of a configuration is
-    MAX_REL_TOL minus its relative error, so min_margin is the slack of the
-    worst one.  A median relative error above MEDIAN_REL_TOL adds one violation.
+    direction, each drawn from the configuration's own stream.  The pairing of
+    the gradient with the direction is compared against a central difference
+    of f_{a,lam} and against the independent evaluation through the triangular
+    part.  The base points, the +h points and the -h points are each projected
+    in one call on all configurations, whose rows keep the bits of one-row
+    calls; the gradient and the triangular route are taken row by row.  The
+    margin of a configuration is MAX_REL_TOL minus its relative error, so
+    min_margin is the slack of the worst one.  A median relative error above
+    MEDIAN_REL_TOL adds one violation.
     """
     import scipy.linalg
 
     if configs < 1:
         raise ValueError("configs must be >= 1")
-    rel_errs, route_gaps, exacts, fds = np.empty((4, configs))
-    for i in range(configs):
-        rng = substream(seed, i)
-        x = draw_omega_point(ctx, OmegaSpec("scale", scale=0.9), rng)
+    omega = OmegaSpec("scale", scale=0.9)
+
+    def tube_point(rng):
+        x = draw_omega_point(ctx, omega, rng)
         re = 0.3 * rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             re -= re.mean()
-        a_point = re + 1j * x
-        k = haar_k(ctx, [rng])[0]
-        m = sample_covector(ctx, rng)
-        direction = random_k_direction(ctx, rng)
-        factors = _project(ctx, a_point, k)
-        grad = grad_f(ctx, a_point, k, m, factors)
-        exacts[i] = exact = metric_inner(ctx, direction, grad)
-        f_plus = f_a_lambda(ctx, a_point, scipy.linalg.expm(FD_STEP * direction) @ k, m)
-        f_minus = f_a_lambda(ctx, a_point, scipy.linalg.expm(-FD_STEP * direction) @ k, m)
-        fds[i] = fd = (f_plus - f_minus) / (2.0 * FD_STEP)
-        rel_errs[i] = abs(exact - fd) / (1.0 + abs(exact))
-        route_gaps[i] = abs(exact - directional_derivative_triangular(ctx, factors, m, direction))
+        return re + 1j * x
+
+    rngs = [substream(seed, i) for i in range(configs)]
+    a_points = np.array([tube_point(rng) for rng in rngs])
+    ks = haar_k(ctx, rngs)
+    ms = np.array([sample_covector(ctx, rng) for rng in rngs])
+    directions = np.array([random_k_direction(ctx, rng) for rng in rngs])
+    factors = _project(ctx, a_points, ks)
+    exacts, route_gaps = np.empty((2, configs))
+    for i in range(configs):
+        grad = grad_f(ctx, a_points[i], ks[i], ms[i], factors[i])
+        exacts[i] = metric_inner(ctx, directions[i], grad)
+        route_gaps[i] = abs(exacts[i] - directional_derivative_triangular(
+            ctx, factors[i], ms[i], directions[i]))
+    f_plus = f_a_lambda(ctx, a_points, scipy.linalg.expm(FD_STEP * directions) @ ks, ms)
+    f_minus = f_a_lambda(ctx, a_points, scipy.linalg.expm(-FD_STEP * directions) @ ks, ms)
+    fds = (f_plus - f_minus) / (2.0 * FD_STEP)
+    rel_errs = np.abs(exacts - fds) / (1.0 + np.abs(exacts))
     part = chunk_part(
         MAX_REL_TOL - rel_errs, np.zeros(configs, dtype=bool), None,
         (rel_errs > MAX_REL_TOL) | (route_gaps > ROUTE_TOL),

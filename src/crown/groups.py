@@ -316,10 +316,11 @@ def h_lambda(ctx: GroupContext, m):
 
 
 def pair_ia(ctx: GroupContext, z_coords, m_coords):
-    """lam(Z) = kappa_R(Z, i M) on Cartan coordinates; real by construction."""
-    z = np.asarray(z_coords)
-    m = np.asarray(m_coords)
-    return -2.0 * ctx.coord_weight * (np.imag(z) @ m)
+    """lam(Z) = kappa_R(Z, i M) on Cartan coordinates, row with row; real by construction.
+
+    np.vecdot pairs rows (..., n) with the bits of a one-row dot product.
+    """
+    return -2.0 * ctx.coord_weight * np.vecdot(np.imag(z_coords), m_coords)
 
 
 def is_regular(ctx: GroupContext, coords, floor: float = 1e-12) -> bool:

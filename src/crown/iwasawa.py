@@ -13,7 +13,8 @@ from the positive-definite real point at t = 0.  The branch is tracked by
 unwrapping the arguments of the m pivot ratios: each step of the parameter
 grid must move every ratio argument by less than pi/2, a path with an offending
 step is tracked again on a grid twice as fine, and the number of segments is
-capped.  track_batch is the one tracker; project_complex is a batch of one.
+capped.  track_batch is the one tracker; project_complex checks its rows and
+tracks them in one call, a single point as a batch of one.
 
 track_batch runs a batch in blocks of rows whose complex grid takes about
 TRACK_BLOCK_BYTES (64 KiB).  A block's temporaries stay in cache, and the heap
@@ -59,11 +60,13 @@ _TINY = np.finfo(float).tiny
 
 @dataclasses.dataclass
 class IwasawaFactors:
-    """The factors n and log a of z = n a k, one row of the tracker, with its statistics.
+    """The factors n and log a of z = n a k, rows of the tracker, with their statistics.
 
-    log_a holds Cartan coordinates (complex); log_full is the tracked diagonal
-    of log a, all m entries as the elimination gives them, and log_a is its
-    leading n.  k is not kept: k_factor solves for it where it is read.
+    Each field carries the leading axes of the rows; a single point has an
+    int path_steps and a float max_arg_step.  log_a holds Cartan coordinates
+    (complex); log_full is the tracked diagonal of log a, all m entries as the
+    elimination gives them, and log_a is its leading n.  k is not kept:
+    k_factor solves for it where it is read.
     """
 
     n_part: np.ndarray
@@ -71,6 +74,11 @@ class IwasawaFactors:
     path_steps: int
     max_arg_step: float
     log_full: np.ndarray
+
+    def __getitem__(self, index) -> IwasawaFactors:
+        """The factors of the rows at index of stacked factors."""
+        return IwasawaFactors(self.n_part[index], self.log_a[index], self.path_steps[index],
+                              self.max_arg_step[index], self.log_full[index])
 
 
 def _row_sums(sq):
@@ -177,26 +185,34 @@ def _path_ratios(ctx: GroupContext, g, coords):
 
 
 def project_complex(ctx: GroupContext, g, x) -> IwasawaFactors:
-    """Factors of z = g exp(iX) on the continuous branch anchored at t = 0.
+    """Factors of z = g exp(iX) on the continuous branch anchored at t = 0, for rows.
 
-    g must be a real group element and X must lie in the admissible polytope.
-    The result does not depend on the path to X inside the polytope, because
-    the target tube is simply connected.  This is track_batch on a batch of
-    one; a row that comes back bad raises NumericalBreakdown.  No k is
-    solved for: k_factor gives it from z = g exp(iX) and these factors.
+    g (shape (..., m, m)) must hold real group elements and x (shape (..., n))
+    directions in the admissible polytope.  The result does not depend on the
+    path to X inside the polytope, because the target tube is simply connected.
+    This is one track_batch call on every row; a row that comes back bad raises
+    NumericalBreakdown.  The fields carry the leading axes, and each row has the
+    bits of its own call.  A single point is a batch of one, whose path_steps is
+    an int and max_arg_step a float.  No k is solved for: k_factor gives it from
+    z = g exp(iX) and these factors.
     """
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    if omega_margin(ctx, FULL_OMEGA, x) <= 0.0:
+    lead, m = x.shape[:-1], g.shape[-1]
+    gs, xs = g.reshape(-1, m, m), x.reshape(-1, x.shape[-1])
+    if (omega_margin(ctx, FULL_OMEGA, xs) <= 0.0).any():
         raise ValueError("direction lies outside the admissible polytope")
-    if not ctx.in_group(g):
+    if not ctx.in_group(gs).all():
         raise ValueError("base point fails the group membership check")
-    log_full, lower, max_steps, segments, bad = track_batch(ctx, g[None], x[None])
-    if bad[0]:
+    log_full, lower, max_steps, segments, bad = track_batch(ctx, gs, xs)
+    if bad.any():
         raise NumericalBreakdown("a minor degenerated along the path or the segment cap was reached")
-    return IwasawaFactors(n_part=lower[0], log_a=log_full[0, : ctx.n],
-                          path_steps=int(segments[0]), max_arg_step=float(max_steps[0]),
-                          log_full=log_full[0])
+    log_full = log_full.reshape(lead + (m,))
+    path_steps, max_arg_step = segments.reshape(lead), max_steps.reshape(lead)
+    if not lead:
+        path_steps, max_arg_step = int(path_steps), float(max_arg_step)
+    return IwasawaFactors(n_part=lower.reshape(lead + (m, m)), log_a=log_full[..., : ctx.n],
+                          path_steps=path_steps, max_arg_step=max_arg_step, log_full=log_full)
 
 
 def project_real_batch(g):

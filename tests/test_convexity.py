@@ -86,6 +86,40 @@ def test_f_a_lambda_linearity(ctx):
     assert abs(v - (v1 + v2)) < 1e-10 * (1 + abs(v))
 
 
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sp:3"])
+def test_f_a_rows_equal_one_row_calls(label):
+    # gradient_check evaluates f_a_lambda on all its configurations at once
+    ctx = context(label)
+    count = 40
+    rngs = [substream(79, i) for i in range(count)]
+    a_points = np.array([_random_a_point(ctx, rng) for rng in rngs])
+    ks = haar_k(ctx, rngs)
+    lams = np.array([sample_covector(ctx, rng) for rng in rngs])
+    logs, values = f_a(ctx, a_points, ks), f_a_lambda(ctx, a_points, ks, lams)
+    assert logs.shape == (count, ctx.n) and values.shape == (count,)
+    for i in range(count):
+        assert logs[i].tobytes() == f_a(ctx, a_points[i], ks[i]).tobytes()
+        value = f_a_lambda(ctx, a_points[i], ks[i], lams[i])
+        assert type(value) is float
+        assert values[i].tobytes() == np.float64(value).tobytes()
+
+
+def test_f_a_lambda_rejects_a_stack_with_one_non_real_value(sl3, monkeypatch):
+    rngs = [substream(79, i) for i in range(6)]
+    a_points = np.array([_random_a_point(sl3, rng) for rng in rngs])
+    ks = haar_k(sl3, rngs)
+    lams = np.array([sample_covector(sl3, rng) for rng in rngs])
+    original = convexity.project_complex
+
+    def project_complex(ctx, g, x):
+        factors = original(ctx, g, x)
+        factors.log_a[4] = complex(np.nan, np.nan)
+        return factors
+    monkeypatch.setattr(convexity, "project_complex", project_complex)
+    with pytest.raises(NumericalBreakdown, match="not a finite real number"):
+        f_a_lambda(sl3, a_points, ks, lams)
+
+
 # ------------------------------------------------------------------- gradients
 
 def test_grad_vanishes_at_normalizer(ctx):

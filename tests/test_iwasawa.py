@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -434,6 +435,53 @@ def test_track_batch_row_independent_of_batch(label):
         f = project_complex(ctx, gs[i], xs[i])
         assert f.log_a.tobytes() == batch[0][i, :ctx.n].tobytes()
         assert f.n_part.tobytes() == batch[1][i].tobytes()
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sp:3"])
+def test_project_complex_rows_equal_one_row_calls(label):
+    # gradient_check projects all its configurations in one call: every field of
+    # a row keeps the bits of the row's own call, and 40 rows span several blocks
+    ctx = context(label)
+    m, count = ctx.ambient_size, 40
+    gs, xs = sample_xi(ctx, FULL_OMEGA, count, 29)
+    stacked = project_complex(ctx, gs, xs)
+    assert stacked.n_part.shape == (count, m, m) and stacked.path_steps.shape == (count,)
+    for i in range(count):
+        alone = project_complex(ctx, gs[i], xs[i])
+        assert type(alone.path_steps) is int and type(alone.max_arg_step) is float
+        for field in dataclasses.fields(alone):
+            got, want = getattr(stacked[i], field.name), getattr(alone, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+    # the fields carry every leading axis of the rows
+    grid = project_complex(ctx, gs.reshape(4, 10, m, m), xs.reshape(4, 10, ctx.n))
+    assert grid.log_a.shape == (4, 10, ctx.n) and grid.max_arg_step.shape == (4, 10)
+    assert grid.n_part.tobytes() == stacked.n_part.tobytes()
+    assert grid.log_full.tobytes() == stacked.log_full.tobytes()
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_project_complex_rejects_a_stack_with_one_bad_row(label):
+    ctx = context(label)
+    gs, xs = sample_xi(ctx, FULL_OMEGA, 8, 31)
+    outside = xs.copy()
+    # a largest root value of 4 lies beyond the cutoff pi/2
+    outside[5] *= 4.0 / np.abs(xs[5] @ ctx.roots.T).max()
+    with pytest.raises(ValueError, match="admissible polytope"):
+        project_complex(ctx, gs, outside)
+    off = gs.copy()
+    off[3] *= 1.1
+    with pytest.raises(ValueError, match="group membership"):
+        project_complex(ctx, off, xs)
+
+
+def test_project_complex_breakdown_on_one_row_raises(sl2):
+    # at theta = pi/4 the first minor of z z^T is cos 2t, which row 3 takes 2e-14 from zero
+    ts = np.array([0.1, 0.3, 0.5, np.pi / 4 - 1e-14, 0.2])
+    xs = np.stack([ts, -ts], axis=1)
+    gs = np.tile(sl2_rotation(np.pi / 4), (len(ts), 1, 1))
+    assert not track_batch(sl2, gs, xs)[4][[0, 1, 2, 4]].any()
+    with pytest.raises(NumericalBreakdown, match="minor degenerated"):
+        project_complex(sl2, gs, xs)
 
 
 @pytest.mark.parametrize("steps_hint", [GRID_STEPS, 1])
