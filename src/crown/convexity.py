@@ -410,10 +410,11 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     factors = _project(ctx, a_points, ks)
     exacts, route_gaps = np.empty((2, configs))
     for i in range(configs):
-        grad = grad_f(ctx, a_points[i], ks[i], ms[i], factors[i])
+        row = factors[i]
+        grad = grad_f(ctx, a_points[i], ks[i], ms[i], row)
         exacts[i] = metric_inner(ctx, directions[i], grad)
         route_gaps[i] = abs(exacts[i] - directional_derivative_triangular(
-            ctx, factors[i], ms[i], directions[i]))
+            ctx, row, ms[i], directions[i]))
     f_plus = f_a_lambda(ctx, a_points, scipy.linalg.expm(FD_STEP * directions) @ ks, ms)
     f_minus = f_a_lambda(ctx, a_points, scipy.linalg.expm(-FD_STEP * directions) @ ks, ms)
     fds = (f_plus - f_minus) / (2.0 * FD_STEP)

@@ -71,8 +71,8 @@ class IwasawaFactors:
 
     n_part: np.ndarray
     log_a: np.ndarray
-    path_steps: int
-    max_arg_step: float
+    path_steps: int | np.ndarray
+    max_arg_step: float | np.ndarray
     log_full: np.ndarray
 
     def __getitem__(self, index) -> IwasawaFactors:
