@@ -75,6 +75,8 @@ FD_STEP = 1e-5
 MEDIAN_REL_TOL = 1e-7
 MAX_REL_TOL = 1e-5
 ROUTE_TOL = 1e-10
+# the polytope scaled by 0.9: gradient-check, critical-points and lemma24 draw X from it
+INNER_OMEGA = OmegaSpec("scale", scale=0.9)
 
 
 @dataclasses.dataclass
@@ -393,10 +395,9 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
 
     if configs < 1:
         raise ValueError("configs must be >= 1")
-    omega = OmegaSpec("scale", scale=0.9)
 
     def tube_point(rng):
-        x = draw_omega_point(ctx, omega, rng)
+        x = draw_omega_point(ctx, INNER_OMEGA, rng)
         re = 0.3 * rng.standard_normal(ctx.n)
         if ctx.family is Family.SPECIAL_LINEAR:
             re -= re.mean()
@@ -425,7 +426,8 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
         lambda i: {"sample_index": i, "rel_err": rel_errs[i], "exact": exacts[i], "fd": fds[i]},
         max_rel_err=np.max(rel_errs), max_route_gap=np.max(route_gaps))
     report = _fold_report(
-        [part], command="gradient-check", ctx=ctx, omega=None, seed=seed, requested=configs,
+        [part], command="gradient-check", ctx=ctx, omega=INNER_OMEGA, seed=seed,
+        requested=configs,
         tolerances={"fd_step": FD_STEP, "median_rel_tol": MEDIAN_REL_TOL,
                     "max_rel_tol": MAX_REL_TOL, "route_agreement_tol": ROUTE_TOL,
                     "group_tol": GROUP_TOL, **grid_tolerances()},
@@ -447,13 +449,12 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    omega = OmegaSpec("scale", scale=0.9)
     gaps, f_finals, matched = np.empty((3, runs))
     iterations = np.empty(runs, dtype=int)
     converged = np.empty(runs, dtype=bool)
     for i in range(runs):
         rng = substream(seed, i)
-        x = sample_regular_direction(ctx, omega, rng)
+        x = sample_regular_direction(ctx, INNER_OMEGA, rng)
         m = sample_covector(ctx, rng)
         k0 = haar_k(ctx, [rng])[0]
         run = ascend_critical(ctx, 1j * x, k0, m, max_iter=max_iter)
@@ -465,7 +466,7 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
                    "matched_weyl_value": matched[i]},
         max_gap_converged=np.max(gaps, where=converged, initial=0.0))
     return _fold_report(
-        [part], command="critical-points", ctx=ctx, omega=omega, seed=seed, requested=runs,
+        [part], command="critical-points", ctx=ctx, omega=INNER_OMEGA, seed=seed, requested=runs,
         tolerances={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
                     "regularity_floor": REGULARITY_FLOOR,
                     "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
@@ -487,7 +488,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = sample_regular_direction(ctx, OmegaSpec("scale", scale=0.9), substream(seed, NS_AUX))
+    x = sample_regular_direction(ctx, INNER_OMEGA, substream(seed, NS_AUX))
     normalizers = normalizer_elements(ctx)
 
     def run_chunk(lo, hi):
@@ -510,7 +511,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
 
     parts = map_chunks(run_chunk, chunk_ranges(samples))
     report = _fold_report(
-        parts, command="lemma24", ctx=ctx, omega=None, seed=seed, requested=samples,
+        parts, command="lemma24", ctx=ctx, omega=INNER_OMEGA, seed=seed, requested=samples,
         tolerances={"im_n_floor": IM_N_FLOOR, "normalizer_gap": NORMALIZER_GAP,
                     "regularity_floor": REGULARITY_FLOOR, **grid_tolerances()},
         extras={"x": list(map(float, x))},
