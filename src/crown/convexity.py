@@ -10,8 +10,8 @@ implemented and cross-checked.  Critical points of f_{a,lam} for regular data
 lie in the normalizer of the Cartan subspace, so seeded gradient ascents must
 terminate at one of the finitely many values lam(i wX).  The ascent takes
 short Barzilai-Borwein steps on the Cayley retraction, which keeps K without a
-matrix exponential; in this module only the finite differences of
-gradient_check load scipy, for expm.
+matrix exponential or a polar step; in this module only the finite differences
+of gradient_check load scipy, for expm.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .iwasawa import (
 from .parallel import chunk_part, chunk_ranges, fold_report, map_chunks
 from .report import VerificationReport
 from .rng import NS_AUX, substream
+# k_project stays imported: bench/tracer.py wraps crown.convexity.k_project by name
 from .sampling import (
     P_RADIUS,
     haar_k,
@@ -112,7 +113,18 @@ def normalizer_elements(ctx: GroupContext) -> np.ndarray:
 
 def metric_inner(ctx: GroupContext, x, y) -> float:
     """Riemannian metric on the compact subalgebra: -kappa_R(X, Y)."""
-    return float(-2.0 * ctx.killing_scale * np.trace(np.asarray(x) @ np.asarray(y)).real)
+    # the ndarray method has np.trace's bits without its Python-level dispatch
+    return float(-2.0 * ctx.killing_scale * (np.asarray(x) @ np.asarray(y)).trace().real)
+
+
+def _k_combination(ctx: GroupContext, coeff) -> np.ndarray:
+    """The element sum_i coeff[i] basis_k[i] of the compact subalgebra.
+
+    The one dot that np.tensordot(coeff, ctx.basis_k, axes=1) makes, with its
+    bits, without tensordot's Python layer.
+    """
+    m = ctx.ambient_size
+    return np.dot(coeff.reshape(1, -1), ctx.basis_k.reshape(len(coeff), -1)).reshape(m, m)
 
 
 def _project(ctx: GroupContext, a_point, k):
@@ -154,17 +166,16 @@ def grad_f(ctx: GroupContext, a_point, k, m, factors=None) -> np.ndarray:
     """
     if factors is None:
         factors = _project(ctx, a_point, k)
-    return _grad_from_n(ctx, factors.n_part, m)
+    return _grad_from_n(ctx, factors.n_part, h_lambda(ctx, m))
 
 
-def _grad_from_n(ctx: GroupContext, n_part, m) -> np.ndarray:
-    """The gradient of grad_f from the unipotent factor n of k exp(a_point)."""
-    h = h_lambda(ctx, m)
+def _grad_from_n(ctx: GroupContext, n_part, h) -> np.ndarray:
+    """The gradient of grad_f from the unipotent factor n of k exp(a_point) and H_lam."""
     ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
     rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
     r = ctx.k_gram_rsqrt
     coeff = (-rhs * r) * r
-    return np.tensordot(coeff, ctx.basis_k, axes=1)
+    return _k_combination(ctx, coeff)
 
 
 def directional_derivative_triangular(ctx: GroupContext, factors, m, x_dir) -> float:
@@ -192,7 +203,9 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
     are returned with converged=False.
 
     The trial point for step eta is the Cayley transform
-    (I - eta X/2)^{-1} (I + eta X/2) k of the gradient X, which stays in K.
+    (I - eta X/2)^{-1} (I + eta X/2) k of the gradient X, which stays in K
+    without a polar step; the group membership check that project_complex
+    makes on every trial guards against drift.
     Each step starts from the short Barzilai-Borwein size <s,y>/<y,y> of the
     last accepted step (s = eta X, y = X - X_next), clamped at STEP_CAP, or
     from STEP_CAP when <s,y> <= 0, and halves it until the monotone Armijo
@@ -212,9 +225,10 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
     m = np.asarray(m, dtype=float)
     k = np.asarray(k0, dtype=float)
     eye = np.eye(ctx.ambient_size)
-    factors = _project(ctx, a_point, k)
+    base, h = ctx.a_exp(a_point.real), h_lambda(ctx, m)
+    factors = project_complex(ctx, k @ base, x_im)
     f_cur = _checked_value(ctx, factors, m)
-    grad = _grad_from_n(ctx, factors.n_part, m)
+    grad = _grad_from_n(ctx, factors.n_part, h)
     f_values = [f_cur]
     eta = 1.0
     converged = False
@@ -228,8 +242,8 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
             break
         while eta >= STEP_FLOOR:
             half = 0.5 * eta * grad
-            k_trial = k_project(ctx, np.linalg.solve(eye - half, (eye + half) @ k))
-            factors = _project(ctx, a_point, k_trial)
+            k_trial = np.linalg.solve(eye - half, (eye + half) @ k)
+            factors = project_complex(ctx, k_trial @ base, x_im)
             f_trial = _checked_value(ctx, factors, m)
             if f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm:
                 break
@@ -237,7 +251,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
         else:
             # no step size down to STEP_FLOOR passed the Armijo test: the run stalls
             break
-        grad_next = _grad_from_n(ctx, factors.n_part, m)
+        grad_next = _grad_from_n(ctx, factors.n_part, h)
         s, y = eta * grad, grad - grad_next
         sy = metric_inner(ctx, s, y)
         eta = min(sy / metric_inner(ctx, y, y), STEP_CAP) if sy > 0.0 else STEP_CAP
@@ -372,8 +386,7 @@ def verify_kostant_real(ctx: GroupContext, samples: int, seed: int,
 
 def random_k_direction(ctx: GroupContext, rng) -> np.ndarray:
     """Unit tangent direction in the compact subalgebra."""
-    coeff = rng.standard_normal(len(ctx.basis_k))
-    t = np.tensordot(coeff, ctx.basis_k, axes=1)
+    t = _k_combination(ctx, rng.standard_normal(len(ctx.basis_k)))
     return t / np.sqrt(metric_inner(ctx, t, t))
 
 

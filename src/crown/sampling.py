@@ -79,9 +79,12 @@ def haar_k(ctx: GroupContext, rngs) -> np.ndarray:
 
 
 def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
-    """Nearest elements of K (polar projection) to k, shape (..., m, m); kills iteration drift.
+    """Nearest elements of K (polar projection) to k, shape (..., m, m).
 
-    One stacked SVD; each matrix of a stack gets the bits of its own call.
+    One stacked SVD; each matrix of a stack gets the bits of its own call.  No
+    library path ascends through it: the Cayley steps of ascend_critical stay
+    in K without it.  It stays because bench/tracer.py wraps
+    crown.convexity.k_project by name (ROADMAP item 1).
     """
     if ctx.family is Family.SPECIAL_LINEAR:
         u, _, vt = np.linalg.svd(k)

@@ -29,8 +29,20 @@ from crown.convexity import (
     weyl_values,
 )
 from crown.iwasawa import PIVOT_FLOOR
-from crown.sampling import P_RADIUS, k_project
+from crown.sampling import P_RADIUS
 from crown.siegel import DIRECT_EPS
+from crown.weyl import DEDUP_TOL
+
+
+def reference_weyl_orbit(ctx, x, tol=DEDUP_TOL):
+    """Lexsorted orbit of x without the points within tol of an earlier point.
+
+    Compares every pair at once: a (|W|, |W|, n) temporary, for small groups only.
+    """
+    pts = ctx.weyl @ np.asarray(x)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    near = np.abs(pts[:, None] - pts[None]).max(-1) <= tol
+    return pts[~np.tril(near, -1).any(1)]
 
 
 def lp_hull_membership(ctx, x, y, tol=1e-9):
@@ -225,7 +237,7 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
             if trials is not None:
                 trials.append(eta)
             half = 0.5 * eta * grad
-            k_trial = k_project(ctx, np.linalg.solve(eye - half, (eye + half) @ k))
+            k_trial = np.linalg.solve(eye - half, (eye + half) @ k)
             f_trial = f_a_lambda(ctx, a_point, k_trial, lam)
             accepted = f_trial >= f_cur + ARMIJO_SLOPE * eta * sq_norm
             if not accepted:

@@ -282,25 +282,27 @@ def test_ascent_clamps_barzilai_borwein_steps_at_step_cap(label, monkeypatch):
 def _fault_trials(monkeypatch, fault):
     """Break every trial point: it leaves the group, its branch breaks down or its value is not real.
 
-    The start point, evaluated before the first trial, is left intact.
+    A trial is a project_complex call after the first, which projects the
+    start point and is left intact.
     """
-    original_k_project, original_project = convexity.k_project, convexity.project_complex
+    original_project = convexity.project_complex
     trials = []
-
-    def k_project(ctx, k):
-        trials.append(k)
-        out = original_k_project(ctx, k)
-        return 2.0 * out if fault == "leaves-group" else out
+    started = False
 
     def project_complex(ctx, g, x):
-        if trials and fault == "breakdown":
-            # no minor clears an infinite floor, so the tracker itself raises
-            monkeypatch.setattr(iwasawa, "PIVOT_FLOOR", np.inf)
+        nonlocal started
+        if started:
+            trials.append(g)
+            if fault == "leaves-group":
+                g = 2.0 * g
+            elif fault == "breakdown":
+                # no minor clears an infinite floor, so the tracker itself raises
+                monkeypatch.setattr(iwasawa, "PIVOT_FLOOR", np.inf)
         factors = original_project(ctx, g, x)
-        if trials and fault == "non-real":
+        if started and fault == "non-real":
             factors.log_a = np.full_like(factors.log_a, complex(np.nan, np.nan))
+        started = True
         return factors
-    monkeypatch.setattr(convexity, "k_project", k_project)
     monkeypatch.setattr(convexity, "project_complex", project_complex)
     return trials
 
@@ -344,6 +346,37 @@ def test_cayley_trial_stays_in_group(label):
             np.testing.assert_allclose(cayley.T @ cayley, eye, rtol=0.0, atol=1e-12)
             assert ctx.in_group(cayley)
             assert ctx.in_group(convexity.k_project(ctx, cayley))
+
+
+@pytest.mark.parametrize("label, runs", [("sl:3", (0, 1)), ("sp:3", (0, 6))])
+def test_long_ascents_stay_in_the_group_without_a_polar_step(label, runs):
+    # tol 0 never converges, so each run takes all its Cayley steps; these runs
+    # of seed 13 take 300 steps, where the others stall below STEP_FLOOR first
+    ctx = context(label)
+    eye = np.eye(ctx.ambient_size)
+    for i in runs:
+        a_point, k0, lam = _ascent_case(ctx, 13, i)
+        run = ascend_critical(ctx, a_point, k0, lam, max_iter=300, tol=0.0)
+        assert run.iterations == 300
+        assert ctx.group_residual(run.end_k) <= 1e-12
+        assert np.abs(run.end_k.T @ run.end_k - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"])
+def test_k_combination_and_metric_keep_the_numpy_bits(label):
+    # the gradient's basis combination is the one dot np.tensordot makes, and the
+    # metric reads np.trace's sum through the ndarray method
+    ctx = context(label)
+    rng = substream(89, 0)
+    for _ in range(20):
+        coeff = rng.standard_normal(len(ctx.basis_k))
+        got = convexity._k_combination(ctx, coeff)
+        want = np.tensordot(coeff, ctx.basis_k, axes=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        y = np.tensordot(rng.standard_normal(len(ctx.basis_k)), ctx.basis_k, axes=1)
+        want_inner = float(-2.0 * ctx.killing_scale * np.trace(got @ y).real)
+        assert np.float64(metric_inner(ctx, got, y)).tobytes() == np.float64(want_inner).tobytes()
 
 
 @pytest.mark.parametrize("label", ["sl:2", "sl:4", "sp:1", "sp:2", "sp:3"])

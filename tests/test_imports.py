@@ -18,8 +18,9 @@ import crown
 from crown.weyl import FULL_OMEGA
 
 SRC = pathlib.Path(crown.__file__).resolve().parent
-# bench/tracer.py wraps crown.siegel.draw_omega_point by name; siegel never calls it
-UNUSED_IMPORT_ALLOWLIST = {"siegel.draw_omega_point"}
+# bench/tracer.py wraps crown.siegel.draw_omega_point and crown.convexity.k_project by
+# name; siegel never calls the one and convexity never calls the other
+UNUSED_IMPORT_ALLOWLIST = {"convexity.k_project", "siegel.draw_omega_point"}
 
 
 def _modules():
