@@ -17,7 +17,7 @@ from crown.weyl import (
 )
 
 from conftest import context
-from oracles import lp_hull_membership, lp_hull_slacks
+from oracles import lp_hull_membership, lp_hull_slacks, reference_weyl_orbit
 
 
 def test_orbit_of_zero(ctx):
@@ -38,6 +38,36 @@ def test_orbit_size_divides_group_order(ctx):
         if ctx.family is Family.SPECIAL_LINEAR:
             x -= x.mean()
         assert len(ctx.weyl) % weyl_orbit(ctx, x).shape[0] == 0
+
+
+@pytest.mark.parametrize("label, x, size", [
+    ("sl:3", [0.3, 0.3 + 1e-13, -0.6 - 1e-13], 3),
+    ("sp:2", [1e-14, 0.5], 4)], ids=["sl3-near-tie", "sp2-near-zero"])
+def test_orbit_drops_near_duplicates_the_sort_separates(label, x, size):
+    # the lexicographic sort puts other points between two that agree to
+    # DEDUP_TOL, so comparing each point with the last one kept misses them
+    ctx = context(label)
+    orbit = weyl_orbit(ctx, np.array(x))
+    assert orbit.shape[0] == size
+    assert len(ctx.weyl) % size == 0
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"])
+def test_orbit_equals_the_pairwise_rule(label):
+    # near-ties between coordinates, and for sp near zero, on both sides of DEDUP_TOL
+    ctx = context(label)
+    rng = substream(31, 2)
+    for trial in range(60):
+        x = rng.standard_normal(ctx.n)
+        i, j = rng.integers(ctx.n, size=2)
+        x[i] = x[j] + rng.choice([0.0, 1e-14, -3e-13, 4e-12])
+        if trial % 3 == 0:
+            x[rng.integers(ctx.n)] = rng.choice([0.0, -0.0, 1e-14, -5e-13, 3e-12])
+        if ctx.family is Family.SPECIAL_LINEAR:
+            x -= x.mean()
+        got = weyl_orbit(ctx, x)
+        assert got.tobytes() == reference_weyl_orbit(ctx, x).tobytes()
+        assert len(ctx.weyl) % got.shape[0] == 0
 
 
 def test_dominant_examples(sl3, sp2):
