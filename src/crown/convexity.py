@@ -111,20 +111,22 @@ def normalizer_elements(ctx: GroupContext) -> np.ndarray:
     return (ctx.weyl_k[:, None] @ centr[None]).reshape(-1, m, m)
 
 
-def metric_inner(ctx: GroupContext, x, y) -> float:
-    """Riemannian metric on the compact subalgebra: -kappa_R(X, Y)."""
-    # the ndarray method has np.trace's bits without its Python-level dispatch
-    return float(-2.0 * ctx.killing_scale * (np.asarray(x) @ np.asarray(y)).trace().real)
+def metric_inner(ctx: GroupContext, x, y):
+    """The metric -kappa_R(X, Y) on the compact subalgebra, for rows; a float for one row."""
+    # the ndarray trace has np.trace's bits; an einsum inner product sums in another order
+    value = -2.0 * ctx.killing_scale * (np.asarray(x) @ np.asarray(y)).trace(
+        axis1=-2, axis2=-1).real
+    return value if value.ndim else float(value)
 
 
 def _k_combination(ctx: GroupContext, coeff) -> np.ndarray:
-    """The element sum_i coeff[i] basis_k[i] of the compact subalgebra.
+    """The elements sum_i coeff[..., i] basis_k[i] of the compact subalgebra, for rows.
 
-    The one dot that np.tensordot(coeff, ctx.basis_k, axes=1) makes, with its
-    bits, without tensordot's Python layer.
+    Each row is the one dot np.tensordot(coeff, ctx.basis_k, axes=1) makes, with
+    its bits, without tensordot's Python layer; an einsum sums in another order.
     """
-    m = ctx.ambient_size
-    return np.dot(coeff.reshape(1, -1), ctx.basis_k.reshape(len(coeff), -1)).reshape(m, m)
+    dim, m = ctx.basis_k.shape[:2]
+    return (coeff[..., None, :] @ ctx.basis_k.reshape(dim, -1)).reshape(coeff.shape[:-1] + (m, m))
 
 
 def _project(ctx: GroupContext, a_point, k):
@@ -157,7 +159,7 @@ def _checked_value(ctx: GroupContext, factors, m):
 
 
 def grad_f(ctx: GroupContext, a_point, k, m, factors=None) -> np.ndarray:
-    """Riemannian gradient of f_{a,lam} at k, as an element of the compact subalgebra.
+    """Riemannian gradient of f_{a,lam} at k in the compact subalgebra, for rows.
 
     Built from the unipotent factor of k exp(a_point): the directional
     derivative along X is kappa_R(X, Ad(n) H_lam), so the gradient is minus the
@@ -171,22 +173,23 @@ def grad_f(ctx: GroupContext, a_point, k, m, factors=None) -> np.ndarray:
 
 def _grad_from_n(ctx: GroupContext, n_part, h) -> np.ndarray:
     """The gradient of grad_f from the unipotent factor n of k exp(a_point) and H_lam."""
-    ad_n_h = n_part @ np.linalg.solve(n_part.T, h.T).T
-    rhs = -2.0 * ctx.killing_scale * np.einsum("kij,ji->k", ctx.basis_k, ad_n_h).real
+    ad_n_h = n_part @ np.linalg.solve(n_part.mT, h.mT).mT
+    rhs = -2.0 * ctx.killing_scale * np.einsum("kij,...ji->...k", ctx.basis_k, ad_n_h).real
     r = ctx.k_gram_rsqrt
     coeff = (-rhs * r) * r
     return _k_combination(ctx, coeff)
 
 
-def directional_derivative_triangular(ctx: GroupContext, factors, m, x_dir) -> float:
+def directional_derivative_triangular(ctx: GroupContext, factors, m, x_dir):
     """Derivative of f_{a,lam} along exp(tX)k evaluated through the triangular part.
 
     Independent route used to cross-check grad_f: lam(p_a(Ad(b)^{-1} X)), with b
-    the triangular part of the factors of k exp(a_point).
+    the triangular part of the factors of k exp(a_point).  One value per row, a float for one.
     """
     b = triangular_part(ctx, factors)
     ad_b_inv = np.linalg.solve(b, np.asarray(x_dir, dtype=complex) @ b)
-    return float(pair_ia(ctx, project_a(ctx, ad_b_inv), m))
+    value = pair_ia(ctx, project_a(ctx, ad_b_inv), m)
+    return value if value.ndim else float(value)
 
 
 def weyl_values(ctx: GroupContext, x, m) -> np.ndarray:
@@ -253,8 +256,9 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
             break
         grad_next = _grad_from_n(ctx, factors.n_part, h)
         s, y = eta * grad, grad - grad_next
-        sy = metric_inner(ctx, s, y)
-        eta = min(sy / metric_inner(ctx, y, y), STEP_CAP) if sy > 0.0 else STEP_CAP
+        sy, yy = metric_inner(ctx, s, y), metric_inner(ctx, y, y)
+        # STEP_CAP * yy is exact (a power of two): sy / yy < STEP_CAP, never dividing by 0
+        eta = sy / yy if 0.0 < sy < STEP_CAP * yy else STEP_CAP
         k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, x_im, m)))
@@ -397,12 +401,12 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     direction, each drawn from the configuration's own stream.  The pairing of
     the gradient with the direction is compared against a central difference
     of f_{a,lam} and against the independent evaluation through the triangular
-    part.  The base points, the +h points and the -h points are each projected
-    in one call on all configurations, whose rows keep the bits of one-row
-    calls; the gradient and the triangular route are taken row by row.  The
-    margin of a configuration is MAX_REL_TOL minus its relative error, so
-    min_margin is the slack of the worst one.  A median relative error above
-    MEDIAN_REL_TOL adds one violation.
+    part.  Each step (the three projections, the gradient, its pairing and the
+    triangular route) is one call on all configurations, whose rows keep the
+    bits of one-row calls: the pairing reads each product's trace, where an
+    einsum inner product would sum in another order.  The margin of a
+    configuration is MAX_REL_TOL minus its relative error, so min_margin is
+    the slack of the worst one; a median error above MEDIAN_REL_TOL adds one violation.
     """
     import scipy.linalg
 
@@ -422,13 +426,8 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
     ms = np.array([sample_covector(ctx, rng) for rng in rngs])
     directions = np.array([random_k_direction(ctx, rng) for rng in rngs])
     factors = _project(ctx, a_points, ks)
-    exacts, route_gaps = np.empty((2, configs))
-    for i in range(configs):
-        row = factors[i]
-        grad = grad_f(ctx, a_points[i], ks[i], ms[i], row)
-        exacts[i] = metric_inner(ctx, directions[i], grad)
-        route_gaps[i] = abs(exacts[i] - directional_derivative_triangular(
-            ctx, row, ms[i], directions[i]))
+    exacts = metric_inner(ctx, directions, grad_f(ctx, a_points, ks, ms, factors))
+    route_gaps = np.abs(exacts - directional_derivative_triangular(ctx, factors, ms, directions))
     f_plus = f_a_lambda(ctx, a_points, scipy.linalg.expm(FD_STEP * directions) @ ks, ms)
     f_minus = f_a_lambda(ctx, a_points, scipy.linalg.expm(-FD_STEP * directions) @ ks, ms)
     fds = (f_plus - f_minus) / (2.0 * FD_STEP)

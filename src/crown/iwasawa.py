@@ -75,11 +75,6 @@ class IwasawaFactors:
     max_arg_step: float | np.ndarray
     log_full: np.ndarray
 
-    def __getitem__(self, index) -> IwasawaFactors:
-        """The factors of the rows at index of stacked factors."""
-        return IwasawaFactors(self.n_part[index], self.log_a[index], self.path_steps[index],
-                              self.max_arg_step[index], self.log_full[index])
-
 
 def _row_sums(sq):
     """sq summed over axis 1 with the bits numpy's sum gives each contiguous row.
@@ -241,9 +236,9 @@ def decompose_real(ctx: GroupContext, g) -> IwasawaFactors:
 
 
 def triangular_part(ctx: GroupContext, factors: IwasawaFactors) -> np.ndarray:
-    """b = n a, lower triangular with diagonal exp(log a)."""
+    """b = n a, lower triangular with diagonal exp(log a), for rows."""
     diag = np.exp(ctx.full_diag(factors.log_a))
-    return factors.n_part * diag[None, :]
+    return factors.n_part * diag[..., None, :]
 
 
 def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:

@@ -246,13 +246,14 @@ def reference_ascend_critical(ctx, a_point, k0, lam, max_iter=1000, tol=GRAD_TOL
             break
         grad_next = grad_f(ctx, a_point, k_trial, lam)
         s, y = eta * grad, grad - grad_next
-        s_y = metric_inner(ctx, s, y)
-        if s_y > 0.0:
-            eta = s_y / metric_inner(ctx, y, y)
-            rule = "bb" if eta <= STEP_CAP else "clamped"
-            eta = min(eta, STEP_CAP)
-        else:
+        s_y, y_y = metric_inner(ctx, s, y), metric_inner(ctx, y, y)
+        if s_y <= 0.0:
             eta, rule = STEP_CAP, "restart"
+        elif s_y < STEP_CAP * y_y:
+            eta, rule = s_y / y_y, "bb"
+        else:
+            # a <y,y> that underflowed to 0 clamps here rather than dividing by 0
+            eta, rule = STEP_CAP, "clamped"
         k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
     matched = float(np.max(weyl_values(ctx, a_point.imag, lam)))

@@ -22,7 +22,7 @@ from crown.convexity import (
 )
 from crown.errors import NumericalBreakdown
 from crown.groups import Family, pair_ia
-from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS
+from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS, triangular_part
 from crown.rng import substream
 from crown.sampling import haar_k
 from crown.weyl import FULL_OMEGA, OmegaSpec, draw_omega_point, hull_contains
@@ -86,22 +86,40 @@ def test_f_a_lambda_linearity(ctx):
     assert abs(v - (v1 + v2)) < 1e-10 * (1 + abs(v))
 
 
-@pytest.mark.parametrize("label", ["sl:3", "sp:2", "sp:3"])
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"])
 def test_f_a_rows_equal_one_row_calls(label):
-    # gradient_check evaluates f_a_lambda on all its configurations at once
+    # gradient_check evaluates f_a_lambda, the gradient, its pairing and the
+    # triangular route on all its configurations at once
     ctx = context(label)
-    count = 40
+    m, count = ctx.ambient_size, 40
     rngs = [substream(79, i) for i in range(count)]
     a_points = np.array([_random_a_point(ctx, rng) for rng in rngs])
     ks = haar_k(ctx, rngs)
     lams = np.array([sample_covector(ctx, rng) for rng in rngs])
+    directions = np.array([random_k_direction(ctx, rng) for rng in rngs])
     logs, values = f_a(ctx, a_points, ks), f_a_lambda(ctx, a_points, ks, lams)
     assert logs.shape == (count, ctx.n) and values.shape == (count,)
+    factors = convexity._project(ctx, a_points, ks)
+    grads = grad_f(ctx, a_points, ks, lams, factors)
+    assert grads.shape == (count, m, m)
+    assert grad_f(ctx, a_points, ks, lams).tobytes() == grads.tobytes()
+    inners, tris = metric_inner(ctx, directions, grads), triangular_part(ctx, factors)
+    routes = directional_derivative_triangular(ctx, factors, lams, directions)
+    assert inners.shape == routes.shape == (count,) and tris.shape == (count, m, m)
     for i in range(count):
         assert logs[i].tobytes() == f_a(ctx, a_points[i], ks[i]).tobytes()
         value = f_a_lambda(ctx, a_points[i], ks[i], lams[i])
         assert type(value) is float
         assert values[i].tobytes() == np.float64(value).tobytes()
+        row = convexity._project(ctx, a_points[i], ks[i])
+        grad = grad_f(ctx, a_points[i], ks[i], lams[i], row)
+        inner = metric_inner(ctx, directions[i], grad)
+        route = directional_derivative_triangular(ctx, row, lams[i], directions[i])
+        assert type(inner) is float and type(route) is float
+        assert grads[i].tobytes() == grad.tobytes()
+        assert tris[i].tobytes() == triangular_part(ctx, row).tobytes()
+        assert inners[i].tobytes() == np.float64(inner).tobytes()
+        assert routes[i].tobytes() == np.float64(route).tobytes()
 
 
 def test_f_a_lambda_rejects_a_stack_with_one_non_real_value(sl3, monkeypatch):
@@ -277,6 +295,28 @@ def test_ascent_clamps_barzilai_borwein_steps_at_step_cap(label, monkeypatch):
     _assert_same_run(got, want)
     assert max(trials) == cap
     assert ("clamped", cap) in starts
+
+
+def test_ascent_survives_an_underflowed_y_y(sl3, monkeypatch):
+    # a gradient near 1e-162 underflows <y,y> to 0 while <s,y> stays positive;
+    # the step then restarts at STEP_CAP, where a division would raise
+    def underflow_y_y(original):
+        crossed = []
+
+        def metric_inner(ctx, x, y):
+            after_s_y = bool(crossed) and crossed[-1]
+            crossed.append(x is not y)
+            return 0.0 if after_s_y else original(ctx, x, y)
+        return metric_inner
+    monkeypatch.setattr(convexity, "metric_inner", underflow_y_y(convexity.metric_inner))
+    monkeypatch.setattr(oracles, "metric_inner", underflow_y_y(oracles.metric_inner))
+    a_point, k0, lam = _ascent_case(sl3, 5, 0)
+    starts = []
+    want = reference_ascend_critical(sl3, a_point, k0, lam, 5, GRAD_TOL, starts=starts)
+    got = ascend_critical(sl3, a_point, k0, lam, max_iter=5)
+    _assert_same_run(got, want)
+    assert got.iterations == 5 and not got.converged
+    assert starts[1:] == [("clamped", convexity.STEP_CAP)] * 4
 
 
 def _fault_trials(monkeypatch, fault):
@@ -526,11 +566,12 @@ def test_gradient_check_counts_a_route_gap(monkeypatch, sp2):
     # a triangular route off by 1e-9 on one config violates although its
     # relative error passes; the worst relative error keeps the witness
     clean = crown.gradient_check(sp2, 6, seed=3)
-    original, calls = convexity.directional_derivative_triangular, []
+    original = convexity.directional_derivative_triangular
 
     def triangular(*args):
-        calls.append(None)
-        return original(*args) + (1e-9 if len(calls) == 3 else 0.0)
+        values = original(*args)
+        values[2] += 1e-9
+        return values
     monkeypatch.setattr(convexity, "directional_derivative_triangular", triangular)
     rep = crown.gradient_check(sp2, 6, seed=3)
     assert clean.violations == 0
@@ -538,6 +579,19 @@ def test_gradient_check_counts_a_route_gap(monkeypatch, sp2):
     assert rep.extras["max_route_gap"] > convexity.ROUTE_TOL
     assert rep.extras["max_rel_err"] <= convexity.MAX_REL_TOL
     assert rep.worst_witness == clean.worst_witness
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, -1.0], ids=["stretched", "reversed"])
+def test_gradient_check_fails_a_wrong_gradient(label, scale, monkeypatch):
+    # a gradient off by a relative 1e-6 leaves the triangular route by more than
+    # ROUTE_TOL on every configuration, and its median error passes MEDIAN_REL_TOL
+    original = convexity._grad_from_n
+    monkeypatch.setattr(convexity, "_grad_from_n", lambda *args: scale * original(*args))
+    rep = crown.gradient_check(context(label), 10, seed=3)
+    assert rep.violations == 10
+    assert rep.extras["max_route_gap"] > convexity.ROUTE_TOL
+    assert rep.extras["median_rel_err"] > convexity.MEDIAN_REL_TOL
 
 
 def test_critical_point_scan_report(sl2):

@@ -447,10 +447,10 @@ def test_project_complex_rows_equal_one_row_calls(label):
     stacked = project_complex(ctx, gs, xs)
     assert stacked.n_part.shape == (count, m, m) and stacked.path_steps.shape == (count,)
     for i in range(count):
-        row, alone = stacked[i], project_complex(ctx, gs[i], xs[i])
+        alone = project_complex(ctx, gs[i], xs[i])
         assert type(alone.path_steps) is int and type(alone.max_arg_step) is float
         for field in dataclasses.fields(alone):
-            got, want = getattr(row, field.name), getattr(alone, field.name)
+            got, want = getattr(stacked, field.name)[i], getattr(alone, field.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
     # the fields carry every leading axis of the rows
     grid = project_complex(ctx, gs.reshape(4, 10, m, m), xs.reshape(4, 10, ctx.n))
