@@ -47,8 +47,8 @@ def parse_group(text: str) -> GroupContext:
     kind, _, value = text.partition(":")
     try:
         return build_group(GroupSpec(Family(kind), int(value)))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse group spec {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse group spec {text!r}: {exc}") from None
 
 
 def parse_omega(text: str) -> OmegaSpec:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from enum import Enum
 
 import numpy as np
@@ -46,6 +47,10 @@ import numpy as np
 from .errors import NumericalBreakdown
 
 GROUP_TOL = 1e-10
+# ambient matrix size above which a spec is refused: its k basis would take more than ~4 MB
+MAX_AMBIENT_SIZE = 32
+# Weyl group order above which GroupContext.weyl refuses to enumerate: sl up to 7, sp up to 5
+MAX_WEYL_ORDER = 2 ** 13
 
 
 class Family(str, Enum):
@@ -66,6 +71,10 @@ class GroupSpec:
             raise ValueError("special-linear requires n >= 2")
         if self.family is Family.SYMPLECTIC and self.n < 1:
             raise ValueError("symplectic requires n >= 1")
+        size = self.n if self.family is Family.SPECIAL_LINEAR else 2 * self.n
+        if size > MAX_AMBIENT_SIZE:
+            raise ValueError(f"{self.label} has ambient size {size}, above the cap of "
+                             f"{MAX_AMBIENT_SIZE}")
 
     @property
     def label(self) -> str:
@@ -108,9 +117,14 @@ class GroupContext:
 
         All permutations for sl, all signed permutations for sp; identity first,
         permutations outer and signs inner.  w.x is weyl[i] @ x, and rows map as
-        xs @ weyl[i].T.
+        xs @ weyl[i].T.  An order above MAX_WEYL_ORDER raises ValueError before
+        anything is enumerated.
         """
         n = self.n
+        order = math.factorial(n) * (2 ** n if self.family is Family.SYMPLECTIC else 1)
+        if order > MAX_WEYL_ORDER:
+            raise ValueError(f"the Weyl group of {self.spec.label} has order {order}, above "
+                             f"the cap of {MAX_WEYL_ORDER}")
         perms = np.array(list(itertools.permutations(range(n))))
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
         if self.family is Family.SPECIAL_LINEAR:

@@ -11,8 +11,8 @@ On points ``z = g exp(iX)`` with g real and X inside the admissible polytope
 the logarithm ``log a`` is determined by continuity along ``t -> g exp(itX)``
 from the positive-definite real point at t = 0.  The branch is tracked by
 unwrapping the arguments of the m pivot ratios: each step of the parameter
-grid must move every ratio argument by less than pi/2, a path with an offending
-step is tracked again on a grid twice as fine, and the number of segments is
+grid must move every ratio argument by less than pi/2, the offending paths are
+tracked again together on a grid twice as fine, and the number of segments is
 capped.  track_batch is the one tracker; project_complex checks its rows and
 tracks them in one call, a single point as a batch of one.
 
@@ -274,8 +274,8 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Continuous branch of log a(g_i exp(iX_i)) for a batch of (g_i, X_i) pairs.
 
     Each path t -> g exp(itX) starts at the real point g and runs on a uniform
-    grid of steps_hint segments.  A row with a grid step that moves some ratio
-    argument by pi/2 or more is tracked again, alone, on a grid twice as fine,
+    grid of steps_hint segments.  The rows with a grid step that moves some ratio
+    argument by pi/2 or more are tracked again together on a grid twice as fine,
     up to MAX_SEGMENTS segments, so no row depends on the batch it came in.
 
     Rows are tracked in blocks of max(1, TRACK_BLOCK_BYTES // (16 (steps + 1)
@@ -312,17 +312,20 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
                  bad[lo:hi]) = _track_block(ctx, g[lo:hi], xs[lo:hi], ts)
     segments = np.empty(rows, dtype=int)
     segments.fill(steps)                              # np.full costs twice as much on one row
-    for i in (bad | (max_steps >= ARG_STEP_CAP)).nonzero()[0]:
-        if bad[i] or 2 * steps > MAX_SEGMENTS:
-            bad[i] = True
-            log_full[i] = np.nan
-            continue
-        retry = _track(ctx, g[i:i + 1], xs[i:i + 1], 2 * steps)
-        log_full[i], lower_last[i], max_steps[i], segments[i], bad[i] = (r[0] for r in retry)
+    redo = (bad | (max_steps >= ARG_STEP_CAP)).nonzero()[0]
+    if redo.size:
+        # a row bad on its grid stays bad; the coarse ones are tracked again together
+        redo = redo[~bad[redo]]
+        if 2 * steps > MAX_SEGMENTS:
+            bad[redo] = True
+        elif redo.size:
+            (log_full[redo], lower_last[redo], max_steps[redo], segments[redo],
+             bad[redo]) = _track(ctx, g[redo], xs[redo], 2 * steps)
+        log_full[bad] = np.nan
     return log_full, lower_last, max_steps, segments, bad
 
 
-# the name a retry is called through, so a trace can count retries apart from batches
+# the name a retry is called through, once a doubling: a trace counts retries apart from batches
 _track = track_batch
 
 

@@ -1,11 +1,11 @@
 """Seeded sampling of group elements: Haar measure on K and bounded p-parts.
 
 The samplers are batch-first.  They take a sequence of generators, draw from
-each one exactly the Gaussians of a single draw, in the same order, and then
-factor the whole batch with one stacked QR (and one stacked eigh for the
-p-part).  Each generator's stream is consumed as by a draw of its own, so a
-batch equals its samples drawn one by one, bit for bit.  A scalar draw is a
-batch of one: ``haar_k(ctx, [rng])[0]``.
+each one through gaussians exactly the Gaussians of a single draw, in the
+same order, and then factor the whole batch with one stacked QR (and one
+stacked eigh for the p-part).  Each generator's stream is consumed as by a
+draw of its own, so a batch equals its samples drawn one by one, bit for bit.
+A scalar draw is a batch of one: ``haar_k(ctx, [rng])[0]``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .groups import Family, GroupContext
 P_RADIUS = 1.5
 
 
-def _gaussians(rngs, blocks: int, n: int) -> np.ndarray:
+def gaussians(rngs, blocks: int, n: int) -> np.ndarray:
     """(B, blocks, n, n) standard normals; row b holds the next draws of rngs[b]."""
     out = np.empty((len(rngs), blocks, n, n))
     for row, rng in zip(out, rngs):
@@ -75,7 +75,7 @@ def _exp_p(ctx: GroupContext, z: np.ndarray) -> np.ndarray:
 
 def haar_k(ctx: GroupContext, rngs) -> np.ndarray:
     """Haar-distributed elements of the maximal compact subgroup, one per generator."""
-    return _haar(ctx, _gaussians(rngs, _k_blocks(ctx), ctx.n))
+    return _haar(ctx, gaussians(rngs, _k_blocks(ctx), ctx.n))
 
 
 def k_project(ctx: GroupContext, k: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def sample_group_element(ctx: GroupContext, rngs, mode: str) -> np.ndarray:
     if mode not in ("k", "full-g"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     blocks = _k_blocks(ctx)
-    z = _gaussians(rngs, blocks if mode == "k" else 2 * blocks, ctx.n)
+    z = gaussians(rngs, blocks if mode == "k" else 2 * blocks, ctx.n)
     k = _haar(ctx, z[:, :blocks])
     if mode == "k":
         return k

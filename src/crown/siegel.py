@@ -1,17 +1,16 @@
 """The Siegel upper half-space of Sp(n,R) and its minor positivity checks.
 
 Points are complex symmetric n x n matrices with positive definite imaginary
-part, drawn batch-first as the rows of one (count, n, n) array.  Their minor
-ratios chi_j share the elimination kernel of the Iwasawa module, so the two
-statements checked here, that no leading principal minor vanishes and that
-every ratio has positive imaginary part, use the code path of the crown projection.
+part, drawn batch-first as the rows of one (count, n, n) array, the direct
+ones from sampling.gaussians.  Their minor ratios chi_j share the elimination
+kernel of the Iwasawa module, so the two statements checked here, that no
+leading principal minor vanishes and that every ratio has positive imaginary
+part, use the code path of the crown projection.
 Both verifiers fill per-row arrays from one loop of per-matrix calls and fold
 them, as one part, through parallel.chunk_part and fold_report.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -22,17 +21,12 @@ from .iwasawa import grid_tolerances, minor_ratios, normalized_minors, track_bat
 from .parallel import chunk_part, chunk_ranges, fold_report
 from .report import VerificationReport, wire
 from .rng import substream
-from .sampling import sample_group_element
+from .sampling import gaussians, sample_group_element
 # draw_omega_point stays imported: bench/tracer.py wraps crown.siegel.draw_omega_point by name
 from .weyl import FULL_OMEGA, MEMBERSHIP_TOL, draw_omega_point
 
 DIRECT_EPS = 1e-3
 NORMALIZED_MINOR_FLOOR = 1e-12
-
-
-@functools.lru_cache(maxsize=8)
-def _sp_context(n: int) -> GroupContext:
-    return build_group(GroupSpec(Family.SYMPLECTIC, n))
 
 
 def fractional_action(g_std, w) -> np.ndarray:
@@ -52,18 +46,16 @@ def fractional_action(g_std, w) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _draw_siegel(n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+def _draw_siegel(ctx: GroupContext, seed: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1: direct draws at even indices, orbit draws at odd ones.
 
     Raises NumericalBreakdown when an imaginary part is not positive definite.
     """
-    ctx = _sp_context(n)
+    n = ctx.n
     eye = np.eye(n)
     index = np.arange(lo, hi)
     odd = index % 2 == 1
-    gauss = np.empty((np.count_nonzero(~odd), 2, n, n))
-    for row, i in zip(gauss, index[~odd]):
-        substream(seed, i).standard_normal(out=row)
+    gauss = gaussians([substream(seed, i) for i in index[~odd]], 2, n)
     x = 0.5 * (gauss[:, 0] + np.swapaxes(gauss[:, 0], 1, 2))
     low = gauss[:, 1]
     gs = sample_group_element(ctx, [substream(seed, i) for i in index[odd]], "full-g")
@@ -84,7 +76,8 @@ def sample_siegel(n: int, count: int, seed: int) -> np.ndarray:
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    return np.concatenate([_draw_siegel(n, seed, lo, hi) for lo, hi in chunk_ranges(count)])
+    ctx = build_group(GroupSpec(Family.SYMPLECTIC, n))
+    return np.concatenate([_draw_siegel(ctx, seed, lo, hi) for lo, hi in chunk_ranges(count)])
 
 
 def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
@@ -117,8 +110,8 @@ def verify_siegel(n: int, samples: int, seed: int) -> VerificationReport:
                     broke | (im <= 0.0) | (minors < NORMALIZED_MINOR_FLOOR),
                     lambda i: {"sample_index": i, "min_im_chi": im[i],
                                "chi": ratios[i], "z": zs[i]})],
-        command="siegel", ctx=_sp_context(n), omega=None, seed=seed, requested=samples,
-        tolerances={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
+        command="siegel", ctx=build_group(GroupSpec(Family.SYMPLECTIC, n)), omega=None, seed=seed,
+        requested=samples, tolerances={"normalized_minor_floor": NORMALIZED_MINOR_FLOOR,
                     "pivot_floor": PIVOT_FLOOR, "direct_eps": DIRECT_EPS},
         extras={"min_normalized_minor": None if broke.all() else minors.min(),
                 "pivot_breakdowns": broke.sum(), "fixture_min_im_chi": fixture.imag.min(),

@@ -11,6 +11,7 @@ import crown.iwasawa as iwasawa
 from crown import ascend_critical, f_a, f_a_lambda, grad_f
 from crown.convexity import (
     GRAD_TOL,
+    KOSTANT_BOX,
     STEP_FLOOR,
     directional_derivative_triangular,
     metric_inner,
@@ -22,10 +23,10 @@ from crown.convexity import (
 )
 from crown.errors import NumericalBreakdown
 from crown.groups import Family, pair_ia
-from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS, triangular_part
+from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS, project_real_batch, triangular_part
 from crown.rng import substream
 from crown.sampling import haar_k
-from crown.weyl import FULL_OMEGA, OmegaSpec, draw_omega_point, hull_contains
+from crown.weyl import FULL_OMEGA, OmegaSpec, draw_omega_point, helmert, hull_contains
 
 import oracles
 from conftest import context
@@ -479,6 +480,25 @@ def test_verify_kostant_real_clean(ctx):
     assert rep.violations == 0
     assert rep.min_margin > -1e-9
     assert rep.extras["max_vertex_error"] < 1e-10
+
+
+@pytest.mark.parametrize("label", ["sl:3", "sp:2"])
+def test_kostant_counts_each_vertex_miss(label, monkeypatch):
+    # with no vertex tolerance every sample whose vertices carry roundoff misses one,
+    # and each such sample is its own violation; the hull half stays clean
+    ctx = context(label)
+    monkeypatch.setattr(convexity, "VERTEX_TOL", 0.0)
+    rep = crown.verify_kostant_real(ctx, 600, 13)
+    n, rngs = ctx.n, [substream(13, i) for i in range(600)]
+    if ctx.family is Family.SPECIAL_LINEAR:
+        xs = np.array([helmert(n) @ rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, n - 1) for rng in rngs])
+    else:
+        xs = np.array([rng.uniform(-KOSTANT_BOX, KOSTANT_BOX, n) for rng in rngs])
+    got = project_real_batch(ctx.weyl_k[:, None] @ ctx.a_exp(xs)[None])[0][..., :n]
+    errs = np.abs(got - xs @ np.swapaxes(ctx.weyl, 1, 2)).max(axis=(0, 2))
+    assert 1 < np.count_nonzero(errs) == rep.violations < 600
+    assert rep.extras["max_vertex_error"] == errs.max()
+    assert rep.min_margin > -1e-9
 
 
 def test_normalizer_enumeration_counts(sl2, sl3, sp2):

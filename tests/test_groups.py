@@ -21,6 +21,46 @@ def test_spec_validation():
         GroupSpec("so", 3)
 
 
+def _never(*args):
+    raise AssertionError("a refused rank reached an allocation")
+
+
+def test_ambient_sizes_above_the_cap_are_refused(monkeypatch, capsys):
+    # the refusal comes before any k basis is built
+    monkeypatch.setattr(groups, "_sl_basis_k", _never)
+    monkeypatch.setattr(groups, "_sp_basis_k", _never)
+    assert GroupSpec(Family.SPECIAL_LINEAR, 32).n == 32 and GroupSpec(Family.SYMPLECTIC, 16).n == 16
+    for family, n, size in ((Family.SPECIAL_LINEAR, 33, 33), (Family.SYMPLECTIC, 17, 34),
+                            (Family.SPECIAL_LINEAR, 200, 200)):
+        with pytest.raises(ValueError, match=f"ambient size {size}, above the cap of 32"):
+            GroupSpec(family, n)
+    assert cli.main(["verify-convexity", "--group", "sl:200", "--samples", "1"]) == cli.EXIT_USAGE
+    assert "'sl:200': sl:200 has ambient size 200, above the cap of 32" in capsys.readouterr().err
+    assert cli.main(["siegel", "--n", "17", "--samples", "4"]) == cli.EXIT_USAGE
+    assert "sp:17 has ambient size 34" in capsys.readouterr().err
+    # the parser passes on the reason a spec is refused
+    assert cli.main(["verify-kostant", "--group", "sl:1"]) == cli.EXIT_USAGE
+    assert "'sl:1': special-linear requires n >= 2" in capsys.readouterr().err
+
+
+def test_weyl_cap_admits_sl7_and_sp5():
+    assert len(build_group(GroupSpec(Family.SPECIAL_LINEAR, 7)).weyl) == 5040
+    assert len(build_group(GroupSpec(Family.SYMPLECTIC, 5)).weyl) == 3840
+
+
+@pytest.mark.parametrize("label, order", [("sl:8", 40320), ("sp:6", 46080)])
+def test_weyl_orders_above_the_cap_are_refused(label, order, monkeypatch, capsys):
+    # the refusal comes before any permutation is listed
+    family, _, n = label.partition(":")
+    ctx = build_group(GroupSpec(Family(family), int(n)))
+    monkeypatch.setattr(groups.itertools, "permutations", _never)
+    for name in ("weyl", "weyl_k"):
+        with pytest.raises(ValueError, match=f"{label} has order {order}, above the cap of 8192"):
+            getattr(ctx, name)
+    assert cli.main(["verify-kostant", "--group", label, "--samples", "8"]) == cli.EXIT_USAGE
+    assert f"order {order}" in capsys.readouterr().err
+
+
 def test_sl2_root_data(sl2):
     assert len(sl2.roots) == 2
     # alpha(diag(t, -t)) = 2t for the positive root up to sign

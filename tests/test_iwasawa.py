@@ -597,3 +597,21 @@ def test_retry_doubles_again_until_the_grid_is_fine(sl3, monkeypatch):
                                rtol=0, atol=1e-12)
     monkeypatch.setattr(iwasawa, "MAX_SEGMENTS", 2)
     np.testing.assert_array_equal(track_batch(sl3, gs, xs, steps_hint=1)[4], deep)
+
+
+def test_retry_is_one_call_a_doubling(sl3, monkeypatch):
+    # the 390 rows too coarse on one segment are tracked again together, and the four
+    # of them still too coarse on two in one more call; each keeps its one-row bits
+    gs, xs = sample_xi(sl3, FULL_OMEGA, 4096, 2)
+    calls, real = [], iwasawa._track
+
+    def counting(ctx, g, x, steps):
+        calls.append((len(x), steps))
+        return real(ctx, g, x, steps)
+    monkeypatch.setattr(iwasawa, "_track", counting)
+    batch = track_batch(sl3, gs, xs, steps_hint=1)
+    assert calls == [(390, 2), (4, 4)]
+    for i in (batch[3] > 1).nonzero()[0]:
+        row = track_batch(sl3, gs[i:i + 1], xs[i:i + 1], steps_hint=1)
+        for got, want in zip(batch, row):
+            assert got[i].tobytes() == want[0].tobytes()

@@ -6,9 +6,10 @@ from crown.cli import EXIT_BREAKDOWN, main
 from crown.errors import NumericalBreakdown
 from crown.rng import substream
 from crown.sampling import sample_group_element
-from crown.siegel import _sp_context, fractional_action
+from crown.siegel import fractional_action
 from crown.weyl import FULL_OMEGA
 
+from conftest import context
 from oracles import reference_fractional_action, reference_sample_siegel
 
 
@@ -29,7 +30,7 @@ def test_fractional_action_identity_and_base(sp2):
 
 
 def test_fractional_action_is_action():
-    ctx = _sp_context(2)
+    ctx = context("sp:2")
     rng = substream(83, 0)
     w = 1j * np.eye(2)
     for _ in range(30):
@@ -41,7 +42,7 @@ def test_fractional_action_is_action():
 
 
 def test_orbit_strategy_stays_in_upper_half_space():
-    ctx = _sp_context(3)
+    ctx = context("sp:3")
     rng = substream(83, 1)
     w = 1j * np.eye(3)
     for _ in range(100):
@@ -68,7 +69,7 @@ def test_sample_siegel_matches_per_index_reference(n, count):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cross_check_fractional_action_is_stacked(n):
     # the two stacked calls of cross_check_crown keep the bits of one call a row
-    ctx = _sp_context(n)
+    ctx = context(f"sp:{n}")
     gs, xs = sample_xi(ctx, FULL_OMEGA, 600, 31)
     g_std = ctx.to_standard_frame(gs)
     ax_std = ctx.to_standard_frame(ctx.a_exp(1j * xs))
