@@ -15,7 +15,6 @@ from .convexity import (
     grad_f,
     gradient_check,
     lemma24_probe,
-    normalizer_elements,
     verify_complex_convexity,
     verify_kostant_real,
 )
@@ -51,7 +50,6 @@ from .weyl import (
     dominant_rep,
     hull_contains,
     omega_margin,
-    weyl_orbit,
 )
 
 __version__ = "0.1.0"

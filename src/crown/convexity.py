@@ -17,7 +17,6 @@ of gradient_check load scipy, for expm.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .sampling import (
     haar_k,
     k_project,
     sample_group_element,
+    unitary_extract,
 )
 from .weyl import (
     FULL_OMEGA,
@@ -59,7 +59,6 @@ from .weyl import (
     helmert,
     hull_margins_batch,
     omega_margin,
-    weyl_orbit,
 )
 
 REGULARITY_FLOOR = 1e-3
@@ -93,22 +92,31 @@ class CriticalRun:
     gap: float
 
 
-def normalizer_elements(ctx: GroupContext) -> np.ndarray:
-    """All elements of the normalizer of the Cartan subspace in K, shape (count, m, m).
+def normalizer_distance(ctx: GroupContext, ks):
+    """Frobenius distance of rows k of K to the normalizer N_K(a), one value per row.
 
-    Each Weyl representative ctx.weyl_k[i] times each element of the
-    centralizer, the diagonal sign matrices (of determinant 1 for sl, embedded
-    from U(n) for sp), representatives outer.
+    Each row of k (of its unitary block on sp) keeps its largest entry, rounded
+    to its sign (sl) or to the nearest of 1, i, -1, -i (sp); k's distance to
+    that rounding has the bits of its distance to the same element of N_K(a).
+    An element closer than 1/2 is so entry by entry, and the rounding finds it.
+    A rounding that is no element lies at least 1/2 away too: one that is no
+    permutation leaves some row's largest entry at most 1/sqrt(2), and on sl
+    one of determinant -1 lies at least 2 from SO(n).  So the result is the
+    distance to N_K(a) wherever either is below 1/2.
     """
-    n = ctx.n
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    centr = np.where(np.eye(n, dtype=bool), signs[:, None, :], 0.0)
-    if ctx.family is Family.SPECIAL_LINEAR:
-        centr = centr[np.prod(signs, axis=1) > 0.0]
-    else:
-        centr = ctx.unitary_embed(centr)
-    m = ctx.ambient_size
-    return (ctx.weyl_k[:, None] @ centr[None]).reshape(-1, m, m)
+    ks = np.asarray(ks)
+    sl = ctx.family is Family.SPECIAL_LINEAR
+    u = ks if sl else unitary_extract(ctx, ks)
+    cols = np.abs(u).argmax(axis=-1)[..., None]
+    top = np.take_along_axis(u, cols, axis=-1)
+    phase = np.sign(top) if sl else np.where(
+        np.abs(top.real) >= np.abs(top.imag), np.sign(top.real), 1j * np.sign(top.imag))
+    rounded = np.zeros_like(u)
+    np.put_along_axis(rounded, cols, phase, axis=-1)
+    if not sl:
+        rounded = ctx.unitary_embed(rounded)
+    # np.linalg.norm sums in memory order: a C-ordered difference keeps each matrix's bits
+    return np.linalg.norm(np.ascontiguousarray(ks - rounded), axis=(-2, -1))
 
 
 def metric_inner(ctx: GroupContext, x, y):
@@ -192,10 +200,21 @@ def directional_derivative_triangular(ctx: GroupContext, factors, m, x_dir):
     return value if value.ndim else float(value)
 
 
-def weyl_values(ctx: GroupContext, x, m) -> np.ndarray:
-    """Values lam(i wX) over the Weyl orbit of x, for the covector with M-coordinates m."""
-    orbit = weyl_orbit(ctx, x)
-    return -2.0 * ctx.coord_weight * (orbit @ m)
+def weyl_maximum(ctx: GroupContext, x, m) -> float:
+    """max_w lam(i wX) for the covector with M-coordinates m, by rearrangement.
+
+    lam(i wX) = -2c (wX . m) is largest at the wX that pairs the descending x
+    with the ascending m (sl), or the ascending |x| with the ascending |m|
+    against the signs of m (sp).  A two-row product keeps the bits of the
+    product over the whole orbit, which a one-row dot does not.
+    """
+    wx = np.empty(ctx.n)
+    if ctx.family is Family.SPECIAL_LINEAR:
+        wx[np.argsort(m)] = np.sort(x)[::-1]
+    else:
+        wx[np.argsort(np.abs(m))] = np.sort(np.abs(x))
+        wx = -np.sign(m) * wx
+    return float(-2.0 * ctx.coord_weight * (np.stack((wx, wx)) @ m)[0])
 
 
 def ascend_critical(ctx: GroupContext, a_point, k0, m,
@@ -261,7 +280,7 @@ def ascend_critical(ctx: GroupContext, a_point, k0, m,
         eta = sy / yy if 0.0 < sy < STEP_CAP * yy else STEP_CAP
         k, f_cur, grad = k_trial, f_trial, grad_next
         f_values.append(f_cur)
-    matched = float(np.max(weyl_values(ctx, x_im, m)))
+    matched = weyl_maximum(ctx, x_im, m)
     return CriticalRun(
         end_k=k,
         f_values=np.array(f_values),
@@ -449,18 +468,20 @@ def gradient_check(ctx: GroupContext, configs: int, seed: int) -> VerificationRe
 
 def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
                         gap_tol: float = 1e-6, max_iter: int = 1000) -> VerificationReport:
-    """Seeded gradient ascents checked against the enumerated Weyl maxima.
+    """Seeded gradient ascents checked against the Weyl maxima and the normalizer.
 
     Converged runs whose final value misses max_w lam(i wX) by more than
-    gap_tol are violations; non-converged runs are flagged as indeterminate,
-    not failed.  The margin of a run is gap_tol minus its gap, so min_margin
-    is the slack of the converged run with the largest gap.
+    gap_tol, or whose end point lies farther than NORMALIZER_GAP from the
+    normalizer N_K(a), are violations; non-converged runs are flagged as
+    indeterminate, not failed.  The margin of a run is gap_tol minus its gap,
+    so min_margin is the slack of the converged run with the largest gap.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     gaps, f_finals, matched = np.empty((3, runs))
     iterations = np.empty(runs, dtype=int)
     converged = np.empty(runs, dtype=bool)
+    end_ks = np.empty((runs, ctx.ambient_size, ctx.ambient_size))
     for i in range(runs):
         rng = substream(seed, i)
         x = sample_regular_direction(ctx, INNER_OMEGA, rng)
@@ -468,16 +489,18 @@ def critical_point_scan(ctx: GroupContext, runs: int, seed: int,
         k0 = haar_k(ctx, [rng])[0]
         run = ascend_critical(ctx, 1j * x, k0, m, max_iter=max_iter)
         gaps[i], f_finals[i], matched[i] = run.gap, run.f_values[-1], run.matched_weyl_value
-        iterations[i], converged[i] = run.iterations, run.converged
+        iterations[i], converged[i], end_ks[i] = run.iterations, run.converged, run.end_k
+    dists = normalizer_distance(ctx, end_ks)
     part = chunk_part(
-        gap_tol - gaps, ~converged, None, gaps > gap_tol,
+        gap_tol - gaps, ~converged, None, (gaps > gap_tol) | (dists > NORMALIZER_GAP),
         lambda i: {"sample_index": i, "gap": gaps[i], "f_final": f_finals[i],
                    "matched_weyl_value": matched[i]},
-        max_gap_converged=np.max(gaps, where=converged, initial=0.0))
+        max_gap_converged=np.max(gaps, where=converged, initial=0.0),
+        max_normalizer_distance=np.max(dists, where=converged, initial=0.0))
     return _fold_report(
         [part], command="critical-points", ctx=ctx, omega=INNER_OMEGA, seed=seed, requested=runs,
         tolerances={"gap_tol": gap_tol, "grad_tol": GRAD_TOL, "group_tol": GROUP_TOL,
-                    "regularity_floor": REGULARITY_FLOOR,
+                    "normalizer_gap": NORMALIZER_GAP, "regularity_floor": REGULARITY_FLOOR,
                     "armijo_slope": ARMIJO_SLOPE, "armijo_shrink": ARMIJO_SHRINK,
                     "step_cap": STEP_CAP, "step_floor": STEP_FLOOR,
                     **grid_tolerances()},
@@ -498,7 +521,6 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
     if samples < 1:
         raise ValueError("samples must be >= 1")
     x = sample_regular_direction(ctx, INNER_OMEGA, substream(seed, NS_AUX))
-    normalizers = normalizer_elements(ctx)
 
     def run_chunk(lo, hi):
         count = hi - lo
@@ -506,9 +528,7 @@ def lemma24_probe(ctx: GroupContext, samples: int, seed: int) -> VerificationRep
         gs = haar_k(ctx, rngs)
         near = np.arange(count)
         while True:
-            # one row at a time: stacked rows would hold a (rows, |N|, m, m) temporary
-            dist = [np.linalg.norm(normalizers - gs[i], axis=(1, 2)).min() for i in near]
-            near = near[np.array(dist) <= NORMALIZER_GAP]
+            near = near[normalizer_distance(ctx, gs[near]) <= NORMALIZER_GAP]
             if not near.size:
                 break
             gs[near] = haar_k(ctx, [rngs[i] for i in near])

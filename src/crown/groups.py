@@ -49,7 +49,7 @@ from .errors import NumericalBreakdown
 GROUP_TOL = 1e-10
 # ambient matrix size above which a spec is refused: its k basis would take more than ~4 MB
 MAX_AMBIENT_SIZE = 32
-# Weyl group order above which GroupContext.weyl refuses to enumerate: sl up to 7, sp up to 5
+# Weyl order above which GroupContext.weyl, read by verify-kostant alone, refuses: sl to 7, sp to 5
 MAX_WEYL_ORDER = 2 ** 13
 
 

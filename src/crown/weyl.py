@@ -18,7 +18,6 @@ from .errors import NumericalBreakdown
 from .groups import Family, GroupContext, GroupSpec
 
 MEMBERSHIP_TOL = 1e-9
-DEDUP_TOL = 1e-12
 REJECTION_MIN_RATE = 1e-4
 
 
@@ -66,26 +65,6 @@ class OmegaSpec:
 
 
 FULL_OMEGA = OmegaSpec("scale", scale=1.0)
-
-
-def weyl_orbit(ctx: GroupContext, x) -> np.ndarray:
-    """Orbit of x without duplicates, shape (orbit_size, n), in lexicographic order.
-
-    A point is dropped when an earlier one agrees with it to DEDUP_TOL in every
-    coordinate.  Each entry of an orbit point is a coordinate of x or its
-    negative, so the sorted entries are cut into runs at gaps above DEDUP_TOL
-    and points are compared by their runs: no (|W|, |W|) comparison is held.
-    """
-    pts = ctx.weyl @ np.asarray(x)
-    pts = pts[np.lexsort(pts.T[::-1])]
-    values = np.unique(pts)
-    runs = np.concatenate(([0], np.cumsum(np.diff(values) > DEDUP_TOL)))
-    labels = runs[np.searchsorted(values, pts)]
-    # the sort is stable: each class comes together, its lexicographically first point first
-    order = np.lexsort(labels.T[::-1])
-    labels = labels[order]
-    first = np.concatenate(([True], (labels[1:] != labels[:-1]).any(axis=1)))
-    return pts[np.sort(order[first])]
 
 
 def dominant_rep(ctx: GroupContext, x) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Independent slow-path oracles used to cross-check the production code.
 
-Kept free of the implementation routes they validate: hull membership is
-decided by LP feasibility over the explicit orbit (or, for a batch, by the
-least L1 slack of one block-diagonal LP), SL(2) projections by the
-closed form of the top minor, gradient ascents by one scalar projection per
-value and one more per gradient, Siegel points by one draw and one fractional
-action per index, branch-tracking ratios by one product and one strided
-elimination per grid matrix, and the tracked branch by a fixed fine grid along
-a polyline or, where the path is cone-safe, by the Cauchy-Binet sums of the
-leading minors.
+Kept free of the implementation routes they validate: Weyl orbits, their
+critical values and the normalizer of the Cartan subspace are enumerated, hull
+membership is decided by LP feasibility over the explicit orbit (or, for a
+batch, by the least L1 slack of one block-diagonal LP), SL(2) projections by
+the closed form of the top minor, gradient ascents by one scalar projection
+per value and one more per gradient, Siegel points by one draw and one
+fractional action per index, branch-tracking ratios by one product and one
+strided elimination per grid matrix, and the tracked branch by a fixed fine
+grid along a polyline or, where the path is cone-safe, by the Cauchy-Binet sums
+of the leading minors.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
 
-from crown import Family, GroupSpec, build_group, f_a_lambda, grad_f, substream, weyl_orbit
+from crown import Family, GroupSpec, build_group, f_a_lambda, grad_f, substream
 from crown.convexity import (
     ARMIJO_SHRINK,
     ARMIJO_SLOPE,
@@ -26,12 +27,12 @@ from crown.convexity import (
     STEP_FLOOR,
     CriticalRun,
     metric_inner,
-    weyl_values,
 )
 from crown.iwasawa import PIVOT_FLOOR
 from crown.sampling import P_RADIUS
 from crown.siegel import DIRECT_EPS
-from crown.weyl import DEDUP_TOL
+
+DEDUP_TOL = 1e-12
 
 
 def reference_weyl_orbit(ctx, x, tol=DEDUP_TOL):
@@ -45,9 +46,36 @@ def reference_weyl_orbit(ctx, x, tol=DEDUP_TOL):
     return pts[~np.tril(near, -1).any(1)]
 
 
+def weyl_values(ctx, x, m):
+    """Values lam(i wX) for every w in ctx.weyl, for the covector with M-coordinates m.
+
+    Points the dedup of the orbit would drop are kept: they repeat a value and
+    leave the maximum as it is.
+    """
+    return -2.0 * ctx.coord_weight * ((ctx.weyl @ np.asarray(x)) @ m)
+
+
+def normalizer_elements(ctx):
+    """All elements of the normalizer of the Cartan subspace in K, shape (count, m, m).
+
+    Each Weyl representative ctx.weyl_k[i] times each element of the
+    centralizer, the diagonal sign matrices (of determinant 1 for sl, embedded
+    from U(n) for sp), representatives outer.
+    """
+    n = ctx.n
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    centr = np.where(np.eye(n, dtype=bool), signs[:, None, :], 0.0)
+    if ctx.family is Family.SPECIAL_LINEAR:
+        centr = centr[np.prod(signs, axis=1) > 0.0]
+    else:
+        centr = ctx.unitary_embed(centr)
+    m = ctx.ambient_size
+    return (ctx.weyl_k[:, None] @ centr[None]).reshape(-1, m, m)
+
+
 def lp_hull_membership(ctx, x, y, tol=1e-9):
     """Feasibility of y = sum_w c_w (w.x), c >= 0, sum c = 1 over the explicit orbit."""
-    orbit = weyl_orbit(ctx, x)
+    orbit = reference_weyl_orbit(ctx, x)
     count = orbit.shape[0]
     a_eq = np.vstack([orbit.T, np.ones(count)])
     b_eq = np.concatenate([np.asarray(y, dtype=float), [1.0]])
@@ -72,7 +100,7 @@ def lp_hull_slacks(ctx, xs, ys):
     eye = np.eye(ctx.n)
     blocks, costs, rhs = [], [], []
     for x, y in zip(xs, ys):
-        orbit = weyl_orbit(ctx, x)
+        orbit = reference_weyl_orbit(ctx, x)
         count = orbit.shape[0]
         blocks.append(np.block([[orbit.T, eye, -eye], [np.ones(count), np.zeros(2 * ctx.n)]]))
         costs.append(np.concatenate([np.zeros(count), np.ones(2 * ctx.n)]))

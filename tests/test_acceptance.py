@@ -19,7 +19,7 @@ from crown.sampling import sample_group_element
 from crown.weyl import FULL_OMEGA, draw_omega_point, hull_contains
 
 from conftest import context
-from oracles import lp_hull_slacks, reference_polyline_log_a
+from oracles import lp_hull_slacks, reference_polyline_log_a, reference_weyl_orbit
 
 GROUPS = ["sl:2", "sl:3", "sp:2"]
 MARGIN_TOL = 1e-9
@@ -124,7 +124,7 @@ def test_a06_hull_oracle_equivalence():
             if ctx.family is Family.SPECIAL_LINEAR:
                 x -= x.mean()
             if rng.uniform() < 0.5:
-                orbit = crown.weyl_orbit(ctx, x)
+                orbit = reference_weyl_orbit(ctx, x)
                 y = rng.dirichlet(np.ones(orbit.shape[0])) @ orbit
                 y = y + rng.standard_normal(ctx.n) * 0.02
             else:

@@ -7,6 +7,7 @@ import scipy.linalg
 
 import crown
 import crown.convexity as convexity
+import crown.groups as groups
 import crown.iwasawa as iwasawa
 from crown import ascend_critical, f_a, f_a_lambda, grad_f
 from crown.convexity import (
@@ -15,22 +16,26 @@ from crown.convexity import (
     STEP_FLOOR,
     directional_derivative_triangular,
     metric_inner,
-    normalizer_elements,
     random_k_direction,
     sample_covector,
     sample_regular_direction,
-    weyl_values,
 )
 from crown.errors import NumericalBreakdown
 from crown.groups import Family, pair_ia
 from crown.iwasawa import GRID_STEPS, MAX_SEGMENTS, project_real_batch, triangular_part
 from crown.rng import substream
-from crown.sampling import haar_k
+from crown.sampling import haar_k, unitary_extract
 from crown.weyl import FULL_OMEGA, OmegaSpec, draw_omega_point, helmert, hull_contains
 
 import oracles
 from conftest import context
-from oracles import reference_ascend_critical, sl2_im_log_a, sl2_rotation
+from oracles import (
+    normalizer_elements,
+    reference_ascend_critical,
+    sl2_im_log_a,
+    sl2_rotation,
+    weyl_values,
+)
 
 
 def _random_a_point(ctx, rng, with_real=True):
@@ -391,16 +396,20 @@ def test_cayley_trial_stays_in_group(label):
 
 @pytest.mark.parametrize("label, runs", [("sl:3", (0, 1)), ("sp:3", (0, 6))])
 def test_long_ascents_stay_in_the_group_without_a_polar_step(label, runs):
-    # tol 0 never converges, so each run takes all its Cayley steps; these runs
-    # of seed 13 take 300 steps, where the others stall below STEP_FLOOR first
+    # tol 0 never converges, so each run takes Cayley steps until max_iter or a
+    # stall below STEP_FLOOR; how many a run takes depends on the BLAS kernel
+    # (run 6 of sp:3 stalls at 91 under OpenBLAS's Haswell kernel), so the
+    # bounds hold wherever a run ends, and some run of each group takes all 300
     ctx = context(label)
     eye = np.eye(ctx.ambient_size)
+    iterations = []
     for i in runs:
         a_point, k0, lam = _ascent_case(ctx, 13, i)
         run = ascend_critical(ctx, a_point, k0, lam, max_iter=300, tol=0.0)
-        assert run.iterations == 300
+        iterations.append(run.iterations)
         assert ctx.group_residual(run.end_k) <= 1e-12
         assert np.abs(run.end_k.T @ run.end_k - eye).max() <= 1e-12
+    assert max(iterations) == 300
 
 
 @pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sp:1", "sp:2", "sp:3"])
@@ -426,6 +435,7 @@ def test_critical_point_scan_converges_up_the_rank_ladder(label):
     assert rep.extras["convergence_rate"] == 1.0
     assert rep.violations == 0
     assert rep.extras["max_gap_converged"] < 1e-8
+    assert rep.extras["max_normalizer_distance"] < 1e-3
 
 
 def test_critical_point_scan_projection_budget(sl3, monkeypatch):
@@ -509,6 +519,50 @@ def test_normalizer_enumeration_counts(sl2, sl3, sp2):
         np.testing.assert_allclose(mat @ mat.T, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sl:5", "sp:1", "sp:2", "sp:3"])
+def test_normalizer_distance_is_the_enumerated_minimum(label):
+    # 300 Haar rows and 300 rows up to 0.15 from an enumerated element: wherever
+    # either distance is at most 0.5 the rounding has the bits of the enumerated
+    # minimum, and the two decide alike at NORMALIZER_GAP
+    import scipy.linalg
+
+    ctx = context(label)
+    normalizers = normalizer_elements(ctx)
+    rngs = [substream(97, i) for i in range(600)]
+    ks = haar_k(ctx, rngs)
+    for k, rng in zip(ks[300:], rngs[300:]):
+        d = random_k_direction(ctx, rng)
+        turn = scipy.linalg.expm(rng.uniform(0.0, 0.15) * d / np.linalg.norm(d))
+        k[:] = normalizers[rng.integers(len(normalizers))] @ turn
+    got = convexity.normalizer_distance(ctx, ks)
+    want = np.array([np.linalg.norm(normalizers - k, axis=(1, 2)).min() for k in ks])
+    small = np.minimum(got, want) <= 0.5
+    assert got[small].tobytes() == want[small].tobytes()
+    np.testing.assert_array_equal(got <= convexity.NORMALIZER_GAP,
+                                  want <= convexity.NORMALIZER_GAP)
+    assert 0 < np.count_nonzero(want <= convexity.NORMALIZER_GAP) < np.count_nonzero(small)
+    # a row whose largest entries share a column rounds to no element and is far
+    u = ks if ctx.family is Family.SPECIAL_LINEAR else unitary_extract(ctx, ks)
+    cols = np.sort(np.abs(u).argmax(axis=-1), axis=-1)
+    shared = (cols[:, 1:] == cols[:, :-1]).any(axis=-1)
+    assert np.all(got[shared] > 0.5) and np.all(want[shared] > 0.5)
+    assert convexity.normalizer_distance(ctx, ks[0]) == got[0]
+
+
+@pytest.mark.parametrize("label", ["sl:2", "sl:3", "sl:4", "sl:5", "sl:6",
+                                   "sp:1", "sp:2", "sp:3", "sp:4"])
+def test_weyl_maximum_is_the_orbit_maximum(label):
+    # draws as critical_point_scan makes them: the rearranged wX has the bits of the
+    # largest value over the enumerated Weyl group
+    ctx = context(label)
+    rng = substream(101, 0)
+    for _ in range(300):
+        x = sample_regular_direction(ctx, convexity.INNER_OMEGA, rng)
+        m = sample_covector(ctx, rng)
+        want = np.max(weyl_values(ctx, x, m))
+        assert np.float64(convexity.weyl_maximum(ctx, x, m)).tobytes() == want.tobytes()
+
+
 def test_lemma24_sl2_closed_form(sl2):
     # oracle: for theta = pi/4, M = z z^T has M11 = cos 2t and M21 = i sin 2t,
     # so the unipotent entry is n21 = M21 / M11 = i tan 2t, purely imaginary
@@ -552,8 +606,8 @@ def test_lemma24_probe_keeps_its_stream_contract(label, monkeypatch):
 
 
 def test_lemma24_probe_working_set_is_bounded():
-    # sl:5 has 1,920 normalizer elements: the distances of 128 rows at once would
-    # hold a 47 MiB temporary; one row at a time holds 0.4 MiB
+    # sl:5 has 1,920 normalizer elements: distances to all of them for 128 rows at
+    # once would hold a 47 MiB temporary; rounding each row holds none of them
     ctx = context("sl:5")
     tracemalloc.start()
     try:
@@ -650,4 +704,34 @@ def test_critical_point_scan_with_no_converged_run(monkeypatch, sl2):
     assert rep.min_margin is None
     assert rep.worst_witness is None
     assert rep.extras["max_gap_converged"] == 0.0
+    assert rep.extras["max_normalizer_distance"] == 0.0
     assert rep.exit_code == 3
+
+
+def test_critical_points_fails_a_run_that_ends_off_the_normalizer(monkeypatch, sl3):
+    # each end point turned by 0.15 in one coordinate plane lies 2 sqrt(2) sin(0.075),
+    # about 0.21, from the normalizer: past NORMALIZER_GAP, though every value matches
+    from crown.cli import main
+
+    c, s = np.cos(0.15), np.sin(0.15)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    _patch_runs(monkeypatch, lambda i, run: dataclasses.replace(run, end_k=run.end_k @ turn))
+    rep = crown.critical_point_scan(sl3, 3, seed=5)
+    assert rep.violations == 3
+    assert rep.extras["max_gap_converged"] < 1e-6
+    assert 0.2 < rep.extras["max_normalizer_distance"] < 0.22
+    assert main(["critical-points", "--group", "sl:3", "--runs", "3", "--seed", "5"]) == 2
+
+
+def _never(*args):
+    raise AssertionError("a verifier enumerated the Weyl group")
+
+
+def test_lemma24_and_critical_points_run_past_the_weyl_cap(monkeypatch):
+    # sp:6 has Weyl order 46,080, above MAX_WEYL_ORDER: neither verifier lists it
+    ctx = context("sp:6")
+    monkeypatch.setattr(groups.itertools, "permutations", _never)
+    lemma = crown.lemma24_probe(ctx, 20, 0)
+    scan = crown.critical_point_scan(ctx, 2, 0)
+    assert lemma.samples_completed == 20 and lemma.violations == 0
+    assert scan.samples_completed == 2 and scan.violations == 0

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import crown.groups as groups
-from crown import Family, GroupSpec, build_group, cli, normalizer_elements
+from crown import Family, GroupSpec, build_group, cli
 from crown.errors import NumericalBreakdown
 from crown.groups import h_lambda, is_regular, pair_ia, project_a
 from crown.rng import substream
 
 from conftest import context
+from oracles import normalizer_elements
 
 
 def test_spec_validation():
