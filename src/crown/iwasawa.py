@@ -17,12 +17,19 @@ capped.  track_batch is the one tracker; project_complex checks its rows and
 tracks them in one call, a single point as a batch of one.
 
 track_batch runs a batch in blocks of rows whose complex grid takes about
-TRACK_BLOCK_BYTES (64 KiB).  A block's temporaries stay in cache, and the heap
-hands the same pages to the next block.  A grid of a few hundred rows is
-megabytes a temporary, and larger blocks leave enough free memory at the heap
-top for the allocator to return it to the kernel after each block and fault it
-in again at the next.  Every operation is per row, so a row's bits do not
-depend on the block it lands in.
+TRACK_BLOCK_BYTES (256 KiB: 107 sl:3 rows or 15 sp:4 rows on the default
+grid), so a call's working set is bounded whatever the batch, and the fixed
+cost of a block's numpy calls is shared by many rows.  A block of several rows
+takes every array that grows with it from a workspace that each thread makes
+at its first such block and keeps.  Blocks this large, allocated from the
+heap, free enough at its top for glibc to return the pages to the kernel after
+each block and fault them in again at the next.  A workspace freed after each
+call would be mapped and faulted in again at each call, until some free raised
+glibc's thresholds past its size.  Nothing returned views the workspace.  A
+one-row block allocates its few KiB from the heap, which costs less than
+carving them.  Every operation is per row, and each workspace array has the
+shape and layout of the array it stands for, so a row's bits depend neither on
+the block it lands in nor on the workspace.
 
 Both kernels are batch-first.  _path_ratios forms the T grid matrices of a
 path with one (T m) x m product, and _ldl eliminates a whole stack on one copy
@@ -40,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -54,8 +62,10 @@ SYM_TOL = 1e-10
 # parameter-grid segments per tracked path before any retry on a finer grid
 GRID_STEPS = 16
 # bytes of complex grid, (rows, steps + 1, m, m), per block of rows track_batch tracks at once
-TRACK_BLOCK_BYTES = 2 ** 16
+TRACK_BLOCK_BYTES = 2 ** 18
 _TINY = np.finfo(float).tiny
+# per-thread tracking workspace, see _workspace
+_local = threading.local()
 
 
 @dataclasses.dataclass
@@ -76,18 +86,26 @@ class IwasawaFactors:
     log_full: np.ndarray
 
 
-def _row_sums(sq):
+def _row_sums(sq, take=None):
     """sq summed over axis 1 with the bits numpy's sum gives each contiguous row.
 
     Below 8 terms numpy's pairwise sum adds in order, as a sum over axis 1
     does; from 8 terms on numpy sums a contiguous copy of the rows itself.
+    take, a workspace's, supplies the sums and the copy.
     """
+    out = take and take(sq.shape[::2], sq.dtype)
     if sq.shape[1] < 8:
-        return sq.sum(axis=1)
-    return np.ascontiguousarray(np.swapaxes(sq, 1, 2)).sum(axis=-1)
+        return sq.sum(axis=1, out=out)
+    rows = np.swapaxes(sq, 1, 2)
+    if take:
+        copy = take(rows.shape, sq.dtype)
+        np.copyto(copy, rows)
+    else:
+        copy = np.ascontiguousarray(rows)
+    return copy.sum(axis=-1, out=out)
 
 
-def _ldl(mat):
+def _ldl(mat, ws=None):
     """Batched one-pass LDL^T elimination without pivoting.
 
     mat has shape (..., m, m).  Returns (ratios, unit_lower, minors) where
@@ -109,8 +127,11 @@ def _ldl(mat):
     SIMD complex multiply instead, which rounds differently on some CPUs.
     ratios and minors are C-contiguous, because later numpy calls on strided
     operands can round differently; unit_lower is a transposed view of the
-    batch-last buffer.
+    batch-last buffer.  With a workspace ws, _ldl_in runs the elimination in
+    arrays taken from it.
     """
+    if ws is not None:
+        return _ldl_in(mat, ws.take)
     mat = np.asarray(mat)
     lead, m = mat.shape[:-2], mat.shape[-1]
     count = math.prod(lead)
@@ -132,6 +153,51 @@ def _ldl(mat):
         minors = np.abs(np.multiply.accumulate(pivots, axis=0)) / hadamard
     return (pivots.T.copy().reshape(lead + (m,)), lower.transpose(2, 0, 1).reshape(lead + (m, m)),
             minors.T.copy().reshape(lead + (m,)))
+
+
+def _ldl_in(mat, take):
+    """_ldl of a stack with every array taken from a workspace by take.
+
+    The same operations run in the same order as in _ldl, each into a
+    C-contiguous array of the shape _ldl allocates, so every bit is _ldl's;
+    only the running product of the row norms is m - 1 row multiplies, which
+    round as accumulate's scalar loop does.  mat is copied before anything else
+    is written, so it may lie in the workspace past the first array taken.  The
+    returned arrays view the workspace.
+    """
+    lead, m = mat.shape[:-2], mat.shape[-1]
+    count = math.prod(lead)
+    dtype = np.promote_types(mat.dtype, np.float64)
+    work = take((m, m, count), dtype)
+    np.copyto(work, mat.reshape((count, m, m)).transpose(1, 2, 0))
+    lower = take((m, m, count), dtype)
+    lower.fill(0.0)
+    lower.reshape((m * m, count))[:: m + 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.abs(work, out=take((m, m, count), float))
+        hadamard = _row_sums(np.square(sq, out=sq), take)
+        np.sqrt(hadamard, out=hadamard)
+        # the running product, one row multiply at a time: a real product rounds
+        # as accumulate's scalar loop does, and each multiply sweeps the whole block
+        for j in range(1, m):
+            hadamard[j] *= hadamard[j - 1]
+        np.maximum(hadamard, _TINY, out=hadamard)
+        cols, prods = take((m - 1, count), dtype), take(((m - 1) ** 2 * count,), dtype)
+        for j in range(m - 1):
+            k = m - j - 1
+            col = np.divide(work[j + 1:, j], work[j:j + 1, j], out=cols[:k])
+            lower[j + 1:, j] = col
+            work[j + 1:, j + 1:] -= np.multiply(col[:, None, :], work[j:j + 1, j + 1:],
+                                                out=prods[:k * k * count].reshape((k, k, count)))
+        pivots = work.reshape((m * m, count))[:: m + 1]
+        minors = np.abs(np.multiply.accumulate(pivots, axis=0, out=take((m, count), dtype)),
+                        out=take((m, count), float))
+        np.divide(minors, hadamard, out=minors)
+    ratios, minors_t = take((count, m), dtype), take((count, m), float)
+    np.copyto(ratios, pivots.T)
+    np.copyto(minors_t, minors.T)
+    return (ratios.reshape(lead + (m,)), lower.transpose(2, 0, 1).reshape(lead + (m, m)),
+            minors_t.reshape(lead + (m,)))
 
 
 def normalized_minors(mat) -> np.ndarray:
@@ -248,6 +314,41 @@ def grid_tolerances(steps_hint: int = GRID_STEPS) -> dict:
             "max_segments": MAX_SEGMENTS, "pivot_floor": PIVOT_FLOOR}
 
 
+class _Workspace:
+    """Memory one thread's tracking blocks carve their arrays from, kept for the thread's life.
+
+    glibc returns the free memory at the top of the heap to the kernel once it
+    passes its trim threshold (128 KiB until large frees raise it), and the
+    next allocation faults the pages in again.  A block of rows at
+    TRACK_BLOCK_BYTES frees that much at its end, so every array of a block
+    whose size grows with the block is taken from here in place of the heap:
+    the same pages serve every block of every call.  take hands out the memory
+    in order; a block starts over from the bottom (top = 0), and what a block
+    returns is copied out of it.
+    """
+
+    def __init__(self):
+        # the kernel maps the pages as blocks first touch them: a block takes at
+        # most about 6.2 TRACK_BLOCK_BYTES (at m = 2), and less as m grows
+        self.buf = np.empty(7 * TRACK_BLOCK_BYTES, dtype=np.uint8)
+        self.top = 0
+
+    def take(self, shape, dtype):
+        """An uninitialized C-contiguous array of shape and dtype, after the last one taken."""
+        array = np.ndarray(shape, dtype, self.buf, self.top)
+        self.top += -(-array.nbytes // 64) * 64       # each array starts on a cache line
+        return array
+
+
+def _workspace() -> _Workspace:
+    """This thread's workspace, made at its first tracked block of more than one row."""
+    try:
+        return _local.workspace
+    except AttributeError:
+        _local.workspace = _Workspace()
+        return _local.workspace
+
+
 @functools.lru_cache(maxsize=32)
 def _grid(steps: int) -> np.ndarray:
     """The uniform parameter grid 0 = t_0 < ... < t_steps = 1; cached and read-only."""
@@ -256,8 +357,13 @@ def _grid(steps: int) -> np.ndarray:
     return ts
 
 
-def _track_block(ctx: GroupContext, g, xs, ts):
-    """(log_full, lower, max_steps, bad) of one block of rows on the grid ts, shape (1, T, 1)."""
+def _track_block(ctx: GroupContext, g, xs, ts, ws):
+    """(log_full, lower, max_steps, bad) of one block of rows on the grid ts, shape (1, T, 1).
+
+    With a workspace ws, _track_block_in tracks the block in arrays taken from it.
+    """
+    if ws is not None:
+        return _track_block_in(ctx, g, xs, ts, ws)
     ratios, lower, minors = _path_ratios(ctx, g, ts * xs[:, None, :])
     quot = ratios[:, 1:, :] / ratios[:, :-1, :]
     dphi = np.arctan2(quot.imag, quot.real)          # np.angle without its Python layer
@@ -270,6 +376,39 @@ def _track_block(ctx: GroupContext, g, xs, ts):
     return log_full, lower[:, -1], max_steps, bad
 
 
+def _track_block_in(ctx: GroupContext, g, xs, ts, ws):
+    """_track_block with every array that grows with the block taken from the workspace ws.
+
+    The same operations run in the same order as in _track_block and
+    _path_ratios, each into a C-contiguous array of the shape they allocate, so
+    every bit is theirs.  The block takes ws from its bottom, and the lower factor
+    is copied out, so nothing returned views the workspace.
+    """
+    take = ws.take
+    ws.top = 0
+    rows, points, n = len(xs), ts.shape[1], xs.shape[-1]
+    m = g.shape[-1]
+    grid, stacked = (rows, points, m, m), (rows, points * m, m)
+    coords = np.multiply(ts, xs[:, None, :], out=take((rows, points, n), float))
+    bottom = ws.top
+    diag = np.multiply(2j, ctx.full_diag(coords), out=take((rows, points, m), complex))
+    np.exp(diag, out=diag)
+    scaled = np.multiply(g[:, None, :, :], diag[:, :, None, :], out=take(grid, complex))
+    product = np.matmul(scaled.reshape(stacked), np.swapaxes(g, -1, -2),
+                        out=take(stacked, complex))
+    # _ldl's first array lies over diag and the scaled copies, ending before the
+    # product, and takes the product's copy before anything else is written; the
+    # call goes through _ldl, the name a trace counts eliminations by
+    ws.top = bottom
+    ratios, lower, minors = _ldl(product.reshape(grid), ws)
+    quot = np.divide(ratios[:, 1:, :], ratios[:, :-1, :], out=take((rows, points - 1, m), complex))
+    dphi = np.arctan2(quot.imag, quot.real, out=take(quot.shape, float))
+    max_steps = np.abs(dphi, out=take(dphi.shape, float)).reshape(rows, -1).max(axis=1)
+    bad = ~(minors >= PIVOT_FLOOR).reshape(rows, points * m).all(axis=1)
+    log_full = 0.5 * (np.log(np.abs(ratios[:, -1, :])) + 1j * dphi.sum(axis=1))
+    return log_full, lower[:, -1].copy(), max_steps, bad
+
+
 def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     """Continuous branch of log a(g_i exp(iX_i)) for a batch of (g_i, X_i) pairs.
 
@@ -279,13 +418,17 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     up to MAX_SEGMENTS segments, so no row depends on the batch it came in.
 
     Rows are tracked in blocks of max(1, TRACK_BLOCK_BYTES // (16 (steps + 1)
-    m^2)) rows, so a block's complex grid takes about TRACK_BLOCK_BYTES.  Its
-    temporaries then stay in cache and in heap pages the next block reuses; a
-    grid of several hundred rows is megabytes that the allocator returns to the
-    kernel when freed and faults in again on the next call.  The working set of
-    a call is therefore bounded, whatever the batch.  Every operation is per
-    row, so a row's bits do not depend on its block, and a batch of one block
-    (a single row, say) is returned as that block computed it, with no copy.
+    m^2)) rows, so a block's complex grid takes about TRACK_BLOCK_BYTES (2^18
+    bytes) and the working set of a call is bounded, whatever the batch.  A
+    block of more than one row takes its arrays from this thread's workspace
+    (_Workspace), which outlives the call: arrays allocated per block leave
+    a free heap top that glibc returns to the kernel and faults in again at
+    every block, and a workspace freed per call is mapped and faulted in again
+    at every call until glibc's thresholds rise past its size.  What a
+    workspace block returns is copied out of it, since a retry reuses the
+    workspace.  Every operation is per row, so a row's bits do not depend on its
+    block, and a one-row batch is returned as its block computed it, with no
+    copy.
 
     Returns (log_full, lower, max_steps, segments, bad): the full diagonal of
     log a and the unit lower factor at t = 1, each row's largest argument step
@@ -298,9 +441,12 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
     ts = _grid(steps)[None, :, None]
     rows, m = len(xs), g.shape[-1]
     block = max(1, TRACK_BLOCK_BYTES // (16 * (steps + 1) * m * m))
+    # a one-row block's arrays are a few KiB that the heap serves from its free lists;
+    # taking them from the workspace would cost more than it saves
+    ws = _workspace() if min(rows, block) > 1 else None
     with np.errstate(divide="ignore", invalid="ignore"):
         if rows <= block:
-            log_full, lower_last, max_steps, bad = _track_block(ctx, g, xs, ts)
+            log_full, lower_last, max_steps, bad = _track_block(ctx, g, xs, ts, ws)
         else:
             log_full = np.empty((rows, m), dtype=complex)
             lower_last = np.empty((rows, m, m), dtype=complex)
@@ -309,7 +455,7 @@ def track_batch(ctx: GroupContext, g, xs, steps_hint: int = GRID_STEPS):
             for lo in range(0, rows, block):
                 hi = lo + block
                 (log_full[lo:hi], lower_last[lo:hi], max_steps[lo:hi],
-                 bad[lo:hi]) = _track_block(ctx, g[lo:hi], xs[lo:hi], ts)
+                 bad[lo:hi]) = _track_block(ctx, g[lo:hi], xs[lo:hi], ts, ws)
     segments = np.empty(rows, dtype=int)
     segments.fill(steps)                              # np.full costs twice as much on one row
     redo = (bad | (max_steps >= ARG_STEP_CAP)).nonzero()[0]

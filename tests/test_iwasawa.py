@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -138,6 +143,18 @@ def test_ldl_stack_gives_each_matrix_its_own_bits(m, cplx, shape):
     for idx in np.ndindex(shape):
         for got, want in zip(_ldl(mats[idx]), stacked):
             assert_same_bits(got, want[idx])
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", LDL_SIZES[:-1])
+def test_ldl_in_a_workspace_keeps_every_bit(m, cplx):
+    # track_batch eliminates a block of several rows in its workspace, each array in
+    # one of the shape _ldl allocates: every output keeps _ldl's bits
+    rng = np.random.default_rng(10 * m + cplx)
+    spread = rng.uniform(-3.0, 0.0, (3, 5, m, m))
+    mats = symmetric_stack(rng, (3, 5), m, cplx) * 10.0 ** (spread + np.swapaxes(spread, -1, -2))
+    for got, want in zip(_ldl(mats, iwasawa._Workspace()), _ldl(mats)):
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("m, cplx", [
@@ -484,11 +501,12 @@ def test_project_complex_breakdown_on_one_row_raises(sl2):
         project_complex(sl2, gs, xs)
 
 
-@pytest.mark.parametrize("steps_hint", [GRID_STEPS, 1])
-@pytest.mark.parametrize("label, count", [("sl:3", 300), ("sp:4", 200)])
+@pytest.mark.parametrize("label, count, steps_hint", [
+    ("sl:3", 300, GRID_STEPS), ("sl:3", 2000, 1), ("sp:4", 200, GRID_STEPS), ("sp:4", 200, 1)])
 def test_track_batch_row_bits_do_not_depend_on_its_block(label, count, steps_hint):
-    # the batch spans several blocks (sp:4 holds 3 rows a block at the default grid);
-    # at steps_hint=1 some sl:3 rows are tracked again from inside a block
+    # the batch spans several blocks (sp:4 holds 15 rows a block at the default grid,
+    # sl:3 910 at steps_hint=1); at steps_hint=1 some sl:3 rows are tracked again
+    # from inside a block, in the same workspace
     ctx = context(label)
     m = ctx.ambient_size
     block = max(1, iwasawa.TRACK_BLOCK_BYTES // (16 * (steps_hint + 1) * m * m))
@@ -497,7 +515,7 @@ def test_track_batch_row_bits_do_not_depend_on_its_block(label, count, steps_hin
     batch = track_batch(ctx, gs, xs, steps_hint)
     assert not batch[4].any()
     if label == "sl:3" and steps_hint == 1:
-        assert np.sum(batch[3] > 1) == 39
+        assert np.sum(batch[3] > 1) == 203
     for i in range(count):
         alone = track_batch(ctx, gs[i:i + 1], xs[i:i + 1], steps_hint)
         for got, want in zip(alone, batch):
@@ -517,6 +535,89 @@ def test_track_batch_working_set_is_bounded():
         tracemalloc.stop()
     assert not out[4].any()
     assert peak < 8 * 2 ** 20
+
+
+def test_track_batch_returns_nothing_that_views_its_workspace():
+    # every block of several rows runs in the thread's workspace, and later calls
+    # reuse it: what a one-block call, a several-block call and a call whose rows are
+    # tracked again (steps_hint=1, a nested call) returned keeps its bytes
+    sl3, sp4 = context("sl:3"), context("sp:4")
+    calls = [(40, 3, GRID_STEPS), (600, 5, GRID_STEPS), (300, 13, 1)]
+    outs = [track_batch(sl3, *sample_xi(sl3, FULL_OMEGA, count, seed), hint)
+            for count, seed, hint in calls]
+    assert np.sum(outs[2][3] > 1) == 39
+    saved = [[field.copy() for field in out] for out in outs]
+    for ctx in (sp4, sl3):
+        track_batch(ctx, *sample_xi(ctx, FULL_OMEGA, 600, 7))
+    workspace = iwasawa._workspace().buf
+    for out, want in zip(outs, saved):
+        for got, field in zip(out, want):
+            assert not np.shares_memory(got, workspace)
+            assert_same_bits(got, field)
+
+
+def test_track_batch_threads_get_the_bits_of_serial_calls():
+    # each thread carves its blocks from a workspace of its own: four threads, more
+    # than the cores of a small host, tracking four groups at once with a short
+    # switch interval get the bits of the serial calls
+    labels = ("sl:3", "sp:4", "sp:2", "sl:4")
+    jobs = {label: (context(label), *sample_xi(context(label), FULL_OMEGA, 300, 11))
+            for label in labels}
+    serial = {label: track_batch(*job) for label, job in jobs.items()}
+    results = {}
+    start = threading.Barrier(len(labels))
+
+    def run(label):
+        start.wait(timeout=60)
+        results[label] = [track_batch(*jobs[label]) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(label,)) for label in labels]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == sorted(labels)
+    for label, runs in results.items():
+        for out in runs:
+            for got, want in zip(out, serial[label]):
+                assert_same_bits(got, want)
+
+
+# minor page faults of ten warm 512-row sl:3 calls, counted by the interpreter that makes them
+FAULT_SCRIPT = """
+import resource
+from crown import build_group, sample_xi
+from crown.groups import Family, GroupSpec
+from crown.iwasawa import track_batch
+from crown.weyl import FULL_OMEGA
+ctx = build_group(GroupSpec(Family("sl"), 3))
+gs, xs = sample_xi(ctx, FULL_OMEGA, 512, 5)
+track_batch(ctx, gs, xs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    track_batch(ctx, gs, xs)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_tracking_faults_in_no_heap_pages():
+    # glibc hands the free top of the heap back to the kernel once it passes 128 KiB
+    # (until a large free raises that threshold), and the next allocation faults it in
+    # again.  Blocks of 256 KiB take their arrays from the thread's workspace, so in a
+    # fresh interpreter ten warm 512-row calls fault in fewer than 64 pages; with every
+    # block allocating its own arrays they fault in about 15,800.  This test's own
+    # process has made large frees, so it would not see the difference.
+    src = pathlib.Path(iwasawa.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64
 
 
 @pytest.mark.parametrize("label", ["sl:3", "sp:2", "sl:5", "sp:4"])
